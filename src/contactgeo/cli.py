@@ -94,7 +94,7 @@ class Workspace:
     @property
     def tensors(self):
         if self._tensors is None:
-            self._tensors = StructureTensors(self.M, self.table)
+            self._tensors = StructureTensors(self.M)
         return self._tensors
 
     def header(self):

@@ -21,15 +21,13 @@ All tensors produced here are frame-indexed arrays of scalar fields.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
 
-from . import scalar
 from .errors import DegeneratePlane
-from .geometry import VectorField, lie_bracket
-from .scalar import Rat, ZERO, ONE, evaluate, simplify
+from .geometry import lie_bracket
+from .scalar import Rat, ZERO, ONE, add_all, evaluate
 
 HALF = Rat(Fraction(1, 2))
 
@@ -49,10 +47,6 @@ class ConnectionTable:
         self.gamma = gamma
         self.brackets = brackets  # frame components of [e_i, e_j]
 
-    def nabla_frame(self, i, j):
-        """Frame components of ``nabla_{e_i} e_j``."""
-        return list(self.gamma[i][j])
-
     def nabla_comps(self, x_frame, c_frame):
         """Frame components of ``nabla_X Y`` from frame components.
 
@@ -66,18 +60,11 @@ class ConnectionTable:
         for k in range(n):
             ck = c_frame[k]
             # derivative part
-            if not _is0(ck):
-                for i in range(n):
-                    if _is0(x_frame[i]):
-                        continue
+            if _is0(ck):
+                continue
+            for i in range(n):
+                if not _is0(x_frame[i]):
                     out[k] = out[k] + x_frame[i] * M.frame[i].apply(ck)
-            else:
-                for i in range(n):
-                    if _is0(x_frame[i]):
-                        continue
-                    d = M.frame[i].apply(ck)
-                    if not _is0(d):
-                        out[k] = out[k] + x_frame[i] * d
         for i in range(n):
             xi_c = x_frame[i]
             if _is0(xi_c):
@@ -90,11 +77,7 @@ class ConnectionTable:
                 for k in range(n):
                     if not _is0(row[k]):
                         out[k] = out[k] + xi_c * cl * row[k]
-        return [simplify(e) for e in out]
-
-    def nabla(self, X, Y):
-        """``nabla_X Y`` for coordinate vector fields (frame components)."""
-        return self.nabla_comps(self.M.to_frame(X), self.M.to_frame(Y))
+        return out
 
     def nabla_operator(self, A, x_frame):
         """Covariant derivative of a (1,1) tensor given as a frame matrix.
@@ -115,22 +98,26 @@ class ConnectionTable:
                 for k in range(n):
                     if not _is0(A[m][k]):
                         second[k] = second[k] + nx_ej[m] * A[m][k]
-            out.append([simplify(a - b) for a, b in zip(first, second)])
+            out.append([a - b for a, b in zip(first, second)])
         return out
+
+
+def frame_brackets(M):
+    """Frame components of ``[e_i, e_j]`` for every frame pair."""
+    n = M.dim
+    brackets = [[None] * n for _ in range(n)]
+    for i in range(n):
+        brackets[i][i] = [ZERO] * n
+        for j in range(i + 1, n):
+            brackets[i][j] = M.to_frame(lie_bracket(M.frame[i], M.frame[j]))
+            brackets[j][i] = [-c for c in brackets[i][j]]
+    return brackets
 
 
 def koszul(M):
     """Levi-Civita connection of the declared frame metric."""
     n = M.dim
-    brackets = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if j < i:
-                brackets[i][j] = [simplify(-c) for c in brackets[j][i]]
-            elif i == j:
-                brackets[i][j] = [ZERO] * n
-            else:
-                brackets[i][j] = M.to_frame(lie_bracket(M.frame[i], M.frame[j]))
+    brackets = frame_brackets(M)
 
     def g_frame(c, d):
         out = ZERO
@@ -158,7 +145,7 @@ def koszul(M):
                 rhs.append(HALF * term)
             # solve sum_m gamma^m G_mk = rhs_k  =>  gamma = Ginv . rhs
             entry = [
-                simplify(sum((M.metric_inverse[m][k] * rhs[k] for k in range(n)), ZERO))
+                add_all([M.metric_inverse[m][k] * rhs[k] for k in range(n)])
                 for m in range(n)
             ]
             row_i.append(entry)
@@ -184,13 +171,13 @@ class CurvatureTable:
                     continue
                 if j < i:
                     for k in range(n):
-                        R[i][j][k] = [simplify(-c) for c in R[j][i][k]]
+                        R[i][j][k] = [-c for c in R[j][i][k]]
                     continue
                 for k in range(n):
                     a = conn.nabla_comps(basis[i], conn.gamma[j][k])
                     b = conn.nabla_comps(basis[j], conn.gamma[i][k])
                     c = conn.nabla_comps(conn.brackets[i][j], basis[k])
-                    R[i][j][k] = [simplify(p - q - s) for p, q, s in zip(a, b, c)]
+                    R[i][j][k] = [p - q - s for p, q, s in zip(a, b, c)]
         self.R = R
 
         G = M.metric
@@ -202,8 +189,8 @@ class CurvatureTable:
                 for j in range(n):
                     comps = R[a][i][j]
                     for b in range(n):
-                        low[a][i][j][b] = simplify(
-                            sum((comps[m] * G[m][b] for m in range(n) if not _is0(comps[m])), ZERO)
+                        low[a][i][j][b] = add_all(
+                            [comps[m] * G[m][b] for m in range(n) if not _is0(comps[m])]
                         )
         self.lowered = low
 
@@ -216,18 +203,18 @@ class CurvatureTable:
                     for b in range(n):
                         if not _is0(Ginv[a][b]):
                             out = out + Ginv[a][b] * low[a][i][j][b]
-                S[i][j] = simplify(out)
+                S[i][j] = out
         self.ricci = S
 
         # Ricci operator rows: Q e_i = sum_k Q[i][k] e_k with g(Q e_i, .) = S(e_i, .)
         self.ricci_operator = [
-            [simplify(sum((Ginv[k][j] * S[j][i] for j in range(n)), ZERO)) for k in range(n)]
+            [add_all([Ginv[k][j] * S[j][i] for j in range(n)]) for k in range(n)]
             for i in range(n)
         ]
 
-        self.scalar_curvature = simplify(
-            sum((Ginv[i][j] * S[i][j] for i in range(n) for j in range(n)
-                 if not _is0(Ginv[i][j])), ZERO)
+        self.scalar_curvature = add_all(
+            [Ginv[i][j] * S[i][j] for i in range(n) for j in range(n)
+             if not _is0(Ginv[i][j])]
         )
 
         # star-Ricci S*_ij = 1/2 sum g^{ab} g(phi(R(e_i, phi e_j) e_a), e_b)
@@ -259,19 +246,15 @@ class CurvatureTable:
                     for b in range(n):
                         if _is0(Ginv[a][b]):
                             continue
-                        inner = sum((phi_comps[m] * G[m][b] for m in range(n)
-                                     if not _is0(phi_comps[m])), ZERO)
+                        inner = add_all([phi_comps[m] * G[m][b] for m in range(n)
+                                         if not _is0(phi_comps[m])])
                         out = out + Ginv[a][b] * inner
-                Sstar[i][j] = simplify(HALF * out)
+                Sstar[i][j] = HALF * out
         self.star_ricci = Sstar
-        self.star_scalar = simplify(
-            sum((Ginv[i][j] * Sstar[i][j] for i in range(n) for j in range(n)
-                 if not _is0(Ginv[i][j])), ZERO)
+        self.star_scalar = add_all(
+            [Ginv[i][j] * Sstar[i][j] for i in range(n) for j in range(n)
+             if not _is0(Ginv[i][j])]
         )
-
-    def riemann_frame(self, i, j, k):
-        """Frame components of ``R(e_i, e_j) e_k``."""
-        return list(self.R[i][j][k])
 
     def riemann_apply(self, x_frame, y_frame, z_frame):
         """``R(X, Y) Z`` by multilinearity over frame components."""
@@ -292,7 +275,7 @@ class CurvatureTable:
                     for m in range(n):
                         if not _is0(rm[m]):
                             out[m] = out[m] + c * rm[m]
-        return [simplify(e) for e in out]
+        return out
 
 
 def sectional_curvature(M, table, X, Y):
@@ -303,11 +286,11 @@ def sectional_curvature(M, table, X, Y):
     x = M._frame_comps(X)
     y = M._frame_comps(Y)
     num = M.metric_apply(table.riemann_apply(x, y, y), x)
-    den = simplify(M.metric_apply(x, x) * M.metric_apply(y, y) - pow2(M.metric_apply(x, y)))
+    den = M.metric_apply(x, x) * M.metric_apply(y, y) - pow2(M.metric_apply(x, y))
     verdict = M.is_zero_field(den)
     if verdict.is_zero:
         raise DegeneratePlane("the declared 2-plane is degenerate for this metric")
-    return simplify(num / den)
+    return num / den
 
 
 def pow2(e):
@@ -325,7 +308,16 @@ def lie_derivative_metric(M, V):
             val = V.apply(M.metric[i][j])
             val = val - M.metric_apply(br[i], basis[j])
             val = val - M.metric_apply(basis[i], br[j])
-            out[i][j] = out[j][i] = simplify(val)
+            out[i][j] = out[j][i] = val
+    return out
+
+
+def lie_derivative_eta(M, V):
+    """``(L_V eta)(e_j) = V(eta_j) - eta([V, e_j])``."""
+    out = []
+    for j in range(M.dim):
+        br = M.to_frame(lie_bracket(V, M.frame[j]))
+        out.append(V.apply(M.eta_frame[j]) - M.metric_apply(br, M.xi_frame))
     return out
 
 
@@ -341,17 +333,17 @@ def hessian(M, conn, f):
                 gk = conn.gamma[i][j][k]
                 if not _is0(gk):
                     val = val - gk * ef[k]
-            out[i][j] = simplify(val)
+            out[i][j] = val
     return out
 
 
 class StructureTensors:
-    """The tensors ``h = (1/2) L_xi phi``, ``h' = h o phi``, ``l = R(., xi) xi``.
+    """The tensors ``h = (1/2) L_xi phi`` and ``h' = h o phi``.
 
     Rows are frame images, like the phi convention.
     """
 
-    def __init__(self, M, table=None):
+    def __init__(self, M):
         self.M = M
         n = M.dim
         xi = M.xi
@@ -361,18 +353,12 @@ class StructureTensors:
             # (L_xi phi)(Y) = [xi, phi Y] - phi([xi, Y])
             a = M.to_frame(lie_bracket(xi, phiY))
             b = M.phi_frame_apply(M.to_frame(lie_bracket(xi, Y)))
-            return [simplify(HALF * (p - q)) for p, q in zip(a, b)]
+            return [HALF * (p - q) for p, q in zip(a, b)]
 
         self.h = [half_lie_phi(M.frame[j], phi_fields[j]) for j in range(n)]
         # h'(e_j) = h(phi e_j), computed directly from the bracket definition
         phi2 = [M.from_frame(M.phi_frame_apply(M.phi[j])) for j in range(n)]
         self.h_prime = [half_lie_phi(phi_fields[j], phi2[j]) for j in range(n)]
-        if table is not None:
-            xi_f = M.xi_frame
-            basis = [[ONE if k == m else ZERO for m in range(n)] for k in range(n)]
-            self.ell = [table.riemann_apply(basis[j], xi_f, xi_f) for j in range(n)]
-        else:
-            self.ell = None
 
     def h_prime_squared(self):
         n = self.M.dim
@@ -385,7 +371,7 @@ class StructureTensors:
                 for k in range(n):
                     if not _is0(hp[m][k]):
                         out[j][k] = out[j][k] + hp[j][m] * hp[m][k]
-        return [[simplify(e) for e in row] for row in out]
+        return out
 
     def spectrum(self, snap_tol=1e-9):
         """Eigenvalues of h' sampled over the domain.
@@ -427,17 +413,7 @@ class ExteriorData:
         self.M = M
         n = M.dim
         basis = [[ONE if k == m else ZERO for m in range(n)] for k in range(n)]
-        brackets = conn.brackets if conn is not None else None
-        if brackets is None:
-            brackets = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    if j < i:
-                        brackets[i][j] = [simplify(-c) for c in brackets[j][i]]
-                    elif i == j:
-                        brackets[i][j] = [ZERO] * n
-                    else:
-                        brackets[i][j] = M.to_frame(lie_bracket(M.frame[i], M.frame[j]))
+        brackets = conn.brackets if conn is not None else frame_brackets(M)
         self.brackets = brackets
 
         eta = M.eta_frame
@@ -446,15 +422,15 @@ class ExteriorData:
         for i in range(n):
             for j in range(n):
                 val = M.frame[i].apply(eta[j]) - M.frame[j].apply(eta[i])
-                val = val - sum((brackets[i][j][k] * eta[k] for k in range(n)
-                                 if not _is0(brackets[i][j][k])), ZERO)
-                self.d_eta[i][j] = simplify(val)
+                val = val - add_all([brackets[i][j][k] * eta[k] for k in range(n)
+                                     if not _is0(brackets[i][j][k])])
+                self.d_eta[i][j] = val
 
         # Phi(X, Y) = g(X, phi Y)
         self.Phi = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                self.Phi[i][j] = simplify(M.metric_apply(basis[i], M.phi[j]))
+                self.Phi[i][j] = M.metric_apply(basis[i], M.phi[j])
 
         def phi_form(c, d):
             out = ZERO
@@ -478,22 +454,10 @@ class ExteriorData:
                     val = val - phi_form(brackets[i][j], basis[k])
                     val = val + phi_form(brackets[i][k], basis[j])
                     val = val - phi_form(brackets[j][k], basis[i])
-                    self.d_Phi[(i, j, k)] = simplify(val)
-                    w = eta[i] * self.Phi[j][k] + eta[j] * self.Phi[k][i] + eta[k] * self.Phi[i][j]
-                    self.eta_wedge_Phi[(i, j, k)] = simplify(w)
-
-
-def one_form_d(M, omega_frame, brackets):
-    """Exterior derivative of a 1-form given by frame values."""
-    n = M.dim
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            val = M.frame[i].apply(omega_frame[j]) - M.frame[j].apply(omega_frame[i])
-            val = val - sum((brackets[i][j][k] * omega_frame[k] for k in range(n)
-                             if not _is0(brackets[i][j][k])), ZERO)
-            out[i][j] = simplify(val)
-    return out
+                    self.d_Phi[(i, j, k)] = val
+                    self.eta_wedge_Phi[(i, j, k)] = (eta[i] * self.Phi[j][k]
+                                                     + eta[j] * self.Phi[k][i]
+                                                     + eta[k] * self.Phi[i][j])
 
 
 def nijenhuis(M):
@@ -514,6 +478,6 @@ def nijenhuis(M):
             comps = []
             for k in range(n):
                 val = t1[k] + t2[k] - t3[k] - t4[k] + Rat(2) * de * M.xi_frame[k]
-                comps.append(simplify(val))
+                comps.append(val)
             out[(i, j)] = comps
     return out

@@ -20,8 +20,8 @@ import random
 from fractions import Fraction
 
 from . import scalar
-from .errors import SingularFrame, ValidationError
-from .scalar import Rat, Sampler, ZERO, ONE, is_zero, evaluate
+from .errors import ExpressionError, SingularFrame, ValidationError
+from .scalar import Rat, Sampler, ZERO, ONE, add_all, is_zero, evaluate
 
 Number = (int, Fraction)
 
@@ -97,8 +97,8 @@ def lie_bracket(X, Y):
 def sym_inverse(mat):
     """Invert a square matrix of scalar fields by Gauss-Jordan.
 
-    Returns ``(inverse, determinant)``.  Pivots are entries that do not
-    simplify to the zero constant; a column with no such entry raises.
+    Returns ``(inverse, determinant)``.  Pivots are entries that are not
+    the zero constant; a column with no such entry raises.
     """
     n = len(mat)
     aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(mat)]
@@ -127,13 +127,22 @@ def sym_inverse(mat):
                 continue
             aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
     inv = [row[n:] for row in aug]
-    return inv, scalar.simplify(det)
+    return inv, det
+
+
+def _scalar_matrix(mat):
+    """Copy a matrix whose entries must all be scalar fields."""
+    for row in mat:
+        for x in row:
+            if not isinstance(x, scalar.ScalarField):
+                raise ExpressionError(f"not a scalar expression: {x!r}")
+    return [list(row) for row in mat]
 
 
 def _mat_vec(mat, vec):
     """Row-vector times matrix: ``out[k] = sum_j vec[j] mat[j][k]``."""
     n = len(mat)
-    return [sum((vec[j] * mat[j][k] for j in range(n)), ZERO) for k in range(n)]
+    return [add_all([vec[j] * mat[j][k] for j in range(n)]) for k in range(n)]
 
 
 class ManifoldSpec:
@@ -153,7 +162,7 @@ class ManifoldSpec:
             raise ValidationError(f"expected {self.dim} frame vectors, got {len(frame)}")
         self.frame = [v if isinstance(v, VectorField) else VectorField(self.coords, v)
                       for v in frame]
-        self.metric = [[scalar.simplify(x) for x in row] for row in metric]
+        self.metric = _scalar_matrix(metric)
         self._require_square(self.metric, "metric_frame")
         for i in range(self.dim):
             for j in range(i):
@@ -161,7 +170,7 @@ class ManifoldSpec:
                     raise ValidationError(
                         f"metric_frame is not symmetric at ({i}, {j})"
                     )
-        self.phi = [[scalar.simplify(x) for x in row] for row in phi]
+        self.phi = _scalar_matrix(phi)
         self._require_square(self.phi, "phi_frame")
 
         if isinstance(xi, int):
@@ -191,8 +200,7 @@ class ManifoldSpec:
             self.xi_frame = self.to_frame(self.xi)
         # eta on the frame: eta_j = g(e_j, xi)
         self.eta_frame = [
-            scalar.simplify(sum((self.xi_frame[k] * self.metric[j][k]
-                                 for k in range(self.dim)), ZERO))
+            add_all([self.xi_frame[k] * self.metric[j][k] for k in range(self.dim)])
             for j in range(self.dim)
         ]
         self._validate_nondegeneracy()
@@ -219,7 +227,7 @@ class ManifoldSpec:
             comps = X.comps
         else:
             comps = tuple(X)
-        return [scalar.simplify(c) for c in _mat_vec(self.frame_inverse, list(comps))]
+        return _mat_vec(self.frame_inverse, list(comps))
 
     def from_frame(self, c):
         """Coordinate vector field with the given frame components."""
@@ -250,15 +258,11 @@ class ManifoldSpec:
     def eta_apply(self, X):
         """``eta(X) = g(X, xi)``."""
         c = self._frame_comps(X)
-        return scalar.simplify(sum((c[j] * self.eta_frame[j] for j in range(self.dim)), ZERO))
+        return add_all([c[j] * self.eta_frame[j] for j in range(self.dim)])
 
     def phi_frame_apply(self, c):
         """phi acting on frame components."""
         return _mat_vec(self.phi, list(c))
-
-    def phi_apply(self, X):
-        """phi acting on a coordinate vector field."""
-        return self.from_frame(self.phi_frame_apply(self.to_frame(X)))
 
     def frame_apply(self, f):
         """List of derivations ``e_k(f)``."""
@@ -268,8 +272,7 @@ class ManifoldSpec:
         """Raise a covector given by its frame values ``omega_k = omega(e_k)``."""
         n = self.dim
         return [
-            scalar.simplify(sum((self.metric_inverse[m][k] * omega_frame[k]
-                                 for k in range(n)), ZERO))
+            add_all([self.metric_inverse[m][k] * omega_frame[k] for k in range(n)])
             for m in range(n)
         ]
 

@@ -11,8 +11,10 @@ arithmetic operation returns a tree in a canonical sum-of-products form:
 * small positive integer powers of sums are expanded, so polynomial
   cancellations collapse to the literal zero constant.
 
-Because canonical forms are closed under the arithmetic, ``simplify`` is
-idempotent.  Differentiation is exact, and evaluation is exact over the
+Sums of any length go through ``add_all``, which merges all their terms
+in one pass.  Because canonical forms are closed under the arithmetic,
+callers never need to re-canonicalize a result; ``simplify`` rebuilds an
+arbitrary tree and is idempotent on canonical ones.  Differentiation is exact, and evaluation is exact over the
 rationals whenever the expression contains no exp node.
 """
 
@@ -369,32 +371,42 @@ def _attach_coeff(coeff, mono):
     return Mul((Rat(coeff), mono))
 
 
-def add(a, b):
-    """Canonical sum of two canonical nodes."""
-    if isinstance(a, Rat) and a.value == 0:
-        return b
-    if isinstance(b, Rat) and b.value == 0:
-        return a
+def add_all(nodes):
+    """Canonical sum of any number of canonical nodes, merged in one pass.
+
+    Like monomials are merged across every operand at once and the
+    surviving terms sorted once.  A sum with a single non-zero operand is
+    that operand itself.
+    """
+    nonzero = [e for e in nodes if not (isinstance(e, Rat) and e.value == 0)]
+    if not nonzero:
+        return ZERO
+    if len(nonzero) == 1:
+        return nonzero[0]
     acc = {}
-    order = []
-    for term in _terms_of(a) + _terms_of(b):
-        coeff, mono = _strip_coeff(term)
-        if mono in acc:
-            acc[mono] += coeff
-        else:
-            acc[mono] = coeff
-            order.append(mono)
-    terms = []
-    for mono in order:
-        node = _attach_coeff(acc[mono], mono)
-        if not (isinstance(node, Rat) and node.value == 0):
-            terms.append(node)
+    for node in nonzero:
+        for term in node.terms if isinstance(node, Add) else (node,):
+            coeff, mono = _strip_coeff(term)
+            if mono in acc:
+                acc[mono] += coeff
+            else:
+                acc[mono] = coeff
+    terms = [_attach_coeff(coeff, mono) for mono, coeff in acc.items() if coeff != 0]
     if not terms:
         return ZERO
     if len(terms) == 1:
         return terms[0]
     terms.sort(key=sort_key)
     return Add(terms)
+
+
+def add(a, b):
+    """Canonical sum of two canonical nodes."""
+    if isinstance(a, Rat) and a.value == 0:
+        return b
+    if isinstance(b, Rat) and b.value == 0:
+        return a
+    return add_all((a, b))
 
 
 def neg(a):
@@ -437,11 +449,7 @@ def mul(a, b):
             return ZERO
         if b.value == 1:
             return a
-    out = ZERO
-    for t1 in _terms_of(a):
-        for t2 in _terms_of(b):
-            out = add(out, _mul_terms(t1, t2))
-    return out
+    return add_all([_mul_terms(t1, t2) for t1 in _terms_of(a) for t2 in _terms_of(b)])
 
 
 def pow_int(a, n):
@@ -541,7 +549,7 @@ def diff(e, name):
     elif isinstance(e, Pow):
         out = mul(mul(Rat(e.exponent), pow_int(e.base, e.exponent - 1)), diff(e.base, name))
     elif isinstance(e, Mul):
-        out = ZERO
+        parts = []
         fs = e.factors
         for i, f in enumerate(fs):
             df = diff(f, name)
@@ -551,11 +559,10 @@ def diff(e, name):
             for j, g in enumerate(fs):
                 if j != i:
                     rest = mul(rest, g)
-            out = add(out, rest)
+            parts.append(rest)
+        out = add_all(parts)
     elif isinstance(e, Add):
-        out = ZERO
-        for t in e.terms:
-            out = add(out, diff(t, name))
+        out = add_all([diff(t, name) for t in e.terms])
     else:
         raise ExpressionError(f"not a scalar expression: {e!r}")
     _diff_cache[key] = out
@@ -563,38 +570,6 @@ def diff(e, name):
 
 
 # --- evaluation ------------------------------------------------------------
-
-
-def contains_exp(e):
-    if isinstance(e, Exp):
-        return True
-    if isinstance(e, Pow):
-        return contains_exp(e.base)
-    if isinstance(e, Mul):
-        return any(contains_exp(f) for f in e.factors)
-    if isinstance(e, Add):
-        return any(contains_exp(t) for t in e.terms)
-    return False
-
-
-def free_symbols(e):
-    if isinstance(e, Sym):
-        return {e.name}
-    if isinstance(e, Exp):
-        return free_symbols(e.arg)
-    if isinstance(e, Pow):
-        return free_symbols(e.base)
-    if isinstance(e, Mul):
-        out = set()
-        for f in e.factors:
-            out |= free_symbols(f)
-        return out
-    if isinstance(e, Add):
-        out = set()
-        for t in e.terms:
-            out |= free_symbols(t)
-        return out
-    return set()
 
 
 def _eval(e, env, memo):
@@ -639,17 +614,19 @@ def evaluate(e, env):
     clean = {}
     for k, v in env.items():
         clean[k] = v if isinstance(v, (Fraction, float)) else _as_fraction(v)
-    v = _eval(e, clean, {})
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return v
-    return v
+    return _eval(e, clean, {})
 
 
 # --- zero testing -----------------------------------------------------------
 
 
+PROVED_ZERO = "proved_zero"
+NUMERICALLY_ZERO = "numerically_zero"
+NON_ZERO = "non_zero"
+
+
 class Verdict:
-    """Outcome of a zero test: proved_zero, numerically_zero, or non_zero."""
+    """Outcome of a zero test: one of the three kinds above."""
 
     __slots__ = ("kind", "max_abs", "witness")
 
@@ -660,7 +637,7 @@ class Verdict:
 
     @property
     def is_zero(self):
-        return self.kind in ("proved_zero", "numerically_zero")
+        return self.kind != NON_ZERO
 
     def __repr__(self):
         if self.witness is not None:
@@ -668,21 +645,22 @@ class Verdict:
         return f"Verdict({self.kind}, max_abs={self.max_abs!r})"
 
 
-PROVED_ZERO = Verdict("proved_zero")
+_PROVED = Verdict(PROVED_ZERO)
 
 
 def is_zero(e, sampler=None, tol=1e-9):
     """Decide whether a field vanishes identically on the sampling domain.
 
-    Canonical simplification first; expressions that do not collapse to the
-    zero constant are evaluated at the sampler's points and judged against
-    the absolute tolerance.
+    ``e`` must be canonical, as every node built by this module is: terms
+    that cancel have already collapsed to the zero constant, which is
+    proved zero, and any other constant is non-zero.  Other expressions
+    are evaluated at the sampler's points and judged against the absolute
+    tolerance.
     """
-    e = simplify(e)
     if isinstance(e, Rat):
         if e.value == 0:
-            return PROVED_ZERO
-        return Verdict("non_zero", abs(float(e.value)), ({}, e.value))
+            return _PROVED
+        return Verdict(NON_ZERO, abs(float(e.value)), ({}, e.value))
     if sampler is None:
         raise ExpressionError("a sampler is required for non-constant zero tests")
     max_abs = 0.0
@@ -697,12 +675,12 @@ def is_zero(e, sampler=None, tol=1e-9):
         used += 1
         a = abs(float(v))
         if a >= tol:
-            return Verdict("non_zero", a, (dict(env), v))
+            return Verdict(NON_ZERO, a, (dict(env), v))
         if a > max_abs:
             max_abs = a
     if used == 0:
         raise InsufficientSamples("every sample point hit a singularity")
-    return Verdict("numerically_zero", max_abs)
+    return Verdict(NUMERICALLY_ZERO, max_abs)
 
 
 # --- sampling ----------------------------------------------------------------

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .curvature import hessian, lie_derivative_metric
+from .curvature import hessian, lie_derivative_eta, lie_derivative_metric
 from .errors import DegenerateSystem, DivisionByZero, MissingPotential
-from .geometry import lie_bracket
 from .lstsq import solve_least_squares
-from .scalar import Rat, ZERO, evaluate, simplify, to_str
+from .scalar import Rat, ZERO, evaluate, to_str
 from .structure import CheckReport, _numeric_result, combine
 
 
@@ -78,17 +77,15 @@ class SolitonProblem:
         else:
             hess = hessian(M, self.table.conn, self.f)
             out = [[hess[i][j] + star[i][j] for j in range(n)] for i in range(n)]
-        return [[simplify(e) for e in row] for row in out]
+        return out
 
     def coefficient_tensors(self):
         """Coefficients of (lambda~, mu) in the residual, as matrices."""
         M, n = self.M, self.M.dim
         scale = Rat(2) if self.V is not None else Rat(1)
-        g_part = [[simplify(scale * M.metric[i][j]) for j in range(n)]
-                  for i in range(n)]
+        g_part = [[scale * M.metric[i][j] for j in range(n)] for i in range(n)]
         eta = M.eta_frame
-        eta_part = [[simplify(scale * eta[i] * eta[j]) for j in range(n)]
-                    for i in range(n)]
+        eta_part = [[scale * eta[i] * eta[j] for j in range(n)] for i in range(n)]
         return g_part, eta_part
 
 
@@ -111,7 +108,7 @@ def _residual(P, lambda_tilde, mu):
     base = P.base_tensor()
     g_part, eta_part = P.coefficient_tensors()
     lt, m = _const(lambda_tilde), _const(mu)
-    return [[simplify(base[i][j] + lt * g_part[i][j] + m * eta_part[i][j])
+    return [[base[i][j] + lt * g_part[i][j] + m * eta_part[i][j]
              for j in range(n)] for i in range(n)]
 
 
@@ -124,7 +121,7 @@ class SolitonReport:
         self.n = n
         self.lambda_tilde = lambda_tilde
         self.mu = mu
-        self.residual = residual  # simplified frame tensor
+        self.residual = residual  # frame tensor
         self.residual_max = residual_max
         self.exact = exact
         self.mu_unconstrained = mu_unconstrained
@@ -155,10 +152,6 @@ class SolitonReport:
                          for i, j, e in self.residual_entries()},
             "classification": classify(self.lambda_tilde, self.n),
         }
-
-
-def _fraction_or_none(x):
-    return x if isinstance(x, Fraction) else None
 
 
 def _render_shift(c):
@@ -216,14 +209,13 @@ def classify(lambda_tilde, n, p=None):
 
 
 def _max_abs(M, expr):
-    """Largest |value| of a simplified expression over the sample set."""
-    e = simplify(expr)
-    if isinstance(e, Rat):
-        return abs(float(e.value))
+    """Largest |value| of an expression over the sample set."""
+    if isinstance(expr, Rat):
+        return abs(float(expr.value))
     worst = 0.0
     for env in M.sampler.points():
         try:
-            v = evaluate(e, env)
+            v = evaluate(expr, env)
         except (DivisionByZero, ZeroDivisionError, OverflowError):
             continue
         a = abs(float(v))
@@ -303,10 +295,7 @@ def check_kenmotsu_soliton(M, P, report):
                                    M.tol, note="lambda~ + mu"))
 
     V = P.V if P.V is not None else M.gradient_field(P.f)
-    lv_eta = []
-    for j in range(n):
-        br = M.to_frame(lie_bracket(V, M.frame[j]))
-        lv_eta.append(V.apply(M.eta_frame[j]) - M.metric_apply(br, M.xi_frame))
+    lv_eta = lie_derivative_eta(M, V)
     results.append(combine(M, "strict_contact_potential",
                            [(f"(L_V eta)(e_{j + 1})", lv_eta[j]) for j in range(n)]))
 

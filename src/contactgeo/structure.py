@@ -16,15 +16,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import scalar
-from .curvature import ExteriorData, lie_derivative_metric
+from .curvature import ExteriorData, lie_derivative_eta, lie_derivative_metric
 from .errors import DegenerateSystem
 from .geometry import lie_bracket, random_vector_fields
 from .lstsq import solve_least_squares
-from .scalar import Rat, ZERO, ONE, evaluate, simplify, to_str
-
-PROVED_ZERO = "proved_zero"
-NUMERICALLY_ZERO = "numerically_zero"
-NON_ZERO = "non_zero"
+from .scalar import (
+    NON_ZERO, NUMERICALLY_ZERO, ONE, PROVED_ZERO, Rat, ZERO, add_all, evaluate, to_str,
+)
 
 _KIND_RANK = {PROVED_ZERO: 0, NUMERICALLY_ZERO: 1, NON_ZERO: 2}
 
@@ -258,7 +256,7 @@ def check_kenmotsu(M, conn, table):
 
     parts_b12 = []
     for i in range(n):
-        s = sum((table.ricci[i][j] * xi[j] for j in range(n)), ZERO)
+        s = add_all([table.ricci[i][j] * xi[j] for j in range(n)])
         parts_b12.append((f"S(e_{i + 1}, xi) + 2n eta(e_{i + 1})",
                           s + two_n * eta[i]))
 
@@ -274,7 +272,7 @@ def check_kenmotsu(M, conn, table):
     for i in range(n):
         dQ = conn.nabla_operator(Q, basis[i])
         # (nabla_X Q)(xi) by linearity over the frame images
-        img = [sum((xi[j] * dQ[j][k] for j in range(n)), ZERO) for k in range(n)]
+        img = [add_all([xi[j] * dQ[j][k] for j in range(n)]) for k in range(n)]
         for k in range(n):
             e = img[k] + Q[i][k] + two_n * (ONE if i == k else ZERO)
             parts_c1.append((f"((nabla_e{i + 1} Q)xi + Q e_{i + 1} + 2n e_{i + 1})[{k + 1}]", e))
@@ -324,22 +322,22 @@ def check_almost_kenmotsu(M, conn, table, tensors, ext=None):
                  for (i, j, k) in sorted(ext.d_Phi)]
 
     h, hp = tensors.h, tensors.h_prime
-    h_xi = [sum((xi[j] * h[j][k] for j in range(n)), ZERO) for k in range(n)]
-    hp_xi = [sum((xi[j] * hp[j][k] for j in range(n)), ZERO) for k in range(n)]
+    h_xi = [add_all([xi[j] * h[j][k] for j in range(n)]) for k in range(n)]
+    hp_xi = [add_all([xi[j] * hp[j][k] for j in range(n)]) for k in range(n)]
     parts_b16 = [(f"(h xi)[{k + 1}]", h_xi[k]) for k in range(n)]
     parts_b16 += [(f"(h' xi)[{k + 1}]", hp_xi[k]) for k in range(n)]
 
     parts_b17 = []
     for j in range(n):
         hphi = M.phi_frame_apply([h[j][k] for k in range(n)])  # phi(h e_j)
-        phih_j = [sum((M.phi[j][m] * h[m][k] for m in range(n)), ZERO)
+        phih_j = [add_all([M.phi[j][m] * h[m][k] for m in range(n)])
                   for k in range(n)]  # h(phi e_j)
         for k in range(n):
             parts_b17.append((f"(h phi + phi h)(e_{j + 1})[{k + 1}]",
                               phih_j[k] + hphi[k]))
 
-    tr_h = sum((h[j][j] for j in range(n)), ZERO)
-    tr_hp = sum((hp[j][j] for j in range(n)), ZERO)
+    tr_h = add_all([h[j][j] for j in range(n)])
+    tr_hp = add_all([hp[j][j] for j in range(n)])
 
     parts_b18 = []
     for i in range(n):
@@ -393,7 +391,7 @@ def solve_nullity(M, conn, table, tensors):
             for k in range(n):
                 a_k = eta[j] * (ONE if i == k else ZERO) - eta[i] * (ONE if j == k else ZERO)
                 a_m = eta[j] * hp[i][k] - eta[i] * hp[j][k]
-                coeff_exprs.append((simplify(a_k), simplify(a_m), simplify(rv[k])))
+                coeff_exprs.append((a_k, a_m, rv[k]))
     pts = M.sampler.points()
     for env in pts:
         for a_k, a_m, b in coeff_exprs:
@@ -505,7 +503,7 @@ def solve_eta_einstein(M, table):
     exprs = []
     for i in range(n):
         for j in range(i, n):
-            exprs.append((G[i][j], simplify(eta[i] * eta[j]), table.ricci[i][j]))
+            exprs.append((G[i][j], eta[i] * eta[j], table.ricci[i][j]))
     for env in M.sampler.points():
         for a, b, s in exprs:
             rows.append((evaluate(a, env), evaluate(b, env)))
@@ -522,7 +520,7 @@ def solve_eta_einstein(M, table):
     # Kenmotsu consistency: with S = a g + b eta(x)eta one must have
     # a + b = -2n, a = 1 + r/2n, b = -(2n+1+r/2n). Only meaningful when
     # the scalar curvature is constant; reported as data, not a verdict.
-    r_const = simplify(table.scalar_curvature)
+    r_const = table.scalar_curvature
     consistency = None
     if isinstance(r_const, Rat):
         r = r_const.value
@@ -561,16 +559,13 @@ def check_contact_field(M, V):
     """
     n = M.dim
     w = M.to_frame(lie_bracket(V, M.xi))
-    f_field = simplify(M.metric_apply(w, M.xi_frame))
+    f_field = M.metric_apply(w, M.xi_frame)
     remainder = [(f"([V,xi] - f xi)[{k + 1}]",
                   w[k] - f_field * M.xi_frame[k]) for k in range(n)]
     contact = combine(M, "contact_field", remainder)
 
-    lv_eta = []
-    for j in range(n):
-        br = M.to_frame(lie_bracket(V, M.frame[j]))
-        lv_eta.append(simplify(V.apply(M.eta_frame[j]) - M.metric_apply(br, M.xi_frame)))
-    c_field = simplify(sum((M.xi_frame[j] * lv_eta[j] for j in range(n)), ZERO))
+    lv_eta = lie_derivative_eta(M, V)
+    c_field = add_all([M.xi_frame[j] * lv_eta[j] for j in range(n)])
     infinitesimal = combine(
         M, "infinitesimal_contact",
         [(f"(L_V eta - c eta)(e_{j + 1})", lv_eta[j] - c_field * M.eta_frame[j])

@@ -12,7 +12,7 @@ class Bundle:
         self.M = self.manifest.manifold()
         self.conn = koszul(self.M)
         self.table = CurvatureTable(self.M, self.conn)
-        self.tensors = StructureTensors(self.M, self.table)
+        self.tensors = StructureTensors(self.M)
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,7 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -504,6 +505,9 @@ def _sweep_commands():
     return [argv + ["--json", "--seed", "1729"] for argv in out]
 
 
+GOLDEN_SWEEP = Path(__file__).parent / "golden" / "sweep_seed1729.json"
+
+
 def test_acceptance_08_cli_determinism(capsys):
     with announce(capsys, "08 CLI determinism"):
         commands = _sweep_commands()
@@ -518,5 +522,6 @@ def test_acceptance_08_cli_determinism(capsys):
         first = sweep()
         second = sweep()
         assert first == second
+        assert first == json.loads(GOLDEN_SWEEP.read_text())
         for chunk in first:
             json.loads(chunk)

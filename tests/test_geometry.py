@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from contactgeo.errors import ValidationError
+from contactgeo.errors import ExpressionError, ValidationError
 from contactgeo.geometry import (
     ManifoldSpec, VectorField, lie_bracket, random_vector_fields, sym_inverse,
 )
@@ -73,6 +73,15 @@ def test_metric_symmetry_enforced():
     bad[0][1] = ONE
     with pytest.raises(ValidationError):
         ManifoldSpec("m", ["x", "y", "z"], eye, bad, eye, 0)
+
+
+def test_metric_and_phi_entries_must_be_scalar_fields():
+    eye = [[ONE if i == j else ZERO for j in range(3)] for i in range(3)]
+    ints = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+    with pytest.raises(ExpressionError):
+        ManifoldSpec("m", ["x", "y", "z"], eye, ints, eye, 2)
+    with pytest.raises(ExpressionError):
+        ManifoldSpec("m", ["x", "y", "z"], eye, eye, ints, 2)
 
 
 def test_xi_index_range_checked():

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from contactgeo import scalar
 from contactgeo.errors import DivisionByZero, ExpressionError, ParseError
 from contactgeo.scalar import (
-    Rat, Sampler, ZERO, diff, evaluate, is_zero, parse, simplify, to_str,
+    Add, Rat, Sampler, ZERO, add, add_all, diff, evaluate, is_zero, mul, parse,
+    simplify, to_str,
 )
 
 
@@ -27,11 +29,21 @@ def test_parse_rejects_garbage():
             parse(bad)
 
 
-def test_simplify_is_idempotent():
+def test_simplify_is_idempotent(ex1, ex2, ex3, flat, heis):
     e = parse("(x + y)^2 - x^2 - 2*x*y - y^2")
     s = simplify(e)
     assert s == simplify(s)
     assert isinstance(s, Rat) and s.value == 0
+    # every derived table entry is already canonical, so simplify is a no-op
+    for b in (ex1, ex2, ex3, flat, heis):
+        entries = [c for row in b.conn.gamma for comps in row for c in comps]
+        entries += [c for plane in b.table.R for row in plane for comps in row
+                    for c in comps]
+        entries += [c for row in b.table.ricci for c in row]
+        entries += [c for row in b.table.star_ricci for c in row]
+        entries += [c for row in b.tensors.h + b.tensors.h_prime for c in row]
+        for c in entries:
+            assert simplify(c) == c, (b.manifest.name, to_str(c))
 
 
 def test_simplify_folds_exp_products():
@@ -128,3 +140,35 @@ def test_diff_product_rule(p, q):
 def test_simplify_preserves_value(p, a, b):
     env = {"x": Fraction(a, 7), "y": Fraction(b, 5)}
     assert evaluate(p, env) == evaluate(simplify(p * Rat(1)), env)
+
+
+# sums mixing polynomial, exp and opaque negative-power factors
+def mixed_terms():
+    return st.builds(
+        lambda c, i, k, m: Rat(c) * parse(f"x^{i} * exp({k}*y) / (1 + x^2)^{m}"),
+        st.integers(min_value=-3, max_value=3), st.integers(0, 2),
+        st.integers(-1, 1), st.integers(0, 1))
+
+
+def mixed():
+    return st.lists(mixed_terms(), min_size=0, max_size=4).map(
+        lambda ts: reduce(add, ts, ZERO))
+
+
+def _terms(e):
+    return list(e.terms) if isinstance(e, Add) else [e]
+
+
+@given(st.lists(st.one_of(polys(), mixed()), max_size=6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_add_all_is_any_left_fold_of_add(xs, data):
+    order = data.draw(st.permutations(xs))
+    assert add_all(xs) == reduce(add, order, ZERO)
+    assert to_str(add_all(xs)) == to_str(add_all(order))
+
+
+@given(st.one_of(polys(), mixed()), st.one_of(polys(), mixed()))
+@settings(max_examples=80, deadline=None)
+def test_mul_is_add_all_of_term_products(s, t):
+    products = [mul(a, b) for a in _terms(s) for b in _terms(t)]
+    assert mul(s, t) == add_all(products)
