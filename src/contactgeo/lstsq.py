@@ -8,6 +8,10 @@ does the floating-point solve.
 Columns whose entries are all zero make the corresponding unknown
 unidentifiable; they are dropped and reported back so callers can mark
 the parameter as unconstrained instead of inventing a zero.
+
+A row may carry an integer weight w: it then counts as w copies of
+itself, exactly so in the rational path and by repetition in the float
+path.
 """
 
 from __future__ import annotations
@@ -53,14 +57,17 @@ def _solve_rational(gram, rhs):
     return [aug[i][k] for i in range(k)]
 
 
-def solve_least_squares(rows, rhs):
+def solve_least_squares(rows, rhs, weights=None):
     """Fit x minimizing ||A x - b||.
 
     rows: list of coefficient tuples (one per equation), rhs: list of
-    numbers. Entries may be Fraction/int (exact) or float. Returns a
-    FitResult whose `values` has one entry per column; dropped columns
-    get None.
+    numbers. Entries may be Fraction/int (exact) or float. weights, when
+    given, holds one positive integer per row: the system is solved as if
+    row i appeared weights[i] times. Returns a FitResult whose `values`
+    has one entry per column; dropped columns get None.
     """
+    if weights is None:
+        weights = [1] * len(rows)
     if not rows:
         raise DegenerateSystem("no equations to fit")
     ncols = len(rows[0])
@@ -77,14 +84,14 @@ def solve_least_squares(rows, rhs):
         k = len(keep)
         gram = [[Fraction(0)] * k for _ in range(k)]
         rvec = [Fraction(0)] * k
-        for row, b in zip(rows, rhs):
+        for row, b, w in zip(rows, rhs, weights):
             for a, ja in enumerate(keep):
                 ra = Fraction(row[ja])
                 if ra == 0:
                     continue
-                rvec[a] += ra * Fraction(b)
+                rvec[a] += w * ra * Fraction(b)
                 for bcol in range(a, k):
-                    gram[a][bcol] += ra * Fraction(row[keep[bcol]])
+                    gram[a][bcol] += w * ra * Fraction(row[keep[bcol]])
         for a in range(k):
             for bcol in range(a):
                 gram[a][bcol] = gram[bcol][a]
@@ -100,6 +107,8 @@ def solve_least_squares(rows, rhs):
 
     A = np.array([[float(row[j]) for j in keep] for row in rows], dtype=float)
     b = np.array([float(x) for x in rhs], dtype=float)
+    A = np.repeat(A, weights, axis=0)
+    b = np.repeat(b, weights)
     sol, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
     if rank < len(keep):
         raise DegenerateSystem("normal equations are singular")

@@ -15,9 +15,8 @@ from fractions import Fraction
 
 from .curvature import hessian, lie_derivative_eta, lie_derivative_metric
 from .errors import DegenerateSystem, DivisionByZero, MissingPotential
-from .lstsq import solve_least_squares
 from .scalar import Rat, ZERO, evaluate, to_str
-from .structure import CheckReport, _numeric_result, combine
+from .structure import CheckReport, _numeric_result, combine, fit_sampled
 
 
 def _coerce(q):
@@ -249,21 +248,9 @@ def solve_soliton(P):
     n = M.dim
     base = P.base_tensor()
     g_part, eta_part = P.coefficient_tensors()
-    entries = []
-    for i in range(n):
-        for j in range(i, n):
-            entries.append((g_part[i][j], eta_part[i][j], base[i][j]))
-    rows, rhs = [], []
-    for env in M.sampler.points():
-        try:
-            batch = [(evaluate(a, env), evaluate(b, env), -evaluate(c, env))
-                     for a, b, c in entries]
-        except (DivisionByZero, ZeroDivisionError, OverflowError):
-            continue
-        for a, b, c in batch:
-            rows.append((a, b))
-            rhs.append(c)
-    fit = solve_least_squares(rows, rhs)
+    entries = [(g_part[i][j], eta_part[i][j], base[i][j])
+               for i in range(n) for j in range(i, n)]
+    fit = fit_sampled(M, entries, skip_singular=True, negate_rhs=True)
     lt, mu = fit.values
     if lt is None:
         raise DegenerateSystem("soliton fit degenerate: metric column vanished")

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import scalar
 from .curvature import ExteriorData, lie_derivative_eta, lie_derivative_metric
-from .errors import DegenerateSystem
+from .errors import DegenerateSystem, DivisionByZero
 from .geometry import lie_bracket, random_vector_fields
 from .lstsq import solve_least_squares
 from .scalar import (
@@ -372,6 +372,51 @@ def check_almost_kenmotsu(M, conn, table, tensors, ext=None):
     return CheckReport("almost_kenmotsu", results)
 
 
+def fit_sampled(M, entries, skip_singular=False, negate_rhs=False):
+    """Least-squares fit of a_1 x_1 + ... + a_k x_k = b over the sample points.
+
+    ``entries`` holds tuples (a_1, ..., a_k, b) of canonical fields. The
+    result is that of the full system, one row per tuple and point, built
+    without repeated work: a tuple of zero constants adds nothing to the
+    normal equations and has residual 0, so it is left out; a tuple of
+    other constants gives the same row at every point, so it enters once,
+    weighted by the number of points used; only the remaining tuples are
+    evaluated point by point. With ``skip_singular`` a point where some
+    entry cannot be evaluated is skipped instead of raising. With
+    ``negate_rhs`` the fit is against -b.
+    """
+    constant, varying = [], []
+    for entry in entries:
+        if not all(isinstance(e, Rat) for e in entry):
+            varying.append(entry)
+        elif any(e.value != 0 for e in entry):
+            constant.append(tuple(e.value for e in entry))
+    rows, rhs = [], []
+    used = 0
+    for env in M.sampler.points():
+        try:
+            values = [[evaluate(e, env) for e in entry] for entry in varying]
+        except (DivisionByZero, ZeroDivisionError, OverflowError):
+            if not skip_singular:
+                raise
+            continue
+        used += 1
+        for *row, b in values:
+            rows.append(tuple(row))
+            rhs.append(-b if negate_rhs else b)
+    if used and entries and not (varying or constant):
+        # every tuple is the zero constant, so every column of the full
+        # system vanishes
+        raise DegenerateSystem("all coefficient columns vanish")
+    weights = [1] * len(rows)
+    if used:
+        for *row, b in constant:
+            rows.append(tuple(row))
+            rhs.append(-b if negate_rhs else b)
+            weights.append(used)
+    return solve_least_squares(rows, rhs, weights)
+
+
 def solve_nullity(M, conn, table, tensors):
     """Fit R(X,Y)xi against the nullity ansatz and cross-check theory."""
     n = M.dim
@@ -382,22 +427,15 @@ def solve_nullity(M, conn, table, tensors):
     G = M.metric
     hp = tensors.h_prime
 
-    rows = []
-    rhs = []
-    coeff_exprs = []
+    entries = []
     for i in range(n):
         for j in range(i + 1, n):
             rv = table.riemann_apply(basis[i], basis[j], xi)
             for k in range(n):
                 a_k = eta[j] * (ONE if i == k else ZERO) - eta[i] * (ONE if j == k else ZERO)
                 a_m = eta[j] * hp[i][k] - eta[i] * hp[j][k]
-                coeff_exprs.append((a_k, a_m, rv[k]))
-    pts = M.sampler.points()
-    for env in pts:
-        for a_k, a_m, b in coeff_exprs:
-            rows.append((evaluate(a_k, env), evaluate(a_m, env)))
-            rhs.append(evaluate(b, env))
-    fit = solve_least_squares(rows, rhs)
+                entries.append((a_k, a_m, rv[k]))
+    fit = fit_sampled(M, entries)
     kappa, mu = fit.values
     if kappa is None:
         raise DegenerateSystem("curvature rows never constrain the nullity fit")
@@ -498,17 +536,9 @@ def solve_eta_einstein(M, table):
     n = M.dim
     eta = M.eta_frame
     G = M.metric
-    rows = []
-    rhs = []
-    exprs = []
-    for i in range(n):
-        for j in range(i, n):
-            exprs.append((G[i][j], eta[i] * eta[j], table.ricci[i][j]))
-    for env in M.sampler.points():
-        for a, b, s in exprs:
-            rows.append((evaluate(a, env), evaluate(b, env)))
-            rhs.append(evaluate(s, env))
-    fit = solve_least_squares(rows, rhs)
+    entries = [(G[i][j], eta[i] * eta[j], table.ricci[i][j])
+               for i in range(n) for j in range(i, n)]
+    fit = fit_sampled(M, entries)
     a, b = fit.values
     if a is None:
         raise DegenerateSystem("metric column vanished; manifest is degenerate")

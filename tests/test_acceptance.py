@@ -502,6 +502,9 @@ def _sweep_commands():
         ["soliton", "example3", "--solve"],
         ["soliton", "example3", "--verify", "--p", "0"],
     ]
+    for name in ("example2", "example3", "eta_einstein"):
+        out.append(["check", name, "--checks", "nullity,eta_einstein",
+                    "--samples", "400"])
     return [argv + ["--json", "--seed", "1729"] for argv in out]
 
 

@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactgeo.errors import DegenerateSystem
 from contactgeo.lstsq import solve_least_squares
@@ -69,3 +72,70 @@ def test_mixed_types_use_float_path():
     assert not fit.exact
     assert fit.values[0] == pytest.approx(1.0)
     assert fit.values[1] == pytest.approx(2.0)
+
+
+# --- row weights -------------------------------------------------------------
+
+
+def _repeated(rows, rhs, weights):
+    rows_r = [row for row, w in zip(rows, weights) for _ in range(w)]
+    rhs_r = [b for b, w in zip(rhs, weights) for _ in range(w)]
+    return rows_r, rhs_r
+
+
+def _outcome(rows, rhs, weights=None):
+    try:
+        fit = solve_least_squares(rows, rhs, weights)
+    except DegenerateSystem as err:
+        return str(err)
+    return fit.values, fit.dropped, fit.residual_max, fit.exact
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@given(st.integers(1, 2).flatmap(lambda k: st.lists(
+    st.tuples(st.tuples(*[small] * k), small, st.integers(1, 5)),
+    min_size=1, max_size=6)))
+@settings(max_examples=100, deadline=None)
+def test_exact_weights_equal_repeated_rows(system):
+    rows, rhs, weights = (list(x) for x in zip(*system))
+    assert _outcome(rows, rhs, weights) == _outcome(*_repeated(rows, rhs, weights))
+
+
+def _float_reference(rows, rhs):
+    # the float path without weights, kept here verbatim
+    keep = [j for j in range(len(rows[0])) if any(row[j] != 0 for row in rows)]
+    A = np.array([[float(row[j]) for j in keep] for row in rows], dtype=float)
+    b = np.array([float(x) for x in rhs], dtype=float)
+    sol, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+    values = [None] * len(rows[0])
+    for a, j in enumerate(keep):
+        values[j] = float(sol[a])
+    resid = A @ sol - b
+    return values, float(np.max(np.abs(resid)))
+
+
+FLOAT_SYSTEMS = [
+    ([(1.0, 1.0), (1.0, -1.0), (0.1, 0.7), (2.0, 1e-3)], [3.0, 1.0, 0.3, 2.2]),
+    ([(0.3, 0.0), (1 / 3, 0.0), (2.5, 0.0)], [0.1, 0.2, 0.7]),
+    ([(1, 0.5), (0, 1.0), (3, -0.25)], [2.0, 2.0, 1.0]),
+]
+
+
+@pytest.mark.parametrize("rows, rhs", FLOAT_SYSTEMS)
+def test_float_without_weights_is_unchanged(rows, rhs):
+    fit = solve_least_squares(rows, rhs)
+    assert not fit.exact
+    # repr tells every float apart, -0.0 from 0.0 included
+    assert repr((fit.values, fit.residual_max)) == repr(_float_reference(rows, rhs))
+
+
+@pytest.mark.parametrize("rows, rhs", FLOAT_SYSTEMS)
+def test_float_weights_equal_repeated_rows(rows, rhs):
+    weights = [3, 1, 2, 4][:len(rows)]
+    fit = solve_least_squares(rows, rhs, weights)
+    again = solve_least_squares(*_repeated(rows, rhs, weights))
+    assert not fit.exact
+    assert (fit.values, fit.dropped, fit.residual_max) == \
+        (again.values, again.dropped, again.residual_max)
