@@ -26,14 +26,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegeneratePlane
-from .geometry import lie_bracket
+from .geometry import _is0, lie_bracket
 from .scalar import Rat, ZERO, ONE, add_all, evaluate
 
 HALF = Rat(Fraction(1, 2))
-
-
-def _is0(e):
-    return isinstance(e, Rat) and e.value == 0
 
 
 class ConnectionTable:
@@ -46,38 +42,40 @@ class ConnectionTable:
         self.M = M
         self.gamma = gamma
         self.brackets = brackets  # frame components of [e_i, e_j]
+        n = M.dim
+        # non-zero Christoffel symbols: _gamma_nz[i] lists (k, [(l, gamma[i][l][k])])
+        # for every k that has one
+        self._gamma_nz = [[] for _ in range(n)]
+        for i in range(n):
+            for k in range(n):
+                gs = [(l, gamma[i][l][k]) for l in range(n) if not _is0(gamma[i][l][k])]
+                if gs:
+                    self._gamma_nz[i].append((k, gs))
 
     def nabla_comps(self, x_frame, c_frame):
         """Frame components of ``nabla_X Y`` from frame components.
 
         ``nabla_X (c^k e_k) = X(c^k) e_k + c^k x^i nabla_{e_i} e_k``;
         the X-derivation of a component is taken through the frame:
-        ``X(f) = sum_i x^i e_i(f)``.
+        ``X(f) = sum_i x^i e_i(f)``.  The Christoffel part contracts
+        ``c^l gamma[i][l][k]`` first and multiplies by ``x^i`` once; each
+        output component is merged in one ``add_all``.
         """
         M = self.M
         n = M.dim
-        out = [ZERO] * n
-        for k in range(n):
-            ck = c_frame[k]
-            # derivative part
-            if _is0(ck):
-                continue
-            for i in range(n):
-                if not _is0(x_frame[i]):
-                    out[k] = out[k] + x_frame[i] * M.frame[i].apply(ck)
-        for i in range(n):
-            xi_c = x_frame[i]
-            if _is0(xi_c):
-                continue
-            for l in range(n):
-                cl = c_frame[l]
-                if _is0(cl):
-                    continue
-                row = self.gamma[i][l]
-                for k in range(n):
-                    if not _is0(row[k]):
-                        out[k] = out[k] + xi_c * cl * row[k]
-        return out
+        xs = [(i, x) for i, x in enumerate(x_frame) if not _is0(x)]
+        c = [None if _is0(ck) else ck for ck in c_frame]
+        terms = [[] for _ in range(n)]
+        for k, ck in enumerate(c):
+            if ck is not None:
+                for i, x in xs:
+                    terms[k].append(x * M.frame[i].apply(ck))
+        for i, x in xs:
+            for k, gs in self._gamma_nz[i]:
+                w = add_all([c[l] * g for l, g in gs if c[l] is not None])
+                if not _is0(w):
+                    terms[k].append(x * w)
+        return [add_all(t) for t in terms]
 
     def nabla_operator(self, A, x_frame):
         """Covariant derivative of a (1,1) tensor given as a frame matrix.

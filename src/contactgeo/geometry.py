@@ -139,6 +139,10 @@ def _scalar_matrix(mat):
     return [list(row) for row in mat]
 
 
+def _is0(e):
+    return isinstance(e, Rat) and e.value == 0
+
+
 def _mat_vec(mat, vec):
     """Row-vector times matrix: ``out[k] = sum_j vec[j] mat[j][k]``."""
     n = len(mat)
@@ -246,14 +250,16 @@ class ManifoldSpec:
     def metric_apply(self, X, Y):
         """``g(X, Y)`` for coordinate fields or frame-component lists."""
         c = self._frame_comps(X)
-        d = self._frame_comps(Y)
-        out = ZERO
+        d = [(j, dj) for j, dj in enumerate(self._frame_comps(Y)) if not _is0(dj)]
+        parts = []
         for i in range(self.dim):
-            if isinstance(c[i], Rat) and c[i].value == 0:
+            if _is0(c[i]):
                 continue
-            for j in range(self.dim):
-                out = out + c[i] * d[j] * self.metric[i][j]
-        return out
+            # contract the metric row with d first, then scale once by c^i
+            row = self.metric[i]
+            gd = add_all([row[j] * dj for j, dj in d if not _is0(row[j])])
+            parts.append(c[i] * gd)
+        return add_all(parts)
 
     def eta_apply(self, X):
         """``eta(X) = g(X, xi)``."""

@@ -174,6 +174,9 @@ class Manifest:
 
     def manifold(self, seed=None, samples=None, tol=None):
         """Build the validated ManifoldSpec, with optional overrides."""
+        if samples is not None:
+            _expect(isinstance(samples, int) and not isinstance(samples, bool)
+                    and samples > 0, "samples must be a positive integer", "samples")
         xi = self.xi
         if isinstance(xi, list):
             xi = VectorField(self.coordinates, xi)

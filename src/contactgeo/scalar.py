@@ -251,7 +251,9 @@ def sort_key(e):
     except AttributeError:
         pass
     if isinstance(e, Rat):
-        k = (0, e.value)
+        # an int orders like the equal Fraction but compares at C speed
+        v = e.value
+        k = (0, v.numerator if v.denominator == 1 else v)
     elif isinstance(e, Sym):
         k = (1, e.name)
     elif isinstance(e, Exp):
@@ -372,12 +374,14 @@ def _attach_coeff(coeff, mono):
 
 
 def add_all(nodes):
-    """Canonical sum of any number of canonical nodes, merged in one pass.
+    """Canonical sum of a sequence of canonical nodes, merged in one pass.
 
     Like monomials are merged across every operand at once and the
     surviving terms sorted once.  A sum with a single non-zero operand is
     that operand itself.
     """
+    if len(nodes) < 2:  # nothing to merge: skip the zero filter
+        return nodes[0] if nodes else ZERO
     nonzero = [e for e in nodes if not (isinstance(e, Rat) and e.value == 0)]
     if not nonzero:
         return ZERO

@@ -436,9 +436,9 @@ def solve_nullity(M, conn, table, tensors):
                 a_m = eta[j] * hp[i][k] - eta[i] * hp[j][k]
                 entries.append((a_k, a_m, rv[k]))
     fit = fit_sampled(M, entries)
+    # kappa is never None: its column vanishes only where eta does, which
+    # also zeroes the mu column, and the fit then raises
     kappa, mu = fit.values
-    if kappa is None:
-        raise DegenerateSystem("curvature rows never constrain the nullity fit")
     mu_unconstrained = mu is None
 
     def c(x):

@@ -491,21 +491,24 @@ def test_acceptance_07f_derivative_matches_finite_differences(capsys):
 
 
 def _sweep_commands():
+    """CLI argv of the determinism sweep; each entry names its own seed."""
     out = []
     for name in ("example1", "example2", "example3", "flat", "eta_einstein"):
-        out.append(["check", name])
+        out.append((["check", name], 1729))
         for what in ("brackets", "conn", "riem", "ricci", "star", "h"):
-            out.append(["tables", name, "--what", what])
+            out.append((["tables", name, "--what", what], 1729))
     out += [
-        ["soliton", "example1", "--solve"],
-        ["soliton", "example2", "--solve"],
-        ["soliton", "example3", "--solve"],
-        ["soliton", "example3", "--verify", "--p", "0"],
+        (["soliton", "example1", "--solve"], 1729),
+        (["soliton", "example2", "--solve"], 1729),
+        (["soliton", "example3", "--solve"], 1729),
+        (["soliton", "example3", "--verify", "--p", "0"], 1729),
     ]
     for name in ("example2", "example3", "eta_einstein"):
-        out.append(["check", name, "--checks", "nullity,eta_einstein",
-                    "--samples", "400"])
-    return [argv + ["--json", "--seed", "1729"] for argv in out]
+        out.append((["check", name, "--checks", "nullity,eta_einstein",
+                     "--samples", "400"], 1729))
+    # a second draw of the random fields behind the structure residuals
+    out += [(["check", "example1"], 7), (["check", "example2"], 7)]
+    return [argv + ["--json", "--seed", str(seed)] for argv, seed in out]
 
 
 GOLDEN_SWEEP = Path(__file__).parent / "golden" / "sweep_seed1729.json"

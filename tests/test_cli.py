@@ -177,6 +177,20 @@ def test_unknown_manifest(capsys):
     assert "bundled:" in err
 
 
+@pytest.mark.parametrize("samples", ("0", "-3"))
+@pytest.mark.parametrize("argv", (
+    ("check", "example1", "--checks", "almost_contact"),
+    ("check", "flat", "--checks", "nullity"),
+    ("soliton", "example2", "--solve"),
+))
+def test_samples_override_must_be_positive(capsys, argv, samples):
+    # rejected up front with the manifest's own message, before any check runs
+    code, out, err = run(capsys, *argv, "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert err == "error: samples must be a positive integer (samples)\n"
+
+
 def test_gradient_potential_manifest(capsys, tmp_path):
     data = {
         "coordinates": ["x", "y", "z"],

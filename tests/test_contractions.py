@@ -1,0 +1,116 @@
+"""The sparse frame contractions behind the structure residuals.
+
+``ManifoldSpec.metric_apply`` contracts the constant metric row with the
+second operand first and scales by each component of the first once;
+``ConnectionTable.nabla_comps`` contracts ``c^l gamma[i][l][k]`` first and
+scales by ``x^i`` once. Both merge each output component in one
+``add_all``. The references below are the earlier pairwise loops, kept
+verbatim; canonical forms are unique, so the results must be ``==``-equal
+node for node.
+"""
+
+import pytest
+
+from contactgeo.scalar import Rat, ZERO
+from contactgeo.structure import _basis, _rand_pairs
+
+
+def reference_metric_apply(M, X, Y):
+    """Every product ``c^i d^j g_ij`` formed and added pairwise."""
+    c = M._frame_comps(X)
+    d = M._frame_comps(Y)
+    out = ZERO
+    for i in range(M.dim):
+        if isinstance(c[i], Rat) and c[i].value == 0:
+            continue
+        for j in range(M.dim):
+            out = out + c[i] * d[j] * M.metric[i][j]
+    return out
+
+
+def _is0(e):
+    return isinstance(e, Rat) and e.value == 0
+
+
+def reference_nabla_comps(conn, x_frame, c_frame):
+    """Derivative terms, then ``x^i c^l gamma[i][l][k]``, added pairwise."""
+    M = conn.M
+    n = M.dim
+    out = [ZERO] * n
+    for k in range(n):
+        ck = c_frame[k]
+        # derivative part
+        if _is0(ck):
+            continue
+        for i in range(n):
+            if not _is0(x_frame[i]):
+                out[k] = out[k] + x_frame[i] * M.frame[i].apply(ck)
+    for i in range(n):
+        xi_c = x_frame[i]
+        if _is0(xi_c):
+            continue
+        for l in range(n):
+            cl = c_frame[l]
+            if _is0(cl):
+                continue
+            row = conn.gamma[i][l]
+            for k in range(n):
+                if not _is0(row[k]):
+                    out[k] = out[k] + xi_c * cl * row[k]
+    return out
+
+
+FIXTURES = ("ex1", "ex2", "ex3", "flat", "heis")
+
+
+def assert_metric_equal(M, X, Y):
+    got = M.metric_apply(X, Y)
+    assert got == reference_metric_apply(M, X, Y), (M.name, str(got))
+
+
+def assert_nabla_equal(conn, x_frame, c_frame):
+    got = conn.nabla_comps(x_frame, c_frame)
+    want = reference_nabla_comps(conn, x_frame, c_frame)
+    assert got == want, (conn.M.name, [str(e) for e in got])
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_frame_operands_match_reference(request, fixture):
+    b = request.getfixturevalue(fixture)
+    M, conn = b.M, b.conn
+    n = M.dim
+    basis = _basis(n)
+    xi = M.xi_frame
+    for i in range(n):
+        assert_metric_equal(M, basis[i], xi)
+        for j in range(n):
+            assert_metric_equal(M, basis[i], basis[j])
+            assert_metric_equal(M, M.phi[i], basis[j])
+            assert_metric_equal(M, conn.gamma[i][j], xi)
+            assert_nabla_equal(conn, basis[i], basis[j])
+            assert_nabla_equal(conn, basis[i], M.phi[j])
+            for k in range(n):
+                assert_nabla_equal(conn, basis[i], conn.gamma[j][k])
+        assert_nabla_equal(conn, basis[i], xi)
+        assert_nabla_equal(conn, conn.brackets[i][(i + 1) % n], basis[i])
+
+
+@pytest.mark.parametrize("seed", (1729, 7, 101))
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_random_fields_match_reference(request, fixture, seed):
+    b = request.getfixturevalue(fixture)
+    conn = b.conn  # the frame and Christoffel symbols do not depend on the seed
+    M = b.manifest.manifold(seed=seed)
+    # offsets 0 and 1 draw the fields of the almost contact and Kenmotsu checks
+    for X, Y in _rand_pairs(M, 3, 0) + _rand_pairs(M, 3, 1):
+        # the coordinate-field path converts through the frame inverse
+        assert_metric_equal(M, X, Y)
+        cx, cy = M.to_frame(X), M.to_frame(Y)
+        phix = M.phi_frame_apply(cx)
+        assert_metric_equal(M, cx, cy)
+        assert_metric_equal(M, phix, cy)
+        assert_metric_equal(M, cx, M.xi_frame)
+        assert_nabla_equal(conn, cx, cy)
+        # the operand of nabla_phi: nabla_X (phi Y)
+        assert_nabla_equal(conn, cx, M.phi_frame_apply(cy))
+        assert_nabla_equal(conn, cx, M.xi_frame)

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from contactgeo import scalar
 from contactgeo.errors import DivisionByZero, ExpressionError, ParseError
 from contactgeo.scalar import (
-    Add, Rat, Sampler, ZERO, add, add_all, diff, evaluate, is_zero, mul, parse,
-    simplify, to_str,
+    Add, Exp, Mul, Pow, Rat, Sampler, Sym, ZERO, add, add_all, diff, evaluate,
+    is_zero, mul, parse, simplify, sort_key, to_str,
 )
 
 
@@ -172,3 +172,47 @@ def test_add_all_is_any_left_fold_of_add(xs, data):
 def test_mul_is_add_all_of_term_products(s, t):
     products = [mul(a, b) for a in _terms(s) for b in _terms(t)]
     assert mul(s, t) == add_all(products)
+
+
+def parent_sort_key(e):
+    """The earlier key: every ``Rat`` keyed by its ``Fraction``, uncached."""
+    if isinstance(e, Rat):
+        return (0, e.value)
+    if isinstance(e, Sym):
+        return (1, e.name)
+    if isinstance(e, Exp):
+        return (2, parent_sort_key(e.arg))
+    if isinstance(e, Pow):
+        return (3, parent_sort_key(e.base), e.exponent)
+    if isinstance(e, Mul):
+        return (4, tuple(parent_sort_key(f) for f in e.factors))
+    return (5, tuple(parent_sort_key(t) for t in e.terms))
+
+
+# integer and non-integer coefficients, in terms, exp arguments and bases
+def rationals():
+    return st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def rational_nodes():
+    term = st.builds(
+        lambda c, i, k, d, m: parse(
+            f"({c}) * x^{i} * exp(({k})*y) / (1 + ({d})*x^2)^{m}"),
+        rationals(), st.integers(0, 2), rationals(), rationals(), st.integers(0, 1))
+    return st.one_of(
+        rationals().map(Rat),
+        term,
+        st.lists(term, min_size=2, max_size=3).map(add_all),
+    )
+
+
+@given(st.lists(rational_nodes(), max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_sort_key_orders_like_fraction_key(nodes):
+    assert sorted(nodes, key=sort_key) == sorted(nodes, key=parent_sort_key)
+    for a in nodes:
+        for b in nodes:
+            new_a, new_b = sort_key(a), sort_key(b)
+            old_a, old_b = parent_sort_key(a), parent_sort_key(b)
+            assert (new_a < new_b) == (old_a < old_b)
+            assert (new_a == new_b) == (old_a == old_b)

@@ -4,6 +4,7 @@ The expected pass/fail sets below were verified independently by direct
 computation of each tensor identity on the fixture frames.
 """
 
+import copy
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -146,6 +147,14 @@ def test_nullity_flat_cross_checks_fail(flat):
                  "star_ricci_form"):
         assert name in bad
 
+
+def test_nullity_fit_without_eta_has_no_columns(flat):
+    # the kappa column vanishes only where eta does, and then so does the
+    # mu column: the fit itself reports that nothing constrains it
+    M = copy.copy(flat.M)
+    M.eta_frame = [Rat(0)] * M.dim
+    with pytest.raises(DegenerateSystem, match="^all coefficient columns vanish$"):
+        solve_nullity(M, flat.conn, flat.table, flat.tensors)
 
 # --- eta-Einstein fit --------------------------------------------------------
 
