@@ -18,7 +18,7 @@ from . import soliton as soliton_mod
 from . import structure
 from .curvature import CurvatureTable, ExteriorData, StructureTensors, koszul
 from .errors import ContactGeoError, MissingPotential
-from .scalar import Rat, to_str
+from .scalar import ZERO, to_str
 
 CHECK_NAMES = ("almost_contact", "kenmotsu", "almost_kenmotsu",
                "nullity", "eta_einstein")
@@ -120,7 +120,7 @@ def frame_comb(comps):
     """Render frame components as a combination like ``2*x e_1 - e_5``."""
     terms = []
     for k, c in enumerate(comps):
-        if isinstance(c, Rat) and c.value == 0:
+        if c is ZERO:
             continue
         s = to_str(c)
         if s == "1":
@@ -223,7 +223,7 @@ def cmd_check(args):
 
 
 def _nonzero(e):
-    return not (isinstance(e, Rat) and e.value == 0)
+    return e is not ZERO
 
 
 def collect_table(ws, what):

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegeneratePlane
-from .geometry import _is0, lie_bracket
+from .geometry import lie_bracket
 from .scalar import Rat, ZERO, ONE, add_all, evaluate
 
 HALF = Rat(Fraction(1, 2))
@@ -48,7 +48,7 @@ class ConnectionTable:
         self._gamma_nz = [[] for _ in range(n)]
         for i in range(n):
             for k in range(n):
-                gs = [(l, gamma[i][l][k]) for l in range(n) if not _is0(gamma[i][l][k])]
+                gs = [(l, gamma[i][l][k]) for l in range(n) if gamma[i][l][k] is not ZERO]
                 if gs:
                     self._gamma_nz[i].append((k, gs))
 
@@ -63,8 +63,8 @@ class ConnectionTable:
         """
         M = self.M
         n = M.dim
-        xs = [(i, x) for i, x in enumerate(x_frame) if not _is0(x)]
-        c = [None if _is0(ck) else ck for ck in c_frame]
+        xs = [(i, x) for i, x in enumerate(x_frame) if x is not ZERO]
+        c = [None if ck is ZERO else ck for ck in c_frame]
         terms = [[] for _ in range(n)]
         for k, ck in enumerate(c):
             if ck is not None:
@@ -73,7 +73,7 @@ class ConnectionTable:
         for i, x in xs:
             for k, gs in self._gamma_nz[i]:
                 w = add_all([c[l] * g for l, g in gs if c[l] is not None])
-                if not _is0(w):
+                if w is not ZERO:
                     terms[k].append(x * w)
         return [add_all(t) for t in terms]
 
@@ -91,10 +91,10 @@ class ConnectionTable:
             nx_ej = self.nabla_comps(x_frame, [ONE if k == j else ZERO for k in range(n)])
             second = [ZERO] * n
             for m in range(n):
-                if _is0(nx_ej[m]):
+                if nx_ej[m] is ZERO:
                     continue
                 for k in range(n):
-                    if not _is0(A[m][k]):
+                    if A[m][k] is not ZERO:
                         second[k] = second[k] + nx_ej[m] * A[m][k]
             out.append([a - b for a, b in zip(first, second)])
         return out
@@ -113,34 +113,28 @@ def frame_brackets(M):
 
 
 def koszul(M):
-    """Levi-Civita connection of the declared frame metric."""
+    """Levi-Civita connection of the declared frame metric.
+
+    The bracket terms read the lowered structure constants
+    ``low[i][j][k] = g([e_i, e_j], e_k)``, built once; ``g(e_i, [e_j, e_k])``
+    is ``low[j][k][i]`` because ``ManifoldSpec`` only accepts a symmetric
+    metric.
+    """
     n = M.dim
+    G = M.metric
     brackets = frame_brackets(M)
-
-    def g_frame(c, d):
-        out = ZERO
-        for a in range(n):
-            if _is0(c[a]):
-                continue
-            for b in range(n):
-                if not _is0(d[b]) and not _is0(M.metric[a][b]):
-                    out = out + c[a] * d[b] * M.metric[a][b]
-        return out
-
-    basis = [[ONE if k == m else ZERO for m in range(n)] for k in range(n)]
+    low = [[[add_all([c * G[m][k] for m, c in enumerate(brackets[i][j])
+                      if c is not ZERO and G[m][k] is not ZERO])
+             for k in range(n)] for j in range(n)] for i in range(n)]
     gamma = []
     for i in range(n):
         row_i = []
         for j in range(n):
-            rhs = []
-            for k in range(n):
-                term = M.frame[i].apply(M.metric[j][k])
-                term = term + M.frame[j].apply(M.metric[k][i])
-                term = term - M.frame[k].apply(M.metric[i][j])
-                term = term - g_frame(basis[i], brackets[j][k])
-                term = term - g_frame(basis[j], brackets[i][k])
-                term = term + g_frame(basis[k], brackets[i][j])
-                rhs.append(HALF * term)
+            rhs = [HALF * add_all([M.frame[i].apply(G[j][k]),
+                                   M.frame[j].apply(G[k][i]),
+                                   -M.frame[k].apply(G[i][j]),
+                                   -low[j][k][i], -low[i][k][j], low[i][j][k]])
+                   for k in range(n)]
             # solve sum_m gamma^m G_mk = rhs_k  =>  gamma = Ginv . rhs
             entry = [
                 add_all([M.metric_inverse[m][k] * rhs[k] for k in range(n)])
@@ -188,7 +182,7 @@ class CurvatureTable:
                     comps = R[a][i][j]
                     for b in range(n):
                         low[a][i][j][b] = add_all(
-                            [comps[m] * G[m][b] for m in range(n) if not _is0(comps[m])]
+                            [comps[m] * G[m][b] for m in range(n) if comps[m] is not ZERO]
                         )
         self.lowered = low
 
@@ -199,7 +193,7 @@ class CurvatureTable:
                 out = ZERO
                 for a in range(n):
                     for b in range(n):
-                        if not _is0(Ginv[a][b]):
+                        if Ginv[a][b] is not ZERO:
                             out = out + Ginv[a][b] * low[a][i][j][b]
                 S[i][j] = out
         self.ricci = S
@@ -212,7 +206,7 @@ class CurvatureTable:
 
         self.scalar_curvature = add_all(
             [Ginv[i][j] * S[i][j] for i in range(n) for j in range(n)
-             if not _is0(Ginv[i][j])]
+             if Ginv[i][j] is not ZERO]
         )
 
         # star-Ricci S*_ij = 1/2 sum g^{ab} g(phi(R(e_i, phi e_j) e_a), e_b)
@@ -226,32 +220,32 @@ class CurvatureTable:
                     # R(e_i, phi e_j) e_a, by linearity in the middle slot
                     comps = [ZERO] * n
                     for m in range(n):
-                        if _is0(phj[m]):
+                        if phj[m] is ZERO:
                             continue
                         rm = R[i][m][a]
                         for k in range(n):
-                            if not _is0(rm[k]):
+                            if rm[k] is not ZERO:
                                 comps[k] = comps[k] + phj[m] * rm[k]
                     # apply phi
                     phi_comps = [ZERO] * n
                     for m in range(n):
-                        if _is0(comps[m]):
+                        if comps[m] is ZERO:
                             continue
                         for k in range(n):
-                            if not _is0(P[m][k]):
+                            if P[m][k] is not ZERO:
                                 phi_comps[k] = phi_comps[k] + comps[m] * P[m][k]
                     # contract with sum_b g^{ab} g(., e_b)
                     for b in range(n):
-                        if _is0(Ginv[a][b]):
+                        if Ginv[a][b] is ZERO:
                             continue
                         inner = add_all([phi_comps[m] * G[m][b] for m in range(n)
-                                         if not _is0(phi_comps[m])])
+                                         if phi_comps[m] is not ZERO])
                         out = out + Ginv[a][b] * inner
                 Sstar[i][j] = HALF * out
         self.star_ricci = Sstar
         self.star_scalar = add_all(
             [Ginv[i][j] * Sstar[i][j] for i in range(n) for j in range(n)
-             if not _is0(Ginv[i][j])]
+             if Ginv[i][j] is not ZERO]
         )
 
     def riemann_apply(self, x_frame, y_frame, z_frame):
@@ -259,19 +253,19 @@ class CurvatureTable:
         n = self.M.dim
         out = [ZERO] * n
         for i in range(n):
-            if _is0(x_frame[i]):
+            if x_frame[i] is ZERO:
                 continue
             for j in range(n):
-                if _is0(y_frame[j]):
+                if y_frame[j] is ZERO:
                     continue
                 coeff = x_frame[i] * y_frame[j]
                 for k in range(n):
-                    if _is0(z_frame[k]):
+                    if z_frame[k] is ZERO:
                         continue
                     rm = self.R[i][j][k]
                     c = coeff * z_frame[k]
                     for m in range(n):
-                        if not _is0(rm[m]):
+                        if rm[m] is not ZERO:
                             out[m] = out[m] + c * rm[m]
         return out
 
@@ -329,7 +323,7 @@ def hessian(M, conn, f):
             val = M.frame[i].apply(ef[j])
             for k in range(n):
                 gk = conn.gamma[i][j][k]
-                if not _is0(gk):
+                if gk is not ZERO:
                     val = val - gk * ef[k]
             out[i][j] = val
     return out
@@ -364,10 +358,10 @@ class StructureTensors:
         out = [[ZERO] * n for _ in range(n)]
         for j in range(n):
             for m in range(n):
-                if _is0(hp[j][m]):
+                if hp[j][m] is ZERO:
                     continue
                 for k in range(n):
-                    if not _is0(hp[m][k]):
+                    if hp[m][k] is not ZERO:
                         out[j][k] = out[j][k] + hp[j][m] * hp[m][k]
         return out
 
@@ -421,7 +415,7 @@ class ExteriorData:
             for j in range(n):
                 val = M.frame[i].apply(eta[j]) - M.frame[j].apply(eta[i])
                 val = val - add_all([brackets[i][j][k] * eta[k] for k in range(n)
-                                     if not _is0(brackets[i][j][k])])
+                                     if brackets[i][j][k] is not ZERO])
                 self.d_eta[i][j] = val
 
         # Phi(X, Y) = g(X, phi Y)
@@ -433,10 +427,10 @@ class ExteriorData:
         def phi_form(c, d):
             out = ZERO
             for a in range(n):
-                if _is0(c[a]):
+                if c[a] is ZERO:
                     continue
                 for b in range(n):
-                    if not _is0(d[b]) and not _is0(self.Phi[a][b]):
+                    if d[b] is not ZERO and self.Phi[a][b] is not ZERO:
                         out = out + c[a] * d[b] * self.Phi[a][b]
             return out
 

@@ -42,11 +42,11 @@ class VectorField:
         self.comps = comps
 
     def apply(self, f):
-        """Derivation: ``X(f) = sum_i X^i df/dx_i``."""
-        out = ZERO
-        for name, c in zip(self.coords, self.comps):
-            out = out + c * scalar.diff(f, name)
-        return out
+        """Derivation: ``X(f) = sum_i X^i df/dx_i``; zero on constants."""
+        if isinstance(f, Rat):
+            return ZERO
+        return add_all([c * scalar.diff(f, name)
+                        for name, c in zip(self.coords, self.comps) if c is not ZERO])
 
     def __add__(self, other):
         self._check(other)
@@ -84,13 +84,7 @@ class VectorField:
 def lie_bracket(X, Y):
     """``[X, Y]^k = sum_i (X^i dY^k/dx_i - Y^i dX^k/dx_i)``."""
     X._check(Y)
-    comps = []
-    for k in range(len(X.coords)):
-        out = ZERO
-        for i, name in enumerate(X.coords):
-            out = out + X.comps[i] * scalar.diff(Y.comps[k], name)
-            out = out - Y.comps[i] * scalar.diff(X.comps[k], name)
-        comps.append(out)
+    comps = [add_all([X.apply(yk), -Y.apply(xk)]) for xk, yk in zip(X.comps, Y.comps)]
     return VectorField(X.coords, comps)
 
 
@@ -106,8 +100,7 @@ def sym_inverse(mat):
     for col in range(n):
         pivot_row = None
         for r in range(col, n):
-            entry = aug[r][col]
-            if not (isinstance(entry, Rat) and entry.value == 0):
+            if aug[r][col] is not ZERO:
                 pivot_row = r
                 break
         if pivot_row is None:
@@ -123,7 +116,7 @@ def sym_inverse(mat):
             if r == col:
                 continue
             factor = aug[r][col]
-            if isinstance(factor, Rat) and factor.value == 0:
+            if factor is ZERO:
                 continue
             aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
     inv = [row[n:] for row in aug]
@@ -137,10 +130,6 @@ def _scalar_matrix(mat):
             if not isinstance(x, scalar.ScalarField):
                 raise ExpressionError(f"not a scalar expression: {x!r}")
     return [list(row) for row in mat]
-
-
-def _is0(e):
-    return isinstance(e, Rat) and e.value == 0
 
 
 def _mat_vec(mat, vec):
@@ -250,14 +239,14 @@ class ManifoldSpec:
     def metric_apply(self, X, Y):
         """``g(X, Y)`` for coordinate fields or frame-component lists."""
         c = self._frame_comps(X)
-        d = [(j, dj) for j, dj in enumerate(self._frame_comps(Y)) if not _is0(dj)]
+        d = [(j, dj) for j, dj in enumerate(self._frame_comps(Y)) if dj is not ZERO]
         parts = []
         for i in range(self.dim):
-            if _is0(c[i]):
+            if c[i] is ZERO:
                 continue
             # contract the metric row with d first, then scale once by c^i
             row = self.metric[i]
-            gd = add_all([row[j] * dj for j, dj in d if not _is0(row[j])])
+            gd = add_all([row[j] * dj for j, dj in d if row[j] is not ZERO])
             parts.append(c[i] * gd)
         return add_all(parts)
 

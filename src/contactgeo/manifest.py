@@ -57,6 +57,26 @@ def _parse_matrix(raw, dim, where):
     return out
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_seed(seed):
+    _expect(_is_int(seed) and seed >= 0, "seed must be a nonnegative integer", "seed")
+    return seed
+
+
+def _check_samples(samples):
+    _expect(_is_int(samples) and samples > 0, "samples must be a positive integer", "samples")
+    return samples
+
+
+def _check_tol(tol):
+    _expect(isinstance(tol, (int, float)) and not isinstance(tol, bool)
+            and 0 < float(tol) < 1, "tol must be in (0, 1)", "tol")
+    return float(tol)
+
+
 def _parse_number(raw, where):
     if isinstance(raw, bool):
         raise ParseError("expected a number", where=where)
@@ -159,24 +179,12 @@ class Manifest:
             for key, val in cons.items():
                 self.constants[key] = _parse_number(val, f"constants.{key}")
 
-        seed = data.get("seed", DEFAULT_SEED)
-        _expect(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
-                "seed must be a nonnegative integer", "seed")
-        self.seed = seed
-        samples = data.get("samples", DEFAULT_SAMPLES)
-        _expect(isinstance(samples, int) and not isinstance(samples, bool)
-                and samples > 0, "samples must be a positive integer", "samples")
-        self.samples = samples
-        tol = data.get("tol", DEFAULT_TOL)
-        _expect(isinstance(tol, (int, float)) and not isinstance(tol, bool)
-                and 0 < float(tol) < 1, "tol must be in (0, 1)", "tol")
-        self.tol = float(tol)
+        self.seed = _check_seed(data.get("seed", DEFAULT_SEED))
+        self.samples = _check_samples(data.get("samples", DEFAULT_SAMPLES))
+        self.tol = _check_tol(data.get("tol", DEFAULT_TOL))
 
     def manifold(self, seed=None, samples=None, tol=None):
-        """Build the validated ManifoldSpec, with optional overrides."""
-        if samples is not None:
-            _expect(isinstance(samples, int) and not isinstance(samples, bool)
-                    and samples > 0, "samples must be a positive integer", "samples")
+        """Build the validated ManifoldSpec; overrides get the manifest's checks."""
         xi = self.xi
         if isinstance(xi, list):
             xi = VectorField(self.coordinates, xi)
@@ -189,9 +197,9 @@ class Manifest:
             xi=xi,
             box=self.box,
             nonvanish=tuple(self.nonvanish),
-            seed=self.seed if seed is None else seed,
-            samples=self.samples if samples is None else samples,
-            tol=self.tol if tol is None else tol,
+            seed=self.seed if seed is None else _check_seed(seed),
+            samples=self.samples if samples is None else _check_samples(samples),
+            tol=self.tol if tol is None else _check_tol(tol),
         )
 
     def potential_field(self):

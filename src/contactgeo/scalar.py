@@ -13,9 +13,11 @@ arithmetic operation returns a tree in a canonical sum-of-products form:
 
 Sums of any length go through ``add_all``, which merges all their terms
 in one pass.  Because canonical forms are closed under the arithmetic,
-callers never need to re-canonicalize a result; ``simplify`` rebuilds an
-arbitrary tree and is idempotent on canonical ones.  Differentiation is exact, and evaluation is exact over the
-rationals whenever the expression contains no exp node.
+callers never need to re-canonicalize a result.  The zero constant is
+interned: every zero-valued ``Rat`` is the module singleton ``ZERO``, so
+a zero test is the identity check ``e is ZERO``.  Differentiation is
+exact, and evaluation is exact over the rationals whenever the
+expression contains no exp node.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ def _as_fraction(x):
     if isinstance(x, str):
         return Fraction(x)
     raise ExpressionError(f"cannot interpret {x!r} as an exact rational")
+
+
+ZERO = None  # the interned zero constant, created right after Rat
 
 
 class ScalarField:
@@ -107,10 +112,17 @@ class ScalarField:
 
 
 class Rat(ScalarField):
+    """Rational constant; a zero value is always the singleton ``ZERO``."""
+
     __slots__ = ("value",)
 
-    def __init__(self, value):
-        object.__setattr__(self, "value", _as_fraction(value))
+    def __new__(cls, value):
+        value = _as_fraction(value)
+        if not value and ZERO is not None:
+            return ZERO
+        self = object.__new__(cls)
+        object.__setattr__(self, "value", value)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
@@ -239,7 +251,7 @@ class Add(ScalarField):
             return h
 
 
-ZERO = Rat(0)
+ZERO = Rat(0)  # the only zero-valued Rat: Rat() returns it from now on
 ONE = Rat(1)
 MINUS_ONE = Rat(-1)
 
@@ -311,7 +323,7 @@ def _build_term(coeff, factors, exp_arg):
     May return a full Add when an expandable sum power shows up after
     exponent merging.
     """
-    if coeff == 0:
+    if not coeff:
         return ZERO
     # pull out sums raised to small positive powers and multiply them out
     expand = None
@@ -330,7 +342,7 @@ def _build_term(coeff, factors, exp_arg):
         if n == 0:
             continue
         parts.append(base if n == 1 else Pow(base, n))
-    if exp_arg is not None and not (isinstance(exp_arg, Rat) and exp_arg.value == 0):
+    if exp_arg is not None and exp_arg is not ZERO:
         parts.append(Exp(exp_arg))
     parts.sort(key=sort_key)
     if not parts:
@@ -345,7 +357,7 @@ def _build_term(coeff, factors, exp_arg):
 def _terms_of(e):
     if isinstance(e, Add):
         return list(e.terms)
-    if isinstance(e, Rat) and e.value == 0:
+    if e is ZERO:
         return []
     return [e]
 
@@ -362,9 +374,7 @@ def _strip_coeff(term):
 
 
 def _attach_coeff(coeff, mono):
-    if coeff == 0:
-        return ZERO
-    if mono is ONE or mono == ONE:
+    if mono is ONE:
         return Rat(coeff)
     if coeff == 1:
         return mono
@@ -382,7 +392,7 @@ def add_all(nodes):
     """
     if len(nodes) < 2:  # nothing to merge: skip the zero filter
         return nodes[0] if nodes else ZERO
-    nonzero = [e for e in nodes if not (isinstance(e, Rat) and e.value == 0)]
+    nonzero = [e for e in nodes if e is not ZERO]
     if not nonzero:
         return ZERO
     if len(nonzero) == 1:
@@ -395,7 +405,7 @@ def add_all(nodes):
                 acc[mono] += coeff
             else:
                 acc[mono] = coeff
-    terms = [_attach_coeff(coeff, mono) for mono, coeff in acc.items() if coeff != 0]
+    terms = [_attach_coeff(coeff, mono) for mono, coeff in acc.items() if coeff]
     if not terms:
         return ZERO
     if len(terms) == 1:
@@ -406,9 +416,9 @@ def add_all(nodes):
 
 def add(a, b):
     """Canonical sum of two canonical nodes."""
-    if isinstance(a, Rat) and a.value == 0:
+    if a is ZERO:
         return b
-    if isinstance(b, Rat) and b.value == 0:
+    if b is ZERO:
         return a
     return add_all((a, b))
 
@@ -443,16 +453,12 @@ def _mul_terms(t1, t2):
 
 def mul(a, b):
     """Canonical product; distributes over sums."""
-    if isinstance(a, Rat):
-        if a.value == 0:
-            return ZERO
-        if a.value == 1:
-            return b
-    if isinstance(b, Rat):
-        if b.value == 0:
-            return ZERO
-        if b.value == 1:
-            return a
+    if a is ZERO or b is ZERO:
+        return ZERO
+    if isinstance(a, Rat) and a.value == 1:
+        return b
+    if isinstance(b, Rat) and b.value == 1:
+        return a
     return add_all([_mul_terms(t1, t2) for t1 in _terms_of(a) for t2 in _terms_of(b)])
 
 
@@ -465,7 +471,7 @@ def pow_int(a, n):
     if n == 1:
         return a
     if isinstance(a, Rat):
-        if a.value == 0 and n < 0:
+        if a is ZERO and n < 0:
             raise DivisionByZero("0 raised to a negative power")
         return Rat(a.value**n)
     if isinstance(a, Sym):
@@ -489,13 +495,13 @@ def pow_int(a, n):
 
 
 def div(a, b):
-    if isinstance(b, Rat) and b.value == 0:
+    if b is ZERO:
         raise DivisionByZero("division by the zero constant")
     return mul(a, pow_int(b, -1))
 
 
 def exp_of(a):
-    if isinstance(a, Rat) and a.value == 0:
+    if a is ZERO:
         return ONE
     return Exp(a)
 
@@ -507,30 +513,6 @@ def const(x):
 
 def sym(name):
     return Sym(name)
-
-
-def simplify(e):
-    """Rebuild an arbitrary tree through the canonical constructors.
-
-    Canonical inputs come back unchanged, so the map is idempotent.
-    """
-    if isinstance(e, (Rat, Sym)):
-        return e
-    if isinstance(e, Exp):
-        return exp_of(simplify(e.arg))
-    if isinstance(e, Pow):
-        return pow_int(simplify(e.base), e.exponent)
-    if isinstance(e, Mul):
-        out = ONE
-        for f in e.factors:
-            out = mul(out, simplify(f))
-        return out
-    if isinstance(e, Add):
-        out = ZERO
-        for t in e.terms:
-            out = add(out, simplify(t))
-        return out
-    raise ExpressionError(f"not a scalar expression: {e!r}")
 
 
 # --- differentiation -------------------------------------------------------
@@ -557,7 +539,7 @@ def diff(e, name):
         fs = e.factors
         for i, f in enumerate(fs):
             df = diff(f, name)
-            if isinstance(df, Rat) and df.value == 0:
+            if df is ZERO:
                 continue
             rest = df
             for j, g in enumerate(fs):
@@ -661,9 +643,9 @@ def is_zero(e, sampler=None, tol=1e-9):
     are evaluated at the sampler's points and judged against the absolute
     tolerance.
     """
+    if e is ZERO:
+        return _PROVED
     if isinstance(e, Rat):
-        if e.value == 0:
-            return _PROVED
         return Verdict(NON_ZERO, abs(float(e.value)), ({}, e.value))
     if sampler is None:
         raise ExpressionError("a sampler is required for non-constant zero tests")

@@ -21,7 +21,7 @@ from contactgeo.cli import main as cli_main
 from contactgeo.curvature import CurvatureTable, hessian, koszul, lie_derivative_metric
 from contactgeo.geometry import ManifoldSpec, VectorField, lie_bracket
 from contactgeo.scalar import (
-    ONE, Rat, Sampler, ZERO, diff, evaluate, is_zero, parse, simplify,
+    ONE, Rat, Sampler, ZERO, diff, evaluate, is_zero, parse,
 )
 from contactgeo.soliton import (
     SolitonProblem, gradient_soliton_residual, solve_soliton, verify_soliton,
@@ -30,6 +30,7 @@ from contactgeo.structure import (
     check_almost_contact, check_kenmotsu, solve_eta_einstein, solve_nullity,
 )
 
+from canonical_ref import simplify
 from fd_oracle import Chart
 
 TOL = 1e-9
@@ -508,14 +509,22 @@ def _sweep_commands():
                      "--samples", "400"], 1729))
     # a second draw of the random fields behind the structure residuals
     out += [(["check", "example1"], 7), (["check", "example2"], 7)]
+    # a dim-7 Kenmotsu manifest (perfbench/gen.py, exp form), read relative
+    # to the golden directory so the reported source path is stable
+    for what in ("conn", "riem", "star"):
+        out.append((["tables", GOLDEN_DIM7, "--what", what], 1729))
+    out.append((["soliton", GOLDEN_DIM7, "--solve"], 1729))
     return [argv + ["--json", "--seed", str(seed)] for argv, seed in out]
 
 
-GOLDEN_SWEEP = Path(__file__).parent / "golden" / "sweep_seed1729.json"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_SWEEP = GOLDEN_DIR / "sweep_seed1729.json"
+GOLDEN_DIM7 = "kenmotsu_exp_7.json"
 
 
-def test_acceptance_08_cli_determinism(capsys):
+def test_acceptance_08_cli_determinism(capsys, monkeypatch):
     with announce(capsys, "08 CLI determinism"):
+        monkeypatch.chdir(GOLDEN_DIR)
         commands = _sweep_commands()
 
         def sweep():

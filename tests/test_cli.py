@@ -191,6 +191,26 @@ def test_samples_override_must_be_positive(capsys, argv, samples):
     assert err == "error: samples must be a positive integer (samples)\n"
 
 
+@pytest.mark.parametrize("argv, flag, value, message", (
+    # --tol 5 once made the identity frame of flat "degenerate"
+    (("check", "flat", "--checks", "almost_contact"), "--tol", "5",
+     "tol must be in (0, 1) (tol)"),
+    # --tol -1 and --tol nan once failed the nullity fit on example3
+    (("check", "example3", "--checks", "nullity"), "--tol", "-1",
+     "tol must be in (0, 1) (tol)"),
+    (("check", "example3", "--checks", "nullity"), "--tol", "nan",
+     "tol must be in (0, 1) (tol)"),
+    (("check", "flat", "--checks", "almost_contact"), "--seed", "-5",
+     "seed must be a nonnegative integer (seed)"),
+), ids=("tol-5", "tol-minus-1", "tol-nan", "seed-minus-5"))
+def test_tol_and_seed_overrides_are_validated(capsys, argv, flag, value, message):
+    # the same range checks and messages as the manifest fields
+    code, out, err = run(capsys, *argv, flag, value)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_gradient_potential_manifest(capsys, tmp_path):
     data = {
         "coordinates": ["x", "y", "z"],

@@ -9,7 +9,9 @@ from contactgeo.curvature import (
     sectional_curvature,
 )
 from contactgeo.errors import DegeneratePlane
-from contactgeo.scalar import ONE, Rat, ZERO, parse, simplify
+from contactgeo.scalar import ONE, Rat, ZERO, parse
+
+from canonical_ref import simplify
 
 
 def S(t):

@@ -9,7 +9,9 @@ from contactgeo.errors import ExpressionError, ValidationError
 from contactgeo.geometry import (
     ManifoldSpec, VectorField, lie_bracket, random_vector_fields, sym_inverse,
 )
-from contactgeo.scalar import ONE, Rat, ZERO, parse, simplify
+from contactgeo.scalar import ONE, Rat, ZERO, parse
+
+from canonical_ref import simplify
 
 
 def S(t):

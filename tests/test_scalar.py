@@ -9,10 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from contactgeo import scalar
 from contactgeo.errors import DivisionByZero, ExpressionError, ParseError
+from contactgeo.geometry import VectorField
 from contactgeo.scalar import (
-    Add, Exp, Mul, Pow, Rat, Sampler, Sym, ZERO, add, add_all, diff, evaluate,
-    is_zero, mul, parse, simplify, sort_key, to_str,
+    Add, Exp, Mul, Pow, Rat, Sampler, Sym, ZERO, add, add_all, const, diff,
+    evaluate, is_zero, mul, parse, sort_key, to_str,
 )
+
+from canonical_ref import simplify
 
 
 def test_parse_round_trip():
@@ -216,3 +219,41 @@ def test_sort_key_orders_like_fraction_key(nodes):
             old_a, old_b = parent_sort_key(a), parent_sort_key(b)
             assert (new_a < new_b) == (old_a < old_b)
             assert (new_a == new_b) == (old_a == old_b)
+
+
+# --- the interned zero --------------------------------------------------------
+
+
+@given(st.one_of(polys(), mixed()), st.fractions(max_denominator=9),
+       st.integers(min_value=1, max_value=50))
+@settings(max_examples=80, deadline=None)
+def test_every_zero_constant_is_the_interned_zero(p, q, d):
+    # zero tests are identity checks, so no second zero-valued Rat may exist
+    assert Rat(Fraction(0, d)) is ZERO
+    assert Rat("0") is ZERO and Rat(f"0/{d}") is ZERO and Rat(0) is ZERO
+    assert const(0) is ZERO and const(Fraction(0, d)) is ZERO
+    assert Rat(q) - Rat(q) is ZERO
+    assert add_all([p, -p]) is ZERO
+    assert add_all([p, Rat(q), -p, Rat(-q)]) is ZERO
+    assert p - p is ZERO
+    assert mul(p, ZERO) is ZERO and p * 0 is ZERO and Rat(q) * 0 is ZERO
+    assert diff(Rat(q), "x") is ZERO and diff(p, "z") is ZERO
+    assert VectorField(("x", "y"), [p, Rat(d)]).apply(Rat(q)) is ZERO
+    assert VectorField(("x", "y"), [ZERO, ZERO]).apply(p) is ZERO
+
+
+def test_derived_tables_hold_no_other_zero(ex1, ex2, ex3, flat, heis):
+    def zero_copies(e):
+        if isinstance(e, Rat):
+            return [e] if e.value == 0 and e is not ZERO else []
+        kids = getattr(e, "terms", None) or getattr(e, "factors", None) or ()
+        kids = list(kids) + [getattr(e, a) for a in ("arg", "base") if hasattr(e, a)]
+        return [z for k in kids for z in zero_copies(k)]
+
+    for b in (ex1, ex2, ex3, flat, heis):
+        t = b.table
+        entries = [e for row in b.conn.gamma for comps in row for e in comps]
+        entries += [e for row in t.R for col in row for comps in col for e in comps]
+        entries += [e for row in t.ricci + t.star_ricci for e in row]
+        entries += [e for row in b.tensors.h + b.tensors.h_prime for e in row]
+        assert [z for e in entries for z in zero_copies(e)] == [], b.manifest.name

@@ -5,13 +5,15 @@ from fractions import Fraction
 import pytest
 
 from contactgeo.errors import MissingPotential
-from contactgeo.scalar import Rat, parse, simplify
+from contactgeo.scalar import Rat, parse
 from contactgeo.soliton import (
     SolitonProblem, check_kenmotsu_soliton, check_nullity_soliton, classify,
     gradient_soliton_residual, lambda_string, soliton_residual, solve_soliton,
     verify_soliton,
 )
 from contactgeo.structure import solve_nullity
+
+from canonical_ref import simplify
 
 
 def vector_problem(bundle):
