@@ -514,12 +514,17 @@ def _sweep_commands():
     for what in ("conn", "riem", "star"):
         out.append((["tables", GOLDEN_DIM7, "--what", what], 1729))
     out.append((["soliton", GOLDEN_DIM7, "--solve"], 1729))
+    # the two dim-3 Kenmotsu manifests (perfbench/gen.py, both warp forms)
+    # of the kind the check_all benchmark runs the full check on
+    for path in GOLDEN_DIM3:
+        out.append((["check", path], 1729))
     return [argv + ["--json", "--seed", str(seed)] for argv, seed in out]
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_SWEEP = GOLDEN_DIR / "sweep_seed1729.json"
 GOLDEN_DIM7 = "kenmotsu_exp_7.json"
+GOLDEN_DIM3 = ("kenmotsu_exp_3.json", "kenmotsu_poly_3.json")
 
 
 def test_acceptance_08_cli_determinism(capsys, monkeypatch):
