@@ -18,7 +18,7 @@ from . import soliton as soliton_mod
 from . import structure
 from .curvature import CurvatureTable, ExteriorData, StructureTensors, koszul
 from .errors import ContactGeoError, MissingPotential
-from .scalar import ZERO, to_str
+from .scalar import ZERO, clear_caches, to_str
 
 CHECK_NAMES = ("almost_contact", "kenmotsu", "almost_kenmotsu",
                "nullity", "eta_einstein")
@@ -75,9 +75,14 @@ def build_parser():
 
 
 class Workspace:
-    """Everything the commands need, built once per invocation."""
+    """Everything the commands need, built once per invocation.
+
+    Building one empties the scalar caches, so every command starts cold
+    and the caches do not grow across commands run in one process.
+    """
 
     def __init__(self, args):
+        clear_caches()
         self.mf = manifest_mod.resolve(args.manifest)
         self.M = self.mf.manifold(seed=args.seed, samples=args.samples,
                                   tol=args.tol)
@@ -187,10 +192,15 @@ def _check_data_line(name, rep):
 
 def cmd_check(args):
     selected = [s.strip() for s in args.checks.split(",") if s.strip()]
+    if not selected:
+        raise ContactGeoError(
+            f"--checks selects no check; choose from {', '.join(CHECK_NAMES)}")
     for s in selected:
         if s not in CHECK_NAMES:
             raise ContactGeoError(
                 f"unknown check {s!r}; choose from {', '.join(CHECK_NAMES)}")
+        if selected.count(s) > 1:
+            raise ContactGeoError(f"check {s!r} is selected more than once")
     ws = Workspace(args)
     reports = run_checks(ws, selected)
     failing = [n for n in selected if not reports[n].passed]

@@ -284,18 +284,18 @@ class ManifoldSpec:
 
 def random_polynomial(rng, coords, degree=1):
     """Small integer-coefficient polynomial in the chart coordinates."""
-    out = Rat(rng.randint(-2, 2))
+    terms = [Rat(rng.randint(-2, 2))]
     for name in coords:
         c = rng.randint(-2, 2)
         if c:
-            out = out + Rat(c) * scalar.sym(name)
+            terms.append(Rat(c) * scalar.sym(name))
     if degree >= 2:
         a = rng.choice(coords)
         b = rng.choice(coords)
         c = rng.randint(-1, 1)
         if c:
-            out = out + Rat(c) * scalar.sym(a) * scalar.sym(b)
-    return out
+            terms.append(Rat(c) * scalar.sym(a) * scalar.sym(b))
+    return add_all(terms)
 
 
 def random_vector_fields(M, count, seed, degree=1):

@@ -18,6 +18,10 @@ interned: every zero-valued ``Rat`` is the module singleton ``ZERO``, so
 a zero test is the identity check ``e is ZERO``.  Differentiation is
 exact, and evaluation is exact over the rationals whenever the
 expression contains no exp node.
+
+Products of coefficient-free monomials and derivatives are memoized in
+two module dicts; ``clear_caches`` empties both, and the CLI does so at
+the start of every command.
 """
 
 from __future__ import annotations
@@ -252,7 +256,8 @@ class Add(ScalarField):
 
 
 ZERO = Rat(0)  # the only zero-valued Rat: Rat() returns it from now on
-ONE = Rat(1)
+_Q1 = Fraction(1)  # the coefficient of a coefficient-free term
+ONE = Rat(_Q1)
 MINUS_ONE = Rat(-1)
 
 
@@ -282,75 +287,56 @@ def sort_key(e):
 
 # --- term/monomial bookkeeping -------------------------------------------
 #
-# A term is (coefficient, factor map, exp argument): the factor map sends a
-# base node (Sym, or opaque Add) to its integer exponent, and the exp
-# argument collects the merged argument of every exp factor (None if the
-# term has no exp part).
+# A term is a rational coefficient times a coefficient-free monomial.  A
+# monomial splits into a factor map, which sends a base node (Sym, or
+# opaque Add) to its integer exponent, and the argument of its exp factor
+# (None if it has none).
 
 
-def _split_term(e):
-    """Decompose a canonical non-Add node into (coeff, factors, exp_arg)."""
-    if isinstance(e, Rat):
-        return e.value, {}, None
+def _split_mono(e):
+    """Decompose a coefficient-free monomial into (factors, exp_arg)."""
     if isinstance(e, Sym):
-        return Fraction(1), {e: 1}, None
+        return {e: 1}, None
     if isinstance(e, Exp):
-        return Fraction(1), {}, e.arg
+        return {}, e.arg
     if isinstance(e, Pow):
-        return Fraction(1), {e.base: e.exponent}, None
+        return {e.base: e.exponent}, None
     if isinstance(e, Mul):
-        coeff = Fraction(1)
         factors = {}
         exp_arg = None
         for f in e.factors:
-            if isinstance(f, Rat):
-                coeff *= f.value
-            elif isinstance(f, Sym):
-                factors[f] = factors.get(f, 0) + 1
+            if isinstance(f, Sym):
+                factors[f] = 1
             elif isinstance(f, Pow):
-                factors[f.base] = factors.get(f.base, 0) + f.exponent
+                factors[f.base] = f.exponent
             elif isinstance(f, Exp):
-                exp_arg = f.arg if exp_arg is None else add(exp_arg, f.arg)
-            else:  # pragma: no cover - canonical Mul never nests Add/Mul
+                exp_arg = f.arg
+            else:  # pragma: no cover - a monomial holds no Rat, Add or Mul
                 raise ExpressionError("non-canonical product factor")
-        return coeff, factors, exp_arg
-    raise ExpressionError("sum cannot be a single term")  # pragma: no cover
+        return factors, exp_arg
+    return {}, None  # the monomial ONE
 
 
-def _build_term(coeff, factors, exp_arg):
-    """Rebuild a canonical node from a decomposed term.
+def _build_mono(factors, exp_arg):
+    """Rebuild a canonical monomial from its factor map and exp argument.
 
     May return a full Add when an expandable sum power shows up after
     exponent merging.
     """
-    if not coeff:
-        return ZERO
     # pull out sums raised to small positive powers and multiply them out
-    expand = None
     for base, n in factors.items():
         if isinstance(base, Add) and 1 <= n <= _EXPAND_LIMIT:
-            expand = (base, n)
-            break
-    if expand is not None:
-        base, n = expand
-        rest = dict(factors)
-        del rest[base]
-        node = _build_term(coeff, rest, exp_arg)
-        return mul(node, pow_int(base, n))
-    parts = []
-    for base, n in factors.items():
-        if n == 0:
-            continue
-        parts.append(base if n == 1 else Pow(base, n))
+            rest = dict(factors)
+            del rest[base]
+            return mul(_build_mono(rest, exp_arg), pow_int(base, n))
+    parts = [base if n == 1 else Pow(base, n) for base, n in factors.items()]
     if exp_arg is not None and exp_arg is not ZERO:
         parts.append(Exp(exp_arg))
-    parts.sort(key=sort_key)
     if not parts:
-        return Rat(coeff)
-    if coeff != 1:
-        parts.insert(0, Rat(coeff))
+        return ONE
     if len(parts) == 1:
         return parts[0]
+    parts.sort(key=sort_key)
     return Mul(parts)
 
 
@@ -370,13 +356,13 @@ def _strip_coeff(term):
         rest = term.factors[1:]
         mono = rest[0] if len(rest) == 1 else Mul(rest)
         return term.factors[0].value, mono
-    return Fraction(1), term
+    return _Q1, term
 
 
 def _attach_coeff(coeff, mono):
     if mono is ONE:
         return Rat(coeff)
-    if coeff == 1:
+    if coeff is _Q1 or coeff == 1:
         return mono
     if isinstance(mono, Mul):
         return Mul((Rat(coeff),) + mono.factors)
@@ -405,6 +391,11 @@ def add_all(nodes):
                 acc[mono] += coeff
             else:
                 acc[mono] = coeff
+    return _collect(acc)
+
+
+def _collect(acc):
+    """Canonical sum of a map from monomial to coefficient."""
     terms = [_attach_coeff(coeff, mono) for mono, coeff in acc.items() if coeff]
     if not terms:
         return ZERO
@@ -431,10 +422,19 @@ def sub(a, b):
     return add(a, neg(b))
 
 
-def _mul_terms(t1, t2):
-    c1, f1, x1 = _split_term(t1)
-    c2, f2, x2 = _split_term(t2)
-    coeff = c1 * c2
+# Products are built on coefficient-free monomials: the product of two
+# terms is the product of their monomials scaled by the product of their
+# coefficients.  A check multiplies the same monomial pairs over and over,
+# so each monomial product is computed once and kept in ``_mul_cache``.
+
+
+def _mono_product(m1, m2):
+    """Terms of the product of two coefficient-free monomials, as a tuple of
+    (coeff, monomial) pairs: one pair with coefficient 1, unless a merged
+    power of an opaque sum lands in the expandable range and the product is
+    multiplied out."""
+    f1, x1 = _split_mono(m1)
+    f2, x2 = _split_mono(m2)
     factors = dict(f1)
     for base, n in f2.items():
         m = factors.get(base, 0) + n
@@ -448,18 +448,64 @@ def _mul_terms(t1, t2):
         exp_arg = x1
     else:
         exp_arg = add(x1, x2)
-    return _build_term(coeff, factors, exp_arg)
+    node = _build_mono(factors, exp_arg)
+    return tuple(_strip_coeff(t) for t in _terms_of(node))
+
+
+_mul_cache = {}
+
+
+def _mul_terms(c1, m1, c2, m2):
+    """Terms of the product of the terms ``c1*m1`` and ``c2*m2`` (split by
+    ``_strip_coeff``), as (coeff, monomial) pairs."""
+    key = (m1, m2)
+    prod = _mul_cache.get(key)
+    if prod is None:
+        prod = _mul_cache[key] = _mono_product(m1, m2)
+    coeff = c2 if c1 is _Q1 else c1 if c2 is _Q1 else c1 * c2
+    if coeff is _Q1:
+        return prod
+    return [(coeff if c is _Q1 else coeff * c, mono) for c, mono in prod]
+
+
+def _scale(c, e):
+    """Canonical ``c*e`` for a rational ``c`` other than 0 and 1 and a
+    non-constant node: only the coefficients change, but the terms must be
+    re-sorted because a coefficient is part of a term's sort key."""
+    if not isinstance(e, Add):
+        c0, mono = _strip_coeff(e)
+        return _attach_coeff(c * c0, mono)
+    terms = []
+    for t in e.terms:
+        c0, mono = _strip_coeff(t)
+        terms.append(_attach_coeff(c * c0, mono))
+    terms.sort(key=sort_key)
+    return Add(terms)
 
 
 def mul(a, b):
     """Canonical product; distributes over sums."""
     if a is ZERO or b is ZERO:
         return ZERO
-    if isinstance(a, Rat) and a.value == 1:
-        return b
-    if isinstance(b, Rat) and b.value == 1:
-        return a
-    return add_all([_mul_terms(t1, t2) for t1 in _terms_of(a) for t2 in _terms_of(b)])
+    if isinstance(a, Rat):
+        if a.value == 1:
+            return b
+        if isinstance(b, Rat):
+            return a if b.value == 1 else Rat(a.value * b.value)
+        return _scale(a.value, b)
+    if isinstance(b, Rat):
+        return a if b.value == 1 else _scale(b.value, a)
+    acc = {}
+    right = [_strip_coeff(t) for t in _terms_of(b)]
+    for t1 in _terms_of(a):
+        c1, m1 = _strip_coeff(t1)
+        for c2, m2 in right:
+            for coeff, mono in _mul_terms(c1, m1, c2, m2):
+                if mono in acc:
+                    acc[mono] += coeff
+                else:
+                    acc[mono] = coeff
+    return _collect(acc)
 
 
 def pow_int(a, n):
@@ -518,6 +564,12 @@ def sym(name):
 # --- differentiation -------------------------------------------------------
 
 _diff_cache = {}
+
+
+def clear_caches():
+    """Empty the product memo and the derivative cache."""
+    _mul_cache.clear()
+    _diff_cache.clear()
 
 
 def diff(e, name):

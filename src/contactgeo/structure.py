@@ -153,9 +153,8 @@ def check_almost_contact(M):
             delta = ONE if j == k else ZERO
             e = phi2[j][k] + delta - eta[j] * xi[k]
             parts_sq.append((f"(phi^2 + Id - eta(x)xi)(e_{j + 1})[{k + 1}]", e))
-    rand = _rand_pairs(M)
-    for idx, (X, _) in enumerate(rand):
-        c = M.to_frame(X)
+    rand = [(M.to_frame(X), M.to_frame(Y)) for X, Y in _rand_pairs(M)]
+    for idx, (c, _) in enumerate(rand):
         p2 = M.phi_frame_apply(M.phi_frame_apply(c))
         ex = M.eta_apply(c)
         for k in range(n):
@@ -167,8 +166,7 @@ def check_almost_contact(M):
         for j in range(i, n):
             e = M.metric_apply(M.phi[i], M.phi[j]) - G[i][j] + eta[i] * eta[j]
             parts_comp.append((f"compat(e_{i + 1}, e_{j + 1})", e))
-    for idx, (X, Y) in enumerate(rand):
-        cx, cy = M.to_frame(X), M.to_frame(Y)
+    for idx, (cx, cy) in enumerate(rand):
         e = (M.metric_apply(M.phi_frame_apply(cx), M.phi_frame_apply(cy))
              - M.metric_apply(cx, cy) + M.eta_apply(cx) * M.eta_apply(cy))
         parts_comp.append((f"compat(X_{idx}, Y_{idx})", e))

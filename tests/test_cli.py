@@ -49,6 +49,28 @@ def test_check_unknown_name(capsys):
     assert "unknown check" in err
 
 
+@pytest.mark.parametrize("checks", (",", "", " , ,"), ids=("comma", "empty", "blanks"))
+def test_check_empty_selection_is_rejected(capsys, checks):
+    # once ran no check and reported "summary: PASS" with exit 0
+    code, out, err = run(capsys, "check", "flat", "--checks", checks)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: --checks selects no check; choose from almost_contact, "
+                   "kenmotsu, almost_kenmotsu, nullity, eta_einstein\n")
+
+
+@pytest.mark.parametrize("checks, name", (
+    ("eta_einstein,eta_einstein", "eta_einstein"),
+    ("nullity, almost_contact,nullity", "nullity"),
+), ids=("twice", "spaced"))
+def test_check_repeated_name_is_rejected(capsys, checks, name):
+    # once ran the family twice and printed it twice
+    code, out, err = run(capsys, "check", "flat", "--checks", checks)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: check {name!r} is selected more than once\n"
+
+
 def test_check_witness_shown(capsys):
     code, out, _ = run(capsys, "check", "example1", "--checks", "almost_contact")
     assert code == 1
@@ -70,6 +92,20 @@ def test_check_json_payload(capsys):
 
 
 # --- tables ------------------------------------------------------------------
+
+
+def test_example3_is_star_ricci_flat_not_ricci_flat(capsys):
+    # the paper's "Ricci flat" (kappa = -2 almost Kenmotsu case) is S* = 0:
+    # example3 is locally H^2(-4) x R, whose Ricci tensor is diag(-4, 0, -4)
+    code, out, _ = run(capsys, "tables", "example3", "--what", "ricci", "--json")
+    assert code == 0
+    assert json.loads(out)["entries"] == {
+        "S(e_1,e_1)": "-4", "S(e_3,e_3)": "-4",
+        "Q e_1": "-4 e_1", "Q e_3": "-4 e_3", "r": "-8",
+    }
+    code, out, _ = run(capsys, "tables", "example3", "--what", "star", "--json")
+    assert code == 0
+    assert json.loads(out)["entries"] == {"r*": "0"}
 
 
 def test_tables_conn_full_grid(capsys):
