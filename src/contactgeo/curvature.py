@@ -81,7 +81,8 @@ class ConnectionTable:
         """Covariant derivative of a (1,1) tensor given as a frame matrix.
 
         ``(nabla_X A)(e_j) = nabla_X (A e_j) - A (nabla_X e_j)``; rows of
-        the result are images of the frame vectors.
+        the result are images of the frame vectors. Each component of
+        ``A (nabla_X e_j)`` is merged in one ``add_all``.
         """
         M = self.M
         n = M.dim
@@ -89,14 +90,13 @@ class ConnectionTable:
         for j in range(n):
             first = self.nabla_comps(x_frame, A[j])
             nx_ej = self.nabla_comps(x_frame, [ONE if k == j else ZERO for k in range(n)])
-            second = [ZERO] * n
-            for m in range(n):
-                if nx_ej[m] is ZERO:
-                    continue
-                for k in range(n):
-                    if A[m][k] is not ZERO:
-                        second[k] = second[k] + nx_ej[m] * A[m][k]
-            out.append([a - b for a, b in zip(first, second)])
+            terms = [[] for _ in range(n)]
+            for m, c in enumerate(nx_ej):
+                if c is not ZERO:
+                    for k, amk in enumerate(A[m]):
+                        if amk is not ZERO:
+                            terms[k].append(c * amk)
+            out.append([a - add_all(t) for a, t in zip(first, terms)])
         return out
 
 

@@ -16,7 +16,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from . import scalar
@@ -250,11 +249,6 @@ class ManifoldSpec:
             parts.append(c[i] * gd)
         return add_all(parts)
 
-    def eta_apply(self, X):
-        """``eta(X) = g(X, xi)``."""
-        c = self._frame_comps(X)
-        return add_all([c[j] * self.eta_frame[j] for j in range(self.dim)])
-
     def phi_frame_apply(self, c):
         """phi acting on frame components."""
         return _mat_vec(self.phi, list(c))
@@ -281,28 +275,3 @@ class ManifoldSpec:
     def is_zero_field(self, e, tol=None):
         return is_zero(e, self.sampler, self.tol if tol is None else tol)
 
-
-def random_polynomial(rng, coords, degree=1):
-    """Small integer-coefficient polynomial in the chart coordinates."""
-    terms = [Rat(rng.randint(-2, 2))]
-    for name in coords:
-        c = rng.randint(-2, 2)
-        if c:
-            terms.append(Rat(c) * scalar.sym(name))
-    if degree >= 2:
-        a = rng.choice(coords)
-        b = rng.choice(coords)
-        c = rng.randint(-1, 1)
-        if c:
-            terms.append(Rat(c) * scalar.sym(a) * scalar.sym(b))
-    return add_all(terms)
-
-
-def random_vector_fields(M, count, seed, degree=1):
-    """Deterministic list of polynomial-coefficient vector fields."""
-    rng = random.Random(seed)
-    fields = []
-    for _ in range(count):
-        comps = [random_polynomial(rng, M.coords, degree) for _ in range(M.dim)]
-        fields.append(VectorField(M.coords, comps))
-    return fields

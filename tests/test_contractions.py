@@ -3,16 +3,19 @@
 ``ManifoldSpec.metric_apply`` contracts the constant metric row with the
 second operand first and scales by each component of the first once;
 ``ConnectionTable.nabla_comps`` contracts ``c^l gamma[i][l][k]`` first and
-scales by ``x^i`` once. Both merge each output component in one
-``add_all``. The references below are the earlier pairwise loops, kept
-verbatim; canonical forms are unique, so the results must be ``==``-equal
-node for node.
+scales by ``x^i`` once; ``ConnectionTable.nabla_operator`` forms each
+component of ``A (nabla_X e_j)`` at once. All merge each output component
+in one ``add_all``. The references below are the earlier pairwise loops,
+kept verbatim; canonical forms are unique, so the results must be
+``==``-equal node for node.
 """
 
 import pytest
 
-from contactgeo.scalar import Rat, ZERO
-from contactgeo.structure import _basis, _rand_pairs
+from contactgeo.scalar import ONE, Rat, ZERO
+from contactgeo.structure import _basis
+
+from fields import random_vector_fields
 
 
 def reference_metric_apply(M, X, Y):
@@ -60,6 +63,31 @@ def reference_nabla_comps(conn, x_frame, c_frame):
     return out
 
 
+def reference_nabla_operator(conn, A, x_frame):
+    """``nabla_X (A e_j) - A (nabla_X e_j)``, the second part added pairwise."""
+    M = conn.M
+    n = M.dim
+    out = []
+    for j in range(n):
+        first = conn.nabla_comps(x_frame, A[j])
+        nx_ej = conn.nabla_comps(x_frame, [ONE if k == j else ZERO for k in range(n)])
+        second = [ZERO] * n
+        for m in range(n):
+            if nx_ej[m] is ZERO:
+                continue
+            for k in range(n):
+                if A[m][k] is not ZERO:
+                    second[k] = second[k] + nx_ej[m] * A[m][k]
+        out.append([a - b for a, b in zip(first, second)])
+    return out
+
+
+def random_pairs(M, count, seed_offset):
+    """The pairs of polynomial fields the structure checks once drew."""
+    fields = random_vector_fields(M, 2 * count, M.seed + 7 + seed_offset)
+    return [(fields[2 * i], fields[2 * i + 1]) for i in range(count)]
+
+
 FIXTURES = ("ex1", "ex2", "ex3", "flat", "heis")
 
 
@@ -102,7 +130,7 @@ def test_random_fields_match_reference(request, fixture, seed):
     conn = b.conn  # the frame and Christoffel symbols do not depend on the seed
     M = b.manifest.manifold(seed=seed)
     # offsets 0 and 1 draw the fields of the almost contact and Kenmotsu checks
-    for X, Y in _rand_pairs(M, 3, 0) + _rand_pairs(M, 3, 1):
+    for X, Y in random_pairs(M, 3, 0) + random_pairs(M, 3, 1):
         # the coordinate-field path converts through the frame inverse
         assert_metric_equal(M, X, Y)
         cx, cy = M.to_frame(X), M.to_frame(Y)
@@ -114,3 +142,17 @@ def test_random_fields_match_reference(request, fixture, seed):
         # the operand of nabla_phi: nabla_X (phi Y)
         assert_nabla_equal(conn, cx, M.phi_frame_apply(cy))
         assert_nabla_equal(conn, cx, M.xi_frame)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_nabla_operator_matches_reference(request, fixture):
+    b = request.getfixturevalue(fixture)
+    M, conn = b.M, b.conn
+    basis = _basis(M.dim)
+    xs = basis + [M.xi_frame] + [M.to_frame(X) for X, _ in random_pairs(M, 2, 0)]
+    # the Ricci operator and h' are the tensors the structure checks differentiate
+    for A in (b.table.ricci_operator, b.tensors.h_prime, M.phi):
+        for x in xs:
+            got = conn.nabla_operator(A, x)
+            want = reference_nabla_operator(conn, A, x)
+            assert got == want, (M.name, [[str(e) for e in row] for row in got])

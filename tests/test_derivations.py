@@ -17,10 +17,10 @@ import pytest
 
 from contactgeo import manifest, scalar
 from contactgeo.curvature import HALF, koszul
-from contactgeo.geometry import (
-    ManifoldSpec, VectorField, lie_bracket, random_polynomial, random_vector_fields,
-)
+from contactgeo.geometry import ManifoldSpec, VectorField, lie_bracket
 from contactgeo.scalar import ONE, Rat, ZERO, parse
+
+from fields import random_polynomial, random_vector_fields
 
 DIM7 = Path(__file__).parent / "golden" / "kenmotsu_exp_7.json"
 

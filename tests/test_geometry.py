@@ -6,12 +6,11 @@ from fractions import Fraction
 import pytest
 
 from contactgeo.errors import ExpressionError, ValidationError
-from contactgeo.geometry import (
-    ManifoldSpec, VectorField, lie_bracket, random_vector_fields, sym_inverse,
-)
+from contactgeo.geometry import ManifoldSpec, VectorField, lie_bracket, sym_inverse
 from contactgeo.scalar import ONE, Rat, ZERO, parse
 
 from canonical_ref import simplify
+from fields import random_vector_fields
 
 
 def S(t):
@@ -98,14 +97,6 @@ def test_frame_round_trip(ex3):
     back = M.from_frame(M.to_frame(V))
     for p, q in zip(back.comps, V.comps):
         assert simplify(p - q) == Rat(0)
-
-
-def test_eta_is_metric_dual(ex2):
-    M = ex2.M
-    # eta(X) = g(X, xi) by construction; spot-check against frame entries
-    for j in range(M.dim):
-        basis = [ONE if k == j else ZERO for k in range(M.dim)]
-        assert simplify(M.eta_apply(basis) - M.eta_frame[j]) == Rat(0)
 
 
 def test_gradient_duality_randomized(ex3):

@@ -106,12 +106,12 @@ def test_workspace_starts_with_empty_caches(monkeypatch):
 
 
 def test_caches_do_not_grow_across_commands(capsys):
-    argv = ["check", "example3", "--checks", "almost_contact,kenmotsu"]
+    argv = ["check", "example1", "--checks", "almost_contact,kenmotsu"]
     sizes = []
     for _ in range(2):
         assert cli.main(argv) in (0, 1)
         sizes.append((len(scalar._mul_cache), len(scalar._diff_cache)))
-    cli.main(["check", "example1", "--checks", "kenmotsu"])
+    cli.main(["check", "example2", "--checks", "kenmotsu"])
     cli.main(argv)
     sizes.append((len(scalar._mul_cache), len(scalar._diff_cache)))
     capsys.readouterr()
