@@ -22,8 +22,7 @@ All tensors produced here are frame-indexed arrays of scalar fields.
 from __future__ import annotations
 
 from fractions import Fraction
-
-import numpy as np
+from math import isqrt
 
 from .errors import DegeneratePlane
 from .geometry import lie_bracket
@@ -353,25 +352,41 @@ class StructureTensors:
         self.h_prime = [half_lie_phi(phi_fields[j], phi2[j]) for j in range(n)]
 
     def h_prime_squared(self):
+        """``h'^2`` as a frame matrix; each component merged in one ``add_all``."""
         n = self.M.dim
         hp = self.h_prime
         out = [[ZERO] * n for _ in range(n)]
         for j in range(n):
-            for m in range(n):
-                if hp[j][m] is ZERO:
-                    continue
-                for k in range(n):
-                    if hp[m][k] is not ZERO:
-                        out[j][k] = out[j][k] + hp[j][m] * hp[m][k]
+            nz = [(m, a) for m, a in enumerate(hp[j]) if a is not ZERO]
+            if not nz:
+                continue
+            terms = [[] for _ in range(n)]
+            for m, a in nz:
+                for k, b in enumerate(hp[m]):
+                    if b is not ZERO:
+                        terms[k].append(a * b)
+            out[j] = [add_all(t) for t in terms]
         return out
 
     def spectrum(self, snap_tol=1e-9):
-        """Eigenvalues of h' sampled over the domain.
+        """Eigenvalues of h', exactly when they are integers, else sampled.
 
-        Returns ``(values, max_spread)``: values from the first sample
-        point (snapped to integers when that close), spread the largest
-        eigenvalue movement across sample points.
+        Returns ``(values, max_spread)``. When every entry of h' is a
+        rational constant whose spectrum ``integer_spectrum`` finds, the
+        values are those integers and the spread is exactly 0.0. Otherwise
+        the values come from numpy at the first sample point (snapped to
+        integers when that close), and the spread is the largest
+        eigenvalue movement across sample points; numpy is imported only
+        on that path.
         """
+        if all(isinstance(e, Rat) for row in self.h_prime for e in row):
+            # rows are images, so this is the transpose of the operator
+            # matrix: same eigenvalues, same nullities
+            values = integer_spectrum([[e.value for e in row] for row in self.h_prime])
+            if values is not None:
+                return values, 0.0
+        import numpy as np
+
         M = self.M
         n = M.dim
         pts = M.sampler.points()
@@ -393,6 +408,50 @@ class StructureTensors:
             r = round(x)
             values.append(int(r) if abs(x - r) < snap_tol else float(x))
         return values, spread
+
+
+def integer_spectrum(mat):
+    """Eigenvalues of a square ``Fraction`` matrix, ascending with
+    multiplicity, if it is diagonalizable with integer eigenvalues; else
+    None.
+
+    Such a matrix has ``tr A^2 = sum lambda^2``, a non-negative integer,
+    so every eigenvalue lies in ``|lambda| <= isqrt(tr A^2)``; and it is
+    such a matrix exactly when the nullities of ``A - lambda I`` over
+    those integers add up to n. Defective, complex and non-integer
+    spectra give None.
+    """
+    n = len(mat)
+    tr_sq = sum(mat[j][k] * mat[k][j] for j in range(n) for k in range(n))
+    if tr_sq < 0 or tr_sq.denominator != 1:
+        return None
+    bound = isqrt(int(tr_sq))
+    values = []
+    for lam in range(-bound, bound + 1):
+        shifted = [[a - lam if j == k else a for k, a in enumerate(row)]
+                   for j, row in enumerate(mat)]
+        values += [lam] * (n - _rank(shifted))
+        if len(values) == n:
+            return values
+    return None
+
+
+def _rank(rows):
+    """Rank of a square ``Fraction`` matrix by exact elimination; consumes
+    ``rows``."""
+    rank = 0
+    for col in range(len(rows)):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        p = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col]:
+                f = rows[r][col] / p[col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], p)]
+        rank += 1
+    return rank
 
 
 # --- exterior calculus -------------------------------------------------------

@@ -3,7 +3,8 @@
 Solves min ||A x - b|| for a handful of unknowns (here always 1 or 2).
 When every entry is an exact rational the normal equations are solved
 in Fraction arithmetic, so exact fits come out exact. Otherwise numpy
-does the floating-point solve.
+does the floating-point solve; it is imported on that path only, so an
+exact fit never loads it.
 
 Columns whose entries are all zero make the corresponding unknown
 unidentifiable; they are dropped and reported back so callers can mark
@@ -17,8 +18,6 @@ path.
 from __future__ import annotations
 
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import DegenerateSystem
 
@@ -104,6 +103,8 @@ def solve_least_squares(rows, rhs, weights=None):
             r = sum(Fraction(row[j]) * values[j] for j in keep) - Fraction(b)
             resf = max(resf, abs(float(r)))
         return FitResult(values, dropped, resf, True)
+
+    import numpy as np
 
     A = np.array([[float(row[j]) for j in keep] for row in rows], dtype=float)
     b = np.array([float(x) for x in rhs], dtype=float)

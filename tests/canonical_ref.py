@@ -12,6 +12,11 @@ split into coefficient, factor map and exp argument, merged and rebuilt
 ``pow_int`` below, kept as they were, so re-expanded sum powers go
 through the reference too). Tests compare the memoized ``scalar.mul``
 with it.
+
+``ref_spectrum`` is the earlier ``StructureTensors.spectrum``: numpy
+eigenvalues of h' at the first ten sample points, kept as it was. It is
+now the fallback for spectra that are not integer and exact, and tests
+compare ``spectrum()`` with it there.
 """
 
 from fractions import Fraction
@@ -19,7 +24,7 @@ from fractions import Fraction
 from contactgeo.errors import DivisionByZero, ExpressionError
 from contactgeo.scalar import (
     _EXPAND_LIMIT, ONE, ZERO, Add, Exp, Mul, Pow, Rat, Sym, add, add_all,
-    exp_of, mul, pow_int, sort_key,
+    evaluate, exp_of, mul, pow_int, sort_key,
 )
 
 
@@ -185,3 +190,35 @@ def _terms_of(e):
     if e is ZERO:
         return []
     return [e]
+
+
+def ref_spectrum(tensors, snap_tol=1e-9):
+    """Eigenvalues of h' sampled over the domain.
+
+    Returns ``(values, max_spread)``: values from the first sample
+    point (snapped to integers when that close), spread the largest
+    eigenvalue movement across sample points.
+    """
+    import numpy as np
+
+    M = tensors.M
+    n = M.dim
+    pts = M.sampler.points()
+    all_eigs = []
+    for env in pts[: min(len(pts), 10)]:
+        mat = np.empty((n, n))
+        for j in range(n):
+            for k in range(n):
+                # operator matrix: column j holds the image of e_j
+                mat[k, j] = float(evaluate(tensors.h_prime[j][k], env))
+        eigs = np.sort(np.linalg.eigvals(mat).real)
+        all_eigs.append(eigs)
+    first = all_eigs[0]
+    spread = 0.0
+    for eigs in all_eigs[1:]:
+        spread = max(spread, float(np.max(np.abs(eigs - first))))
+    values = []
+    for x in first:
+        r = round(x)
+        values.append(int(r) if abs(x - r) < snap_tol else float(x))
+    return values, spread

@@ -4,15 +4,18 @@
 second operand first and scales by each component of the first once;
 ``ConnectionTable.nabla_comps`` contracts ``c^l gamma[i][l][k]`` first and
 scales by ``x^i`` once; ``ConnectionTable.nabla_operator`` forms each
-component of ``A (nabla_X e_j)`` at once. All merge each output component
-in one ``add_all``. The references below are the earlier pairwise loops,
-kept verbatim; canonical forms are unique, so the results must be
-``==``-equal node for node.
+component of ``A (nabla_X e_j)`` at once, and
+``StructureTensors.h_prime_squared`` each component of ``h'^2``. All
+merge each output component in one ``add_all``. The references below are
+the earlier pairwise loops, kept verbatim; canonical forms are unique, so
+the results must be ``==``-equal node for node.
 """
+
+import copy
 
 import pytest
 
-from contactgeo.scalar import ONE, Rat, ZERO
+from contactgeo.scalar import ONE, Rat, ZERO, parse
 from contactgeo.structure import _basis
 
 from fields import random_vector_fields
@@ -79,6 +82,21 @@ def reference_nabla_operator(conn, A, x_frame):
                 if A[m][k] is not ZERO:
                     second[k] = second[k] + nx_ej[m] * A[m][k]
         out.append([a - b for a, b in zip(first, second)])
+    return out
+
+
+def reference_h_prime_squared(tensors):
+    """``h'^2`` with every product added pairwise."""
+    n = tensors.M.dim
+    hp = tensors.h_prime
+    out = [[ZERO] * n for _ in range(n)]
+    for j in range(n):
+        for m in range(n):
+            if hp[j][m] is ZERO:
+                continue
+            for k in range(n):
+                if hp[m][k] is not ZERO:
+                    out[j][k] = out[j][k] + hp[j][m] * hp[m][k]
     return out
 
 
@@ -156,3 +174,26 @@ def test_nabla_operator_matches_reference(request, fixture):
             got = conn.nabla_operator(A, x)
             want = reference_nabla_operator(conn, A, x)
             assert got == want, (M.name, [[str(e) for e in row] for row in got])
+
+
+def _assert_h_prime_squared_equal(tensors):
+    got = tensors.h_prime_squared()
+    want = reference_h_prime_squared(tensors)
+    assert got == want, (tensors.M.name, [[str(e) for e in row] for row in got])
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_h_prime_squared_matches_reference(request, fixture):
+    _assert_h_prime_squared_equal(request.getfixturevalue(fixture).tensors)
+
+
+def test_h_prime_squared_non_constant_matches_reference(ex3):
+    # the fixtures' h' is zero or constant; this one has repeated and
+    # cancelling products of non-constant entries
+    tensors = copy.copy(ex3.tensors)
+    tensors.h_prime = [[parse(t) for t in row] for row in (
+        ("x", "1 + y", "0"),
+        ("-y", "x*exp(z)", "2"),
+        ("y", "-1", "x - y"),
+    )]
+    _assert_h_prime_squared_equal(tensors)

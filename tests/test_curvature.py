@@ -145,6 +145,7 @@ def test_structure_tensor_rows(ex3):
     assert comps_are(hp[2], {})
     values, spread = ex3.tensors.spectrum()
     assert values == [-1, 0, 1]
+    assert all(type(v) is int for v in values)
     assert spread == 0
 
 

@@ -1,0 +1,59 @@
+"""numpy stays off the start-up path.
+
+Importing ``contactgeo.cli`` must not load numpy, and neither may the
+commands whose spectra are integer and exact and whose fits are exact.
+Each case runs in a fresh interpreter, since the test process may have
+loaded numpy already. A float least-squares fit is the positive control:
+it does load numpy.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+RUN_MAIN = """
+import contextlib, io, sys
+from contactgeo.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(sys.argv[1:])
+print(rc, 'numpy' in sys.modules)
+"""
+
+
+def _python(code, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
+
+
+def test_import_cli_loads_no_numpy():
+    assert _python("import sys, contactgeo.cli; print('numpy' in sys.modules)") == ["False"]
+
+
+@pytest.mark.parametrize("argv, rc", [
+    # example3 has the constant non-zero h' with spectrum {-1, 0, 1}
+    (["check", "example3"], "1"),
+    (["check", "example1"], "1"),
+    (["tables", "example3", "--what", "h"], "0"),
+    (["soliton", "example1", "--solve"], "0"),
+])
+def test_commands_load_no_numpy(argv, rc):
+    assert _python(RUN_MAIN, *argv) == [rc, "False"]
+
+
+def test_float_fit_loads_numpy():
+    code = """
+import sys
+from contactgeo.lstsq import solve_least_squares
+assert 'numpy' not in sys.modules
+fit = solve_least_squares([(1.0,), (1.0,)], [0.5, 1.5])
+print(fit.exact, abs(fit.values[0] - 1.0) < 1e-12, 'numpy' in sys.modules)
+"""
+    assert _python(code) == ["False", "True", "True"]

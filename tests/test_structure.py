@@ -126,7 +126,7 @@ def test_nullity_fit_exact(ex3):
     assert rep.data["exact"]
     assert not rep.data["mu_unconstrained"]
     assert rep.data["spectrum"] == ["-1", "0", "1"]
-    assert rep.data["spectrum_spread"] == pytest.approx(0.0, abs=1e-12)
+    assert rep.data["spectrum_spread"] == 0.0
 
 
 def test_nullity_on_kenmotsu_mu_unconstrained(ex2):
