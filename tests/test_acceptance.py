@@ -519,6 +519,10 @@ def _sweep_commands():
     # of the kind the check_all benchmark runs the full check on
     for path in GOLDEN_DIM3:
         out.append((["check", path], 1729))
+    # the remaining table kinds on the dim-7 manifest: each reads only part
+    # of the derived data, so these pin the commands that build the least
+    for what in ("brackets", "ricci", "h"):
+        out.append((["tables", GOLDEN_DIM7, "--what", what], 1729))
     return [argv + ["--json", "--seed", str(seed)] for argv, seed in out]
 
 
