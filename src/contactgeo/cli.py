@@ -11,12 +11,14 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cached_property
 
 from . import __version__
 from . import manifest as manifest_mod
 from . import soliton as soliton_mod
 from . import structure
-from .curvature import CurvatureTable, ExteriorData, StructureTensors, koszul
+from .curvature import (CurvatureTable, ExteriorData, StructureTensors, frame_brackets,
+                        koszul)
 from .errors import ContactGeoError, MissingPotential
 from .scalar import ZERO, clear_caches, to_str
 
@@ -75,7 +77,7 @@ def build_parser():
 
 
 class Workspace:
-    """Everything the commands need, built once per invocation.
+    """Everything the commands need, each part built on first use and kept.
 
     Building one empties the scalar caches, so every command starts cold
     and the caches do not grow across commands run in one process.
@@ -86,21 +88,18 @@ class Workspace:
         self.mf = manifest_mod.resolve(args.manifest)
         self.M = self.mf.manifold(seed=args.seed, samples=args.samples,
                                   tol=args.tol)
-        self.conn = koszul(self.M)
-        self._table = None
-        self._tensors = None
 
-    @property
+    @cached_property
+    def conn(self):
+        return koszul(self.M)
+
+    @cached_property
     def table(self):
-        if self._table is None:
-            self._table = CurvatureTable(self.M, self.conn)
-        return self._table
+        return CurvatureTable(self.M, self.conn)
 
-    @property
+    @cached_property
     def tensors(self):
-        if self._tensors is None:
-            self._tensors = StructureTensors(self.M)
-        return self._tensors
+        return StructureTensors(self.M)
 
     def header(self):
         return {
@@ -158,19 +157,19 @@ def _emit(lines, payload, args, code):
 
 
 def run_checks(ws, selected):
-    M, conn = ws.M, ws.conn
+    M = ws.M
     reports = {}
     for name in selected:
         if name == "almost_contact":
             reports[name] = structure.check_almost_contact(M)
         elif name == "kenmotsu":
-            reports[name] = structure.check_kenmotsu(M, conn, ws.table)
+            reports[name] = structure.check_kenmotsu(M, ws.conn, ws.table)
         elif name == "almost_kenmotsu":
-            ext = ExteriorData(M, conn)
+            ext = ExteriorData(M, ws.conn)
             reports[name] = structure.check_almost_kenmotsu(
-                M, conn, ws.table, ws.tensors, ext)
+                M, ws.conn, ws.table, ws.tensors, ext)
         elif name == "nullity":
-            reports[name] = structure.solve_nullity(M, conn, ws.table, ws.tensors)
+            reports[name] = structure.solve_nullity(M, ws.conn, ws.table, ws.tensors)
         elif name == "eta_einstein":
             reports[name] = structure.solve_eta_einstein(M, ws.table)
     return reports
@@ -242,9 +241,10 @@ def collect_table(ws, what):
     n = M.dim
     lines, entries = [], {}
     if what == "brackets":
+        brackets = frame_brackets(M)
         for i in range(n):
             for j in range(i + 1, n):
-                comps = ws.conn.brackets[i][j]
+                comps = brackets[i][j]
                 if any(_nonzero(c) for c in comps):
                     key = f"[e_{i + 1},e_{j + 1}]"
                     val = frame_comb(comps)

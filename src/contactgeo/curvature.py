@@ -22,6 +22,7 @@ All tensors produced here are frame-indexed arrays of scalar fields.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
 from .errors import DegeneratePlane
@@ -145,112 +146,111 @@ def koszul(M):
 
 
 class CurvatureTable:
-    """Riemann, Ricci, and star-Ricci data on the frame."""
+    """Riemann, Ricci, and star-Ricci data on the frame.
+
+    Each quantity is built on first read and kept, so a caller pays only
+    for what it reads: R alone for the Riemann table, R and S for Ricci,
+    R and S* for star-Ricci.
+    """
 
     def __init__(self, M, conn):
         self.M = M
         self.conn = conn
-        n = M.dim
+
+    @cached_property
+    def R(self):
+        """``R[i][j][k]``: frame components of ``R(e_i, e_j) e_k``."""
+        conn = self.conn
+        n = self.M.dim
         basis = [[ONE if k == m else ZERO for m in range(n)] for k in range(n)]
-        # R[i][j][k]: frame components of R(e_i, e_j) e_k, for i < j
-        R = [[[None] * n for _ in range(n)] for _ in range(n)]
+        R = [[None] * n for _ in range(n)]
         for i in range(n):
-            for j in range(n):
-                if i == j:
-                    for k in range(n):
-                        R[i][j][k] = [ZERO] * n
-                    continue
-                if j < i:
-                    for k in range(n):
-                        R[i][j][k] = [-c for c in R[j][i][k]]
-                    continue
+            R[i][i] = [[ZERO] * n for _ in range(n)]
+            for j in range(i + 1, n):
+                R[i][j] = []
                 for k in range(n):
                     a = conn.nabla_comps(basis[i], conn.gamma[j][k])
                     b = conn.nabla_comps(basis[j], conn.gamma[i][k])
                     c = conn.nabla_comps(conn.brackets[i][j], basis[k])
-                    R[i][j][k] = [p - q - s for p, q, s in zip(a, b, c)]
-        self.R = R
+                    R[i][j].append([add_all([p, -q, -s]) for p, q, s in zip(a, b, c)])
+                R[j][i] = [[-c for c in comps] for comps in R[i][j]]
+        return R
 
-        G = M.metric
-        Ginv = M.metric_inverse
-        # lowered curvature g(R(e_a, e_i) e_j, e_b)
-        low = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for a in range(n):
-            for i in range(n):
-                for j in range(n):
-                    comps = R[a][i][j]
-                    for b in range(n):
-                        low[a][i][j][b] = add_all(
-                            [comps[m] * G[m][b] for m in range(n) if comps[m] is not ZERO]
-                        )
-        self.lowered = low
-
-        # Ricci S_ij = sum g^{ab} g(R(e_a, e_i) e_j, e_b)
+    @cached_property
+    def ricci(self):
+        """``S_ij = sum g^{ab} g(R(e_a, e_i) e_j, e_b)``, lowering only the
+        ``(a, b)`` entries with ``g^{ab}`` non-zero."""
+        R = self.R
+        n = self.M.dim
+        G = self.M.metric
+        Ginv = self.M.metric_inverse
+        pairs = [(a, b) for a in range(n) for b in range(n) if Ginv[a][b] is not ZERO]
         S = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                out = ZERO
-                for a in range(n):
-                    for b in range(n):
-                        if Ginv[a][b] is not ZERO:
-                            out = out + Ginv[a][b] * low[a][i][j][b]
-                S[i][j] = out
-        self.ricci = S
+                terms = []
+                for a, b in pairs:
+                    # g(R(e_a, e_i) e_j, e_b)
+                    low = add_all([c * G[m][b] for m, c in enumerate(R[a][i][j])
+                                   if c is not ZERO])
+                    terms.append(Ginv[a][b] * low)
+                S[i][j] = add_all(terms)
+        return S
 
-        # Ricci operator rows: Q e_i = sum_k Q[i][k] e_k with g(Q e_i, .) = S(e_i, .)
-        self.ricci_operator = [
-            [add_all([Ginv[k][j] * S[j][i] for j in range(n)]) for k in range(n)]
-            for i in range(n)
-        ]
+    @cached_property
+    def ricci_operator(self):
+        """Rows: ``Q e_i = sum_k Q[i][k] e_k`` with ``g(Q e_i, .) = S(e_i, .)``."""
+        S = self.ricci
+        n = self.M.dim
+        Ginv = self.M.metric_inverse
+        return [[add_all([Ginv[k][j] * S[j][i] for j in range(n)]) for k in range(n)]
+                for i in range(n)]
 
-        self.scalar_curvature = add_all(
-            [Ginv[i][j] * S[i][j] for i in range(n) for j in range(n)
-             if Ginv[i][j] is not ZERO]
-        )
+    @cached_property
+    def scalar_curvature(self):
+        return _trace(self.M.metric_inverse, self.ricci)
 
-        # star-Ricci S*_ij = 1/2 sum g^{ab} g(phi(R(e_i, phi e_j) e_a), e_b)
+    @cached_property
+    def star_ricci(self):
+        """``S*_ij = 1/2 sum g^{ab} g(phi(R(e_i, phi e_j) e_a), e_b)``."""
+        R = self.R
+        M = self.M
+        n = M.dim
+        G = M.metric
+        Ginv = M.metric_inverse
         P = M.phi
+        # non-zero frame components of phi(e_j)
+        phis = [[(m, c) for m, c in enumerate(row) if c is not ZERO] for row in P]
         Sstar = [[None] * n for _ in range(n)]
         for i in range(n):
-            for j in range(n):
-                phj = P[j]  # phi(e_j) frame components
-                out = ZERO
+            for j, phj in enumerate(phis):
+                terms = []
                 for a in range(n):
                     # R(e_i, phi e_j) e_a, by linearity in the middle slot
-                    comps = [ZERO] * n
-                    for m in range(n):
-                        if phj[m] is ZERO:
-                            continue
-                        rm = R[i][m][a]
-                        for k in range(n):
-                            if rm[k] is not ZERO:
-                                comps[k] = comps[k] + phj[m] * rm[k]
+                    comps = [add_all([c * R[i][m][a][k] for m, c in phj
+                                      if R[i][m][a][k] is not ZERO])
+                             for k in range(n)]
                     # apply phi
-                    phi_comps = [ZERO] * n
-                    for m in range(n):
-                        if comps[m] is ZERO:
-                            continue
-                        for k in range(n):
-                            if P[m][k] is not ZERO:
-                                phi_comps[k] = phi_comps[k] + comps[m] * P[m][k]
+                    phi_comps = [add_all([comps[m] * P[m][k] for m in range(n)
+                                          if comps[m] is not ZERO and P[m][k] is not ZERO])
+                                 for k in range(n)]
                     # contract with sum_b g^{ab} g(., e_b)
                     for b in range(n):
-                        if Ginv[a][b] is ZERO:
-                            continue
-                        inner = add_all([phi_comps[m] * G[m][b] for m in range(n)
-                                         if phi_comps[m] is not ZERO])
-                        out = out + Ginv[a][b] * inner
-                Sstar[i][j] = HALF * out
-        self.star_ricci = Sstar
-        self.star_scalar = add_all(
-            [Ginv[i][j] * Sstar[i][j] for i in range(n) for j in range(n)
-             if Ginv[i][j] is not ZERO]
-        )
+                        if Ginv[a][b] is not ZERO:
+                            inner = add_all([phi_comps[m] * G[m][b] for m in range(n)
+                                             if phi_comps[m] is not ZERO])
+                            terms.append(Ginv[a][b] * inner)
+                Sstar[i][j] = HALF * add_all(terms)
+        return Sstar
+
+    @cached_property
+    def star_scalar(self):
+        return _trace(self.M.metric_inverse, self.star_ricci)
 
     def riemann_apply(self, x_frame, y_frame, z_frame):
         """``R(X, Y) Z`` by multilinearity over frame components."""
         n = self.M.dim
-        out = [ZERO] * n
+        terms = [[] for _ in range(n)]
         for i in range(n):
             if x_frame[i] is ZERO:
                 continue
@@ -265,8 +265,15 @@ class CurvatureTable:
                     c = coeff * z_frame[k]
                     for m in range(n):
                         if rm[m] is not ZERO:
-                            out[m] = out[m] + c * rm[m]
-        return out
+                            terms[m].append(c * rm[m])
+        return [add_all(t) for t in terms]
+
+
+def _trace(Ginv, T):
+    """``sum g^{ij} T_ij``."""
+    n = len(T)
+    return add_all([Ginv[i][j] * T[i][j] for i in range(n) for j in range(n)
+                    if Ginv[i][j] is not ZERO])
 
 
 def sectional_curvature(M, table, X, Y):
@@ -319,12 +326,9 @@ def hessian(M, conn, f):
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            val = M.frame[i].apply(ef[j])
-            for k in range(n):
-                gk = conn.gamma[i][j][k]
-                if gk is not ZERO:
-                    val = val - gk * ef[k]
-            out[i][j] = val
+            out[i][j] = add_all([M.frame[i].apply(ef[j])]
+                                + [-(gk * ef[k]) for k, gk in enumerate(conn.gamma[i][j])
+                                   if gk is not ZERO])
     return out
 
 
@@ -484,14 +488,10 @@ class ExteriorData:
                 self.Phi[i][j] = M.metric_apply(basis[i], M.phi[j])
 
         def phi_form(c, d):
-            out = ZERO
-            for a in range(n):
-                if c[a] is ZERO:
-                    continue
-                for b in range(n):
-                    if d[b] is not ZERO and self.Phi[a][b] is not ZERO:
-                        out = out + c[a] * d[b] * self.Phi[a][b]
-            return out
+            return add_all([c[a] * d[b] * self.Phi[a][b]
+                            for a in range(n) if c[a] is not ZERO
+                            for b in range(n)
+                            if d[b] is not ZERO and self.Phi[a][b] is not ZERO])
 
         # d Phi (e_i, e_j, e_k) and (eta ^ Phi)(e_i, e_j, e_k)
         self.d_Phi = {}
@@ -499,16 +499,16 @@ class ExteriorData:
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    val = M.frame[i].apply(self.Phi[j][k])
-                    val = val - M.frame[j].apply(self.Phi[i][k])
-                    val = val + M.frame[k].apply(self.Phi[i][j])
-                    val = val - phi_form(brackets[i][j], basis[k])
-                    val = val + phi_form(brackets[i][k], basis[j])
-                    val = val - phi_form(brackets[j][k], basis[i])
-                    self.d_Phi[(i, j, k)] = val
-                    self.eta_wedge_Phi[(i, j, k)] = (eta[i] * self.Phi[j][k]
-                                                     + eta[j] * self.Phi[k][i]
-                                                     + eta[k] * self.Phi[i][j])
+                    self.d_Phi[(i, j, k)] = add_all([
+                        M.frame[i].apply(self.Phi[j][k]),
+                        -M.frame[j].apply(self.Phi[i][k]),
+                        M.frame[k].apply(self.Phi[i][j]),
+                        -phi_form(brackets[i][j], basis[k]),
+                        phi_form(brackets[i][k], basis[j]),
+                        -phi_form(brackets[j][k], basis[i])])
+                    self.eta_wedge_Phi[(i, j, k)] = add_all([eta[i] * self.Phi[j][k],
+                                                             eta[j] * self.Phi[k][i],
+                                                             eta[k] * self.Phi[i][j]])
 
 
 def nijenhuis(M):

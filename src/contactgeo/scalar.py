@@ -757,26 +757,24 @@ class Sampler:
         return self._points
 
     def _generate(self):
-        strides = []
-        phases = []
+        # coordinate d is lo + (hi - lo) m / _DENOM for an integer m, kept as
+        # (name, phase, stride, a, b, den) so that it is Fraction(a + b m, den)
+        axes = []
         state = (self.seed * 6364136223846793005 + 1442695040888963407) % (1 << 63)
-        for d in range(len(self.names)):
-            strides.append(math.sqrt(_PRIMES[d % len(_PRIMES)]) % 1.0)
+        for d, name in enumerate(self.names):
             state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 63)
-            phases.append((state >> 11) / float(1 << 52))
+            lo, hi = self.box[name]
+            unit = math.lcm(lo.denominator, hi.denominator)
+            axes.append((name, (state >> 11) / float(1 << 52),
+                         math.sqrt(_PRIMES[d % len(_PRIMES)]) % 1.0,
+                         int(lo * unit) * _DENOM, int((hi - lo) * unit), unit * _DENOM))
         pts = []
-        attempts = 0
         k = 0
         limit = max(200, 80 * self.count)
-        while len(pts) < self.count and attempts < limit:
-            attempts += 1
-            env = {}
-            for d, name in enumerate(self.names):
-                u = (phases[d] + (k + 1) * strides[d]) % 1.0
-                lo, hi = self.box[name]
-                frac = Fraction(round(u * _DENOM), _DENOM)
-                env[name] = lo + (hi - lo) * frac
+        while len(pts) < self.count and k < limit:
             k += 1
+            env = {name: Fraction(a + b * round((phase + k * stride) % 1.0 * _DENOM), den)
+                   for name, phase, stride, a, b, den in axes}
             ok = True
             for g in self.nonvanish:
                 try:

@@ -92,20 +92,21 @@ def soliton_residual(P, lambda_tilde, mu):
     """Residual tensor of the vector-form equation at given constants."""
     if P.V is None:
         raise MissingPotential("vector-form residual needs a vector potential")
-    return _residual(P, lambda_tilde, mu)
+    return _residual(P.base_tensor(), P.coefficient_tensors(), lambda_tilde, mu)
 
 
 def gradient_soliton_residual(P, lambda_tilde, mu):
     """Residual tensor of the gradient-form equation at given constants."""
     if P.f is None:
         raise MissingPotential("gradient-form residual needs a scalar potential")
-    return _residual(P, lambda_tilde, mu)
+    return _residual(P.base_tensor(), P.coefficient_tensors(), lambda_tilde, mu)
 
 
-def _residual(P, lambda_tilde, mu):
-    n = P.M.dim
-    base = P.base_tensor()
-    g_part, eta_part = P.coefficient_tensors()
+def _residual(base, coefficients, lambda_tilde, mu):
+    """The residual tensor from ``P.base_tensor()`` and
+    ``P.coefficient_tensors()``."""
+    n = len(base)
+    g_part, eta_part = coefficients
     lt, m = _const(lambda_tilde), _const(mu)
     return [[base[i][j] + lt * g_part[i][j] + m * eta_part[i][j]
              for j in range(n)] for i in range(n)]
@@ -255,7 +256,7 @@ def solve_soliton(P):
     if lt is None:
         raise DegenerateSystem("soliton fit degenerate: metric column vanished")
     mu_unconstrained = mu is None
-    residual = _residual(P, lt, 0 if mu_unconstrained else mu)
+    residual = _residual(base, (g_part, eta_part), lt, 0 if mu_unconstrained else mu)
     return _report_from_residual(P, lt, None if mu_unconstrained else mu,
                                  residual, fit.exact, mu_unconstrained)
 
@@ -263,7 +264,7 @@ def solve_soliton(P):
 def verify_soliton(P, lambda_tilde, mu):
     """Residual report at user-supplied constants."""
     lt, m = _coerce(lambda_tilde), _coerce(mu)
-    residual = _residual(P, lt, m)
+    residual = _residual(P.base_tensor(), P.coefficient_tensors(), lt, m)
     return _report_from_residual(P, lt, m, residual, True)
 
 

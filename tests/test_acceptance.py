@@ -417,7 +417,8 @@ def test_acceptance_07b_riemann_properties(capsys, pool, pool_tables):
                 for i in range(3):
                     for j in range(3):
                         for b in range(j, 3):
-                            s = tab.lowered[a][i][j][b] + tab.lowered[a][i][b][j]
+                            s = (M.metric_apply(tab.R[a][i][j], BASIS3[b])
+                                 + M.metric_apply(tab.R[a][i][b], BASIS3[j]))
                             assert M.is_zero_field(s).is_zero
 
 

@@ -129,13 +129,18 @@ def test_star_ricci(ex2, ex3):
 
 
 def test_riemann_lowered_antisymmetry(ex3):
-    t = ex3.table
+    M, t = ex3.M, ex3.table
     n = 3
+    basis = [[ONE if k == m else ZERO for m in range(n)] for k in range(n)]
+
+    def low(a, i, j, b):  # g(R(e_a, e_i) e_j, e_b)
+        return M.metric_apply(t.R[a][i][j], basis[b])
+
     for a in range(n):
         for i in range(n):
             for j in range(n):
                 for b in range(n):
-                    assert is_const(t.lowered[a][i][j][b] + t.lowered[a][i][b][j], 0)
+                    assert is_const(low(a, i, j, b) + low(a, i, b, j), 0)
 
 
 def test_structure_tensor_rows(ex3):
