@@ -363,7 +363,7 @@ def cmd_soliton(args):
                  + (" (exact)" if report.exact else ""))
     lines.append(f"lambda = {d['lambda']}")
     lines.append(f"residual max = {report.residual_max:.6g}"
-                 + ("" if report.is_soliton else "  [not a soliton]"))
+                 + ("" if report.passed else "  [not a soliton]"))
     for i, j, e in report.residual_entries():
         if _nonzero(e):
             lines.append(f"  residual(e_{i + 1},e_{j + 1}) = {to_str(e)}")
@@ -377,7 +377,7 @@ def cmd_soliton(args):
         lines.append(f"classification at p = {args.p}: {verdict}")
     else:
         lines.append(f"classification: {d['classification']}")
-    return _emit(lines, payload, args, 0 if report.is_soliton else 1)
+    return _emit(lines, payload, args, 0 if report.passed else 1)
 
 
 def main(argv=None):

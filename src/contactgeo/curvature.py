@@ -32,6 +32,11 @@ from .scalar import Rat, ZERO, ONE, add_all, evaluate
 HALF = Rat(Fraction(1, 2))
 
 
+def frame_basis(n):
+    """Frame components of e_1, ..., e_n: the rows of the identity."""
+    return [[ONE if k == m else ZERO for m in range(n)] for k in range(n)]
+
+
 class ConnectionTable:
     """Levi-Civita Christoffel data on the frame.
 
@@ -162,7 +167,7 @@ class CurvatureTable:
         """``R[i][j][k]``: frame components of ``R(e_i, e_j) e_k``."""
         conn = self.conn
         n = self.M.dim
-        basis = [[ONE if k == m else ZERO for m in range(n)] for k in range(n)]
+        basis = frame_basis(n)
         R = [[None] * n for _ in range(n)]
         for i in range(n):
             R[i][i] = [[ZERO] * n for _ in range(n)]
@@ -299,7 +304,7 @@ def lie_derivative_metric(M, V):
     """``(L_V g)(e_i, e_j) = V(g_ij) - g([V,e_i], e_j) - g(e_i, [V,e_j])``."""
     n = M.dim
     br = [M.to_frame(lie_bracket(V, M.frame[i])) for i in range(n)]
-    basis = [[ONE if k == m else ZERO for m in range(n)] for k in range(n)]
+    basis = frame_basis(n)
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -467,7 +472,7 @@ class ExteriorData:
     def __init__(self, M, conn=None):
         self.M = M
         n = M.dim
-        basis = [[ONE if k == m else ZERO for m in range(n)] for k in range(n)]
+        basis = frame_basis(n)
         brackets = conn.brackets if conn is not None else frame_brackets(M)
         self.brackets = brackets
 

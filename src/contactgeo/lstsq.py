@@ -13,6 +13,9 @@ the parameter as unconstrained instead of inventing a zero.
 A row may carry an integer weight w: it then counts as w copies of
 itself, exactly so in the rational path and by repetition in the float
 path.
+
+Only the fitted values come back: callers settle a fit by substituting
+them into its symbolic residuals (``structure.settle_fit``).
 """
 
 from __future__ import annotations
@@ -23,15 +26,14 @@ from .errors import DegenerateSystem
 
 
 class FitResult:
-    def __init__(self, values, dropped, residual_max, exact):
+    def __init__(self, values, dropped, exact):
         self.values = values          # per requested column: number or None when dropped
         self.dropped = dropped        # indices of unidentifiable columns
-        self.residual_max = residual_max
         self.exact = exact            # True when solved in rational arithmetic
 
     def __repr__(self):
         return (f"FitResult(values={self.values}, dropped={self.dropped}, "
-                f"residual_max={self.residual_max}, exact={self.exact})")
+                f"exact={self.exact})")
 
 
 def _solve_rational(gram, rhs):
@@ -98,11 +100,7 @@ def solve_least_squares(rows, rhs, weights=None):
         values = [None] * ncols
         for a, j in enumerate(keep):
             values[j] = sol[a]
-        resf = 0.0
-        for row, b in zip(rows, rhs):
-            r = sum(Fraction(row[j]) * values[j] for j in keep) - Fraction(b)
-            resf = max(resf, abs(float(r)))
-        return FitResult(values, dropped, resf, True)
+        return FitResult(values, dropped, True)
 
     import numpy as np
 
@@ -116,5 +114,4 @@ def solve_least_squares(rows, rhs, weights=None):
     values = [None] * ncols
     for a, j in enumerate(keep):
         values[j] = float(sol[a])
-    resid = A @ sol - b
-    return FitResult(values, dropped, float(np.max(np.abs(resid))) if len(resid) else 0.0, False)
+    return FitResult(values, dropped, False)

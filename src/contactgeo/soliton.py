@@ -12,11 +12,12 @@ accepted only at classification time.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .curvature import hessian, lie_derivative_eta, lie_derivative_metric
-from .errors import DegenerateSystem, DivisionByZero, MissingPotential
-from .scalar import Rat, ZERO, evaluate, to_str
-from .structure import CheckReport, _numeric_result, combine, fit_sampled
+from .errors import DegenerateSystem, MissingPotential
+from .scalar import PROVED_ZERO, Rat, ZERO, to_str
+from .structure import CheckReport, _numeric_result, combine, fit_sampled, snap
 
 
 def _coerce(q):
@@ -31,21 +32,13 @@ def _coerce(q):
     return f if abs(float(f) - float(q)) < 1e-15 else float(q)
 
 
-def _const(q):
-    v = _coerce(q)
-    return Rat(v if isinstance(v, Fraction) else Fraction(v).limit_denominator(10 ** 15))
-
-
-def _q_str(q):
-    return str(q) if isinstance(q, (int, Fraction)) else repr(float(q))
-
-
 class SolitonProblem:
     """A manifold, its curvature, and exactly one potential.
 
     The potential is either a vector field V (vector form) or a scalar
     f (gradient form; the gradient is always derived from f, never
-    user-supplied).
+    user-supplied). The tensors of the equation are built on first read
+    and kept, so a solve and its residual share them.
     """
 
     def __init__(self, M, table, V=None, f=None):
@@ -62,6 +55,7 @@ class SolitonProblem:
     def form(self):
         return "vector" if self.V is not None else "gradient"
 
+    @cached_property
     def base_tensor(self):
         """The constant-free part of the soliton equation.
 
@@ -78,6 +72,7 @@ class SolitonProblem:
             out = [[hess[i][j] + star[i][j] for j in range(n)] for i in range(n)]
         return out
 
+    @cached_property
     def coefficient_tensors(self):
         """Coefficients of (lambda~, mu) in the residual, as matrices."""
         M, n = self.M, self.M.dim
@@ -89,47 +84,41 @@ class SolitonProblem:
 
 
 def soliton_residual(P, lambda_tilde, mu):
-    """Residual tensor of the vector-form equation at given constants."""
-    if P.V is None:
-        raise MissingPotential("vector-form residual needs a vector potential")
-    return _residual(P.base_tensor(), P.coefficient_tensors(), lambda_tilde, mu)
-
-
-def gradient_soliton_residual(P, lambda_tilde, mu):
-    """Residual tensor of the gradient-form equation at given constants."""
-    if P.f is None:
-        raise MissingPotential("gradient-form residual needs a scalar potential")
-    return _residual(P.base_tensor(), P.coefficient_tensors(), lambda_tilde, mu)
-
-
-def _residual(base, coefficients, lambda_tilde, mu):
-    """The residual tensor from ``P.base_tensor()`` and
-    ``P.coefficient_tensors()``."""
-    n = len(base)
-    g_part, eta_part = coefficients
-    lt, m = _const(lambda_tilde), _const(mu)
+    """Residual tensor of either form of the equation at given constants,
+    each snapped to a Rat (a ``None`` mu counts as 0)."""
+    n = P.M.dim
+    base = P.base_tensor
+    g_part, eta_part = P.coefficient_tensors
+    lt, m = snap(lambda_tilde), snap(mu)
     return [[base[i][j] + lt * g_part[i][j] + m * eta_part[i][j]
              for j in range(n)] for i in range(n)]
 
 
 class SolitonReport:
-    """Solved or verified constants plus the full residual table."""
+    """Solved or verified constants, the full residual table, and the
+    verdict of ``combine`` over its upper-triangle entries."""
 
-    def __init__(self, form, n, lambda_tilde, mu, residual, residual_max,
-                 exact, mu_unconstrained=False, tol=1e-9):
+    def __init__(self, form, n, lambda_tilde, mu, residual, verdict,
+                 mu_unconstrained=False):
         self.form = form
         self.n = n
         self.lambda_tilde = lambda_tilde
         self.mu = mu
         self.residual = residual  # frame tensor
-        self.residual_max = residual_max
-        self.exact = exact
+        self.verdict = verdict
         self.mu_unconstrained = mu_unconstrained
-        self.tol = tol
 
     @property
-    def is_soliton(self):
-        return self.exact or self.residual_max < self.tol
+    def passed(self):
+        return self.verdict.passed
+
+    @property
+    def exact(self):
+        return self.verdict.kind == PROVED_ZERO
+
+    @property
+    def residual_max(self):
+        return self.verdict.max_abs
 
     def lambda_string(self):
         return lambda_string(self.lambda_tilde, self.n)
@@ -142,8 +131,8 @@ class SolitonReport:
     def to_dict(self):
         return {
             "form": self.form,
-            "lambda_tilde": _q_str(self.lambda_tilde),
-            "mu": None if self.mu is None else _q_str(self.mu),
+            "lambda_tilde": str(self.lambda_tilde),
+            "mu": None if self.mu is None else str(self.mu),
             "mu_unconstrained": self.mu_unconstrained,
             "lambda": self.lambda_string(),
             "residual_max": float(self.residual_max),
@@ -191,7 +180,7 @@ def classify(lambda_tilde, n, p=None):
             p_star = -2 * lt - 2 * shift
         else:
             p_star = float(-2 * lt - 2 * float(shift))
-        s = _q_str(p_star)
+        s = str(p_star)
         return (f"shrinking for p < {s}, steady at p = {s}, "
                 f"expanding for p > {s}")
     pv = _coerce(p)
@@ -205,67 +194,37 @@ def classify(lambda_tilde, n, p=None):
         kind = "expanding"
     else:
         kind = "steady"
-    return f"{kind} (lambda = {_q_str(lam)} at p = {_q_str(pv)})"
+    return f"{kind} (lambda = {lam} at p = {pv})"
 
 
-def _max_abs(M, expr):
-    """Largest |value| of an expression over the sample set."""
-    if isinstance(expr, Rat):
-        return abs(float(expr.value))
-    worst = 0.0
-    for env in M.sampler.points():
-        try:
-            v = evaluate(expr, env)
-        except (DivisionByZero, ZeroDivisionError, OverflowError):
-            continue
-        a = abs(float(v))
-        if a > worst:
-            worst = a
-    return worst
-
-
-def _report_from_residual(P, lt, mu, residual, exact_fit, mu_unconstrained=False):
+def _report(P, lt, mu, mu_unconstrained=False):
     M = P.M
-    worst = 0.0
-    all_proved = True
-    for i in range(M.dim):
-        for j in range(i, M.dim):
-            e = residual[i][j]
-            if isinstance(e, Rat):
-                worst = max(worst, abs(float(e.value)))
-                if e.value != 0:
-                    all_proved = False
-            else:
-                all_proved = False
-                worst = max(worst, _max_abs(M, e))
-    exact = exact_fit and all_proved and worst == 0.0
-    return SolitonReport(P.form, M.n, lt, mu, residual, worst, exact,
-                         mu_unconstrained, tol=M.tol)
+    residual = soliton_residual(P, lt, mu)
+    verdict = combine(M, "soliton_residual",
+                      [(f"residual(e_{i + 1},e_{j + 1})", residual[i][j])
+                       for i in range(M.dim) for j in range(i, M.dim)])
+    return SolitonReport(P.form, M.n, lt, mu, residual, verdict,
+                         mu_unconstrained)
 
 
 def solve_soliton(P):
     """Least-squares (lambda~, mu) over all components and sample points."""
     M = P.M
     n = M.dim
-    base = P.base_tensor()
-    g_part, eta_part = P.coefficient_tensors()
-    entries = [(g_part[i][j], eta_part[i][j], base[i][j])
+    base = P.base_tensor
+    g_part, eta_part = P.coefficient_tensors
+    entries = [(g_part[i][j], eta_part[i][j], -base[i][j])
                for i in range(n) for j in range(i, n)]
-    fit = fit_sampled(M, entries, skip_singular=True, negate_rhs=True)
+    fit = fit_sampled(M, entries, skip_singular=True)
     lt, mu = fit.values
     if lt is None:
         raise DegenerateSystem("soliton fit degenerate: metric column vanished")
-    mu_unconstrained = mu is None
-    residual = _residual(base, (g_part, eta_part), lt, 0 if mu_unconstrained else mu)
-    return _report_from_residual(P, lt, None if mu_unconstrained else mu,
-                                 residual, fit.exact, mu_unconstrained)
+    return _report(P, lt, mu, mu_unconstrained=mu is None)
 
 
 def verify_soliton(P, lambda_tilde, mu):
     """Residual report at user-supplied constants."""
-    lt, m = _coerce(lambda_tilde), _coerce(mu)
-    residual = _residual(P.base_tensor(), P.coefficient_tensors(), lt, m)
-    return _report_from_residual(P, lt, m, residual, True)
+    return _report(P, _coerce(lambda_tilde), _coerce(mu))
 
 
 def check_kenmotsu_soliton(M, P, report):
@@ -295,7 +254,7 @@ def check_kenmotsu_soliton(M, P, report):
             parts.append((f"(Q + 2n Id)(e_{i + 1})[{k + 1}]", Q[i][k] + delta))
     results.append(combine(M, "einstein_operator", parts))
     return CheckReport("kenmotsu_soliton", results,
-                       {"lambda_tilde_plus_mu": _q_str(lt + mu)})
+                       {"lambda_tilde_plus_mu": str(lt + mu)})
 
 
 def check_nullity_soliton(M, P, report, nullity_report):
@@ -318,8 +277,8 @@ def check_nullity_soliton(M, P, report, nullity_report):
     results.append(_numeric_result("kappa_is_minus_two", float(kappa + 2),
                                    M.tol, note=f"kappa = {kappa}"))
     data = {
-        "lambda_tilde_plus_mu": _q_str(s),
+        "lambda_tilde_plus_mu": str(s),
         "hypothesis_holds": hypothesis,
-        "kappa": _q_str(kappa),
+        "kappa": str(kappa),
     }
     return CheckReport("nullity_soliton", results, data)

@@ -4,11 +4,14 @@ vector field tests.
 
 Every check reduces tensor identities to componentwise scalar residuals
 and runs them through the zero tester, so a failing identity always
-carries a witness (component label, sample point, value). Checks run on
-the frame index tuples only: the identities are tensorial, so on a
-correct connection their frame components decide the verdict. That the
-connection engine is tensorial (torsion-free and metric-compatible on
-non-constant fields) is a property of the engine, gated in the tests.
+carries a witness (component label, sample point, value). The nullity
+and eta-Einstein fits are settled the same way: the fitted constants are
+substituted into the residual of every fitted tuple (``settle_fit``).
+Checks run on the frame index tuples only: the identities are tensorial,
+so on a correct connection their frame components decide the verdict.
+That the connection engine is tensorial (torsion-free and
+metric-compatible on non-constant fields) is a property of the engine,
+gated in the tests.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import scalar
-from .curvature import ExteriorData, lie_derivative_eta, lie_derivative_metric
+from .curvature import (ExteriorData, frame_basis, lie_derivative_eta,
+                        lie_derivative_metric)
 from .errors import DegenerateSystem, DivisionByZero
 from .geometry import lie_bracket
 from .lstsq import solve_least_squares
@@ -54,16 +58,6 @@ class CheckResult:
             d["note"] = self.note
         return d
 
-    @classmethod
-    def from_dict(cls, d):
-        w = d.get("witness")
-        witness = None
-        if w is not None:
-            point = {k: Fraction(v) for k, v in w["point"].items()}
-            witness = (w["component"], point, w["value"])
-        return cls(d["name"], d["verdict"], d["max_abs"], witness,
-                   d.get("note", ""))
-
 
 class CheckReport:
     """A family of named checks plus optional fitted data."""
@@ -90,11 +84,6 @@ class CheckReport:
             "checks": [r.to_dict() for r in self.results],
             "data": self.data,
         }
-
-    @classmethod
-    def from_dict(cls, d):
-        results = [CheckResult.from_dict(c) for c in d["checks"]]
-        return cls(d["name"], results, d.get("data", {}))
 
 
 def _verdict_of(M, expr):
@@ -123,20 +112,48 @@ def combine(M, name, parts, note=""):
 
 
 def _numeric_result(name, value, tol, note=""):
-    ok = abs(value) < tol
-    return CheckResult(name, NUMERICALLY_ZERO if ok else NON_ZERO,
-                       abs(float(value)),
+    """Settle one number: an exact value (int or Fraction) is zero or
+    not, a float is judged against the tolerance."""
+    if isinstance(value, (int, Fraction)):
+        ok = value == 0
+        kind = PROVED_ZERO if ok else NON_ZERO
+    else:
+        ok = abs(value) < tol
+        kind = NUMERICALLY_ZERO if ok else NON_ZERO
+    return CheckResult(name, kind, abs(float(value)),
                        None if ok else (name, {}, float(value)), note)
 
 
-def _basis(n):
-    return [[ONE if k == m else ZERO for m in range(n)] for k in range(n)]
+def snap(x):
+    """A fitted constant as a Rat: exact values as they are, floats as
+    the nearest fraction with denominator at most 10^12, and a dropped
+    column (None) as 0."""
+    if x is None:
+        return ZERO
+    if isinstance(x, (int, Fraction)):
+        return Rat(x)
+    return Rat(Fraction(x).limit_denominator(10 ** 12))
+
+
+def settle_fit(M, name, labelled, constants):
+    """Settle a fit the way every identity is settled.
+
+    ``labelled`` holds (component label, (a_1, ..., a_k, b)) pairs, the
+    tuples the fit was made from, and ``constants`` the fitted x_i as
+    Rats. The residual b - x_1 a_1 - ... - x_k a_k of every tuple goes
+    through ``combine``, so a fit that holds exactly is proved zero and
+    a failing one carries a component witness. A tuple of zero constants
+    has residual 0 and is left out, as it is from the fit.
+    """
+    return combine(M, name, [
+        (label, entry[-1] - add_all([x * a for x, a in zip(constants, entry)]))
+        for label, entry in labelled if any(e is not ZERO for e in entry)])
 
 
 def check_almost_contact(M):
     """The defining axioms and their standard consequences."""
     n = M.dim
-    basis = _basis(n)
+    basis = frame_basis(n)
     eta = M.eta_frame
     xi = M.xi_frame
     G = M.metric
@@ -184,7 +201,7 @@ def check_kenmotsu(M, conn, table):
     """The covariant characterization plus its derived identities."""
     n = M.dim
     two_n = Rat(2 * M.n)
-    basis = _basis(n)
+    basis = frame_basis(n)
     eta = M.eta_frame
     xi = M.xi_frame
     G = M.metric
@@ -282,7 +299,7 @@ def check_kenmotsu(M, conn, table):
 def check_almost_kenmotsu(M, conn, table, tensors, ext=None):
     """d eta = 0, d Phi = 2 eta ^ Phi, and the h-tensor identities."""
     n = M.dim
-    basis = _basis(n)
+    basis = frame_basis(n)
     eta = M.eta_frame
     xi = M.xi_frame
     if ext is None:
@@ -345,7 +362,7 @@ def check_almost_kenmotsu(M, conn, table, tensors, ext=None):
     return CheckReport("almost_kenmotsu", results)
 
 
-def fit_sampled(M, entries, skip_singular=False, negate_rhs=False):
+def fit_sampled(M, entries, skip_singular=False):
     """Least-squares fit of a_1 x_1 + ... + a_k x_k = b over the sample points.
 
     ``entries`` holds tuples (a_1, ..., a_k, b) of canonical fields. The
@@ -355,8 +372,7 @@ def fit_sampled(M, entries, skip_singular=False, negate_rhs=False):
     other constants gives the same row at every point, so it enters once,
     weighted by the number of points used; only the remaining tuples are
     evaluated point by point. With ``skip_singular`` a point where some
-    entry cannot be evaluated is skipped instead of raising. With
-    ``negate_rhs`` the fit is against -b.
+    entry cannot be evaluated is skipped instead of raising.
     """
     constant, varying = [], []
     for entry in entries:
@@ -376,7 +392,7 @@ def fit_sampled(M, entries, skip_singular=False, negate_rhs=False):
         used += 1
         for *row, b in values:
             rows.append(tuple(row))
-            rhs.append(-b if negate_rhs else b)
+            rhs.append(b)
     if used and entries and not (varying or constant):
         # every tuple is the zero constant, so every column of the full
         # system vanishes
@@ -385,7 +401,7 @@ def fit_sampled(M, entries, skip_singular=False, negate_rhs=False):
     if used:
         for *row, b in constant:
             rows.append(tuple(row))
-            rhs.append(-b if negate_rhs else b)
+            rhs.append(b)
             weights.append(used)
     return solve_least_squares(rows, rhs, weights)
 
@@ -394,33 +410,30 @@ def solve_nullity(M, conn, table, tensors):
     """Fit R(X,Y)xi against the nullity ansatz and cross-check theory."""
     n = M.dim
     two_n = 2 * M.n
-    basis = _basis(n)
+    basis = frame_basis(n)
     eta = M.eta_frame
     xi = M.xi_frame
     G = M.metric
     hp = tensors.h_prime
 
-    entries = []
+    labelled = []
     for i in range(n):
         for j in range(i + 1, n):
             rv = table.riemann_apply(basis[i], basis[j], xi)
             for k in range(n):
                 a_k = eta[j] * (ONE if i == k else ZERO) - eta[i] * (ONE if j == k else ZERO)
                 a_m = eta[j] * hp[i][k] - eta[i] * hp[j][k]
-                entries.append((a_k, a_m, rv[k]))
-    fit = fit_sampled(M, entries)
+                labelled.append((f"R(e_{i + 1}, e_{j + 1})xi nullity form[{k + 1}]",
+                                 (a_k, a_m, rv[k])))
+    fit = fit_sampled(M, [entry for _, entry in labelled])
     # kappa is never None: its column vanishes only where eta does, which
     # also zeroes the mu column, and the fit then raises
     kappa, mu = fit.values
     mu_unconstrained = mu is None
+    kap, mu_eff = snap(kappa), snap(mu)
 
-    def c(x):
-        return Rat(Fraction(x)) if isinstance(x, (int, Fraction)) else Rat(Fraction(x).limit_denominator(10 ** 12))
-
-    kap = c(kappa)
-    mu_eff = ZERO if mu_unconstrained else c(mu)
-
-    checks = []
+    fit_result = settle_fit(M, "nullity_fit", labelled, (kap, mu_eff))
+    checks = [fit_result]
     hp2 = tensors.h_prime_squared()
     parts = []
     for i in range(n):
@@ -465,9 +478,12 @@ def solve_nullity(M, conn, table, tensors):
     checks.append(combine(M, "covariant_eta_shape", parts))
 
     spectrum, spread = tensors.spectrum()
-    alpha = max(abs(float(x)) for x in spectrum)
-    checks.append(_numeric_result("spectrum_consistency",
-                                  alpha * alpha + float(kappa) + 1.0, M.tol,
+    if isinstance(kappa, (int, Fraction)) and all(isinstance(x, int) for x in spectrum):
+        value = max(x * x for x in spectrum) + kappa + 1
+    else:
+        alpha = max(abs(float(x)) for x in spectrum)
+        value = alpha * alpha + float(kappa) + 1.0
+    checks.append(_numeric_result("spectrum_consistency", value, M.tol,
                                   note=f"spectrum {spectrum}, spread {spread:.3g}"))
 
     parts = []
@@ -478,30 +494,15 @@ def solve_nullity(M, conn, table, tensors):
     checks.append(combine(M, "star_ricci_form", parts))
 
     data = {
-        "kappa": _num_str(kappa),
-        "mu": None if mu_unconstrained else _num_str(mu),
+        "kappa": str(kappa),
+        "mu": None if mu_unconstrained else str(mu),
         "mu_unconstrained": mu_unconstrained,
-        "residual_max": float(fit.residual_max),
+        "residual_max": fit_result.max_abs,
         "exact": fit.exact,
-        "spectrum": [_num_str(x) for x in spectrum],
+        "spectrum": [str(x) for x in spectrum],
         "spectrum_spread": float(spread),
     }
-    fit_ok = fit.residual_max < M.tol
-    results = [CheckResult("nullity_fit",
-                           NUMERICALLY_ZERO if fit_ok else NON_ZERO,
-                           float(fit.residual_max),
-                           None if fit_ok else ("nullity fit residual", {},
-                                                float(fit.residual_max)))]
-    results += checks
-    return CheckReport("nullity", results, data)
-
-
-def _num_str(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, int):
-        return str(x)
-    return repr(float(x))
+    return CheckReport("nullity", checks, data)
 
 
 def solve_eta_einstein(M, table):
@@ -509,16 +510,17 @@ def solve_eta_einstein(M, table):
     n = M.dim
     eta = M.eta_frame
     G = M.metric
-    entries = [(G[i][j], eta[i] * eta[j], table.ricci[i][j])
-               for i in range(n) for j in range(i, n)]
-    fit = fit_sampled(M, entries)
+    labelled = [(f"(S - a g - b eta(x)eta)(e_{i + 1}, e_{j + 1})",
+                 (G[i][j], eta[i] * eta[j], table.ricci[i][j]))
+                for i in range(n) for j in range(i, n)]
+    fit = fit_sampled(M, [entry for _, entry in labelled])
     a, b = fit.values
     if a is None:
         raise DegenerateSystem("metric column vanished; manifest is degenerate")
     if b is None:
         raise DegenerateSystem("eta(x)eta column vanished; eta is degenerate")
-    fit_ok = fit.residual_max < M.tol
-    einstein = fit_ok and abs(float(b)) < M.tol
+    result = settle_fit(M, "eta_einstein_fit", labelled, (snap(a), snap(b)))
+    einstein = result.passed and abs(float(b)) < M.tol
 
     # Kenmotsu consistency: with S = a g + b eta(x)eta one must have
     # a + b = -2n, a = 1 + r/2n, b = -(2n+1+r/2n). Only meaningful when
@@ -530,27 +532,22 @@ def solve_eta_einstein(M, table):
         a_exp = 1 + Fraction(r, 2 * M.n)
         b_exp = -(2 * M.n + 1 + Fraction(r, 2 * M.n))
         consistency = {
-            "a_expected": _num_str(a_exp),
-            "b_expected": _num_str(b_exp),
-            "sum_rule": _num_str(Fraction(-2 * M.n)),
-            "matches": bool(fit_ok
+            "a_expected": str(a_exp),
+            "b_expected": str(b_exp),
+            "sum_rule": str(Fraction(-2 * M.n)),
+            "matches": bool(result.passed
                             and abs(float(a) - float(a_exp)) < M.tol
                             and abs(float(b) - float(b_exp)) < M.tol),
         }
     data = {
-        "a": _num_str(a),
-        "b": _num_str(b),
-        "residual_max": float(fit.residual_max),
+        "a": str(a),
+        "b": str(b),
+        "residual_max": result.max_abs,
         "exact": fit.exact,
         "einstein": einstein,
         "kenmotsu_consistency": consistency,
     }
-    results = [CheckResult("eta_einstein_fit",
-                           NUMERICALLY_ZERO if fit_ok else NON_ZERO,
-                           float(fit.residual_max),
-                           None if fit_ok else ("eta-Einstein fit residual", {},
-                                                float(fit.residual_max)))]
-    return CheckReport("eta_einstein", results, data)
+    return CheckReport("eta_einstein", [result], data)
 
 
 def check_contact_field(M, V):

@@ -24,7 +24,7 @@ from contactgeo.scalar import (
     ONE, Rat, Sampler, ZERO, diff, evaluate, is_zero, parse,
 )
 from contactgeo.soliton import (
-    SolitonProblem, gradient_soliton_residual, solve_soliton, verify_soliton,
+    SolitonProblem, soliton_residual, solve_soliton, verify_soliton,
 )
 from contactgeo.structure import (
     check_almost_contact, check_kenmotsu, solve_eta_einstein, solve_nullity,
@@ -234,7 +234,7 @@ def test_acceptance_05b_soliton_solve_indefinite(capsys, ex1):
         assert rep.lambda_string() == "p/2 - 9/5"
         # the documented constants (-1, 1) leave 2 (g - eta (x) eta)
         wrong = verify_soliton(P, -1, 1)
-        assert not wrong.is_soliton
+        assert not wrong.passed
         assert wrong.residual_max == 2
         for r in (rep, wrong):
             assert r.lambda_tilde + r.mu == 0
@@ -285,7 +285,7 @@ def test_acceptance_06b_gradient_form_audit(capsys, ex2):
         M = ex2.M
         f = parse("x^2 + y^2 + z^2 + u^2 + v^2/2")
         P = SolitonProblem(M, ex2.table, f=f)
-        res = gradient_soliton_residual(P, 0, 0)
+        res = soliton_residual(P, 0, 0)
         assert M.is_zero_field(res[0][0] - parse("v^2 - 1")).is_zero
         verdict = M.is_zero_field(res[0][0])
         assert verdict.kind == "non_zero"
@@ -551,3 +551,20 @@ def test_acceptance_08_cli_determinism(capsys, monkeypatch):
         assert first == json.loads(GOLDEN_SWEEP.read_text())
         for chunk in first:
             json.loads(chunk)
+
+
+# --- 9: every verdict of check is settled structurally --------------------------
+
+
+def test_acceptance_09_no_numerically_zero_verdict(capsys, monkeypatch):
+    with announce(capsys, "09 check settles every residual and fit structurally"):
+        monkeypatch.chdir(GOLDEN_DIR)
+        manifests = ("example1", "example2", "example3", "flat", "eta_einstein",
+                     GOLDEN_DIM7) + GOLDEN_DIM3
+        for name in manifests:
+            cli_main(["check", name, "--json"])
+            payload = json.loads(capsys.readouterr().out)
+            numeric = [(family, r["name"])
+                       for family, rep in payload["checks"].items()
+                       for r in rep["checks"] if r["verdict"] == "numerically_zero"]
+            assert not numeric, (name, numeric)

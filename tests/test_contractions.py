@@ -16,7 +16,7 @@ import copy
 import pytest
 
 from contactgeo.scalar import ONE, Rat, ZERO, parse
-from contactgeo.structure import _basis
+from contactgeo.curvature import frame_basis
 
 from fields import random_vector_fields
 
@@ -125,7 +125,7 @@ def test_frame_operands_match_reference(request, fixture):
     b = request.getfixturevalue(fixture)
     M, conn = b.M, b.conn
     n = M.dim
-    basis = _basis(n)
+    basis = frame_basis(n)
     xi = M.xi_frame
     for i in range(n):
         assert_metric_equal(M, basis[i], xi)
@@ -166,7 +166,7 @@ def test_random_fields_match_reference(request, fixture, seed):
 def test_nabla_operator_matches_reference(request, fixture):
     b = request.getfixturevalue(fixture)
     M, conn = b.M, b.conn
-    basis = _basis(M.dim)
+    basis = frame_basis(M.dim)
     xs = basis + [M.xi_frame] + [M.to_frame(X) for X, _ in random_pairs(M, 2, 0)]
     # the Ricci operator and h' are the tensors the structure checks differentiate
     for A in (b.table.ricci_operator, b.tensors.h_prime, M.phi):

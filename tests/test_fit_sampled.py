@@ -1,10 +1,13 @@
 """The sampled least-squares fit behind the nullity, eta-Einstein and
-soliton solves.
+soliton solves, and how a fit is settled.
 
 ``fit_sampled`` leaves out all-zero tuples and enters a constant tuple
-once, weighted by the number of sample points used. Every test here
-compares it with ``reference_fit``, which builds the full system: every
-entry evaluated at every point, one row per tuple and point.
+once, weighted by the number of sample points used. The tests compare it
+with ``reference_fit``, which builds the full system: every entry
+evaluated at every point, one row per tuple and point. ``settle_fit``
+substitutes the fitted constants into each tuple's residual and runs
+them through ``combine``, so rows that depend on the point are settled
+like every other identity.
 """
 
 import copy
@@ -16,12 +19,14 @@ import pytest
 from contactgeo import soliton, structure
 from contactgeo.errors import DegenerateSystem, DivisionByZero
 from contactgeo.lstsq import solve_least_squares
-from contactgeo.scalar import Rat, ZERO, evaluate, parse
+from contactgeo.scalar import (
+    NON_ZERO, PROVED_ZERO, Rat, ZERO, evaluate, parse,
+)
 from contactgeo.soliton import SolitonProblem, solve_soliton
-from contactgeo.structure import fit_sampled, solve_eta_einstein
+from contactgeo.structure import fit_sampled, settle_fit, snap, solve_eta_einstein
 
 
-def reference_fit(M, entries, skip_singular=False, negate_rhs=False):
+def reference_fit(M, entries, skip_singular=False):
     """Every tuple evaluated at every point, one row each."""
     rows, rhs = [], []
     for env in M.sampler.points():
@@ -33,12 +38,12 @@ def reference_fit(M, entries, skip_singular=False, negate_rhs=False):
             continue
         for *row, b in batch:
             rows.append(tuple(row))
-            rhs.append(-b if negate_rhs else b)
+            rhs.append(b)
     return solve_least_squares(rows, rhs)
 
 
 def fields(fit):
-    return fit.values, fit.dropped, fit.residual_max, fit.exact
+    return fit.values, fit.dropped, fit.exact
 
 
 def spy(monkeypatch, module):
@@ -90,7 +95,11 @@ def test_eta_einstein_mixed_entries(flat, monkeypatch):
     rep = solve_eta_einstein(flat.M, stub)
     entries, fit = assert_matches_reference(calls)
     assert all(kinds(entries))
-    assert fit.exact and fit.residual_max > 0
+    assert fit.exact
+    settled = rep.result("eta_einstein_fit")
+    assert settled.kind == NON_ZERO
+    assert settled.witness[0].startswith("(S - a g - b eta(x)eta)(e_")
+    assert rep.data["residual_max"] == settled.max_abs > 0
     a, b = fit.values
     assert rep.data["a"] == str(a) and rep.data["b"] == str(b)
     assert a + b == 3
@@ -106,9 +115,51 @@ def test_gradient_soliton_mixed_entries(flat, monkeypatch):
     rep = solve_soliton(P)
     entries, fit = assert_matches_reference(calls)
     assert all(kinds(entries))
-    assert fit.exact and fit.residual_max > 0
+    assert fit.exact
+    assert rep.verdict.kind == NON_ZERO and not rep.passed
+    assert rep.verdict.witness[0].startswith("residual(e_")
+    assert rep.residual_max == rep.verdict.max_abs > 0
     assert (rep.lambda_tilde, rep.mu) == tuple(fit.values)
     assert fit.values[0] + fit.values[1] == 0
+
+
+# --- rows that depend on the point -------------------------------------------
+
+
+def settled(M, labelled):
+    fit = fit_sampled(M, [entry for _, entry in labelled])
+    return fit, settle_fit(M, "fit", labelled, [snap(v) for v in fit.values])
+
+
+def test_polynomial_rows_settle_exactly(flat):
+    # a x + b x^2 = 3x + 2x^2 at every point: an exact fit, proved zero
+    labelled = [("3x + 2x^2 - a x - b x^2",
+                 (parse("x"), parse("x^2"), parse("3*x + 2*x^2")))]
+    fit, result = settled(flat.M, labelled)
+    assert fit.exact
+    assert fit.values == [3, 2]
+    assert result.kind == PROVED_ZERO
+    assert result.witness is None and result.max_abs == 0.0
+
+
+def test_exp_rows_take_the_float_fit(flat):
+    # a e^x + b x e^x = 2 e^x - x e^x: the rows are floats, and the fit
+    # still holds once its constants are snapped
+    labelled = [("2e^x - x e^x - a e^x - b x e^x",
+                 (parse("exp(x)"), parse("x*exp(x)"),
+                  parse("2*exp(x) - x*exp(x)")))]
+    fit, result = settled(flat.M, labelled)
+    assert not fit.exact
+    assert fit.values == pytest.approx([2, -1])
+    assert result.kind != NON_ZERO
+
+
+def test_snap():
+    assert snap(None) is ZERO
+    assert snap(Fraction(-2, 3)) == Rat(Fraction(-2, 3))
+    assert snap(3) == Rat(3)
+    assert snap(0.1) == Rat(Fraction(1, 10))
+    assert snap(2.0000000000001) == Rat(2)
 
 
 # --- singular sample points --------------------------------------------------
@@ -187,9 +238,9 @@ def test_eta_einstein_messages(flat, metric, eta, message):
 def test_soliton_message(flat):
     P = SimpleNamespace(
         M=SimpleNamespace(dim=2, sampler=flat.M.sampler),
-        base_tensor=lambda: [[parse("x"), ZERO], [ZERO, Rat(1)]],
-        coefficient_tensors=lambda: ([[ZERO, ZERO], [ZERO, ZERO]],
-                                     [[Rat(1), ZERO], [ZERO, ZERO]]))
+        base_tensor=[[parse("x"), ZERO], [ZERO, Rat(1)]],
+        coefficient_tensors=([[ZERO, ZERO], [ZERO, ZERO]],
+                             [[Rat(1), ZERO], [ZERO, ZERO]]))
     with pytest.raises(DegenerateSystem) as err:
         solve_soliton(P)
     assert str(err.value) == "soliton fit degenerate: metric column vanished"

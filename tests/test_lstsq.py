@@ -19,15 +19,13 @@ def test_exact_two_column_fit():
     assert fit.exact
     assert fit.values == [Fraction(2), Fraction(1)]
     assert fit.dropped == []
-    assert fit.residual_max == 0.0
 
 
 def test_exact_overdetermined_residual():
-    # x fitted to both 0 and 1: best value 1/2, residual 1/2
+    # x fitted to both 0 and 1: best value 1/2, residual 1/2 on each row
     fit = solve_least_squares([(1,), (1,)], [0, 1])
     assert fit.exact
     assert fit.values == [Fraction(1, 2)]
-    assert fit.residual_max == pytest.approx(0.5)
 
 
 def test_fractions_stay_fractions():
@@ -40,7 +38,6 @@ def test_zero_column_dropped():
     fit = solve_least_squares([(1, 0), (2, 0)], [2, 4])
     assert fit.values == [Fraction(2), None]
     assert fit.dropped == [1]
-    assert fit.residual_max == 0.0
 
 
 def test_all_columns_zero_raises():
@@ -88,7 +85,7 @@ def _outcome(rows, rhs, weights=None):
         fit = solve_least_squares(rows, rhs, weights)
     except DegenerateSystem as err:
         return str(err)
-    return fit.values, fit.dropped, fit.residual_max, fit.exact
+    return fit.values, fit.dropped, fit.exact
 
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -112,8 +109,7 @@ def _float_reference(rows, rhs):
     values = [None] * len(rows[0])
     for a, j in enumerate(keep):
         values[j] = float(sol[a])
-    resid = A @ sol - b
-    return values, float(np.max(np.abs(resid)))
+    return values
 
 
 FLOAT_SYSTEMS = [
@@ -128,7 +124,7 @@ def test_float_without_weights_is_unchanged(rows, rhs):
     fit = solve_least_squares(rows, rhs)
     assert not fit.exact
     # repr tells every float apart, -0.0 from 0.0 included
-    assert repr((fit.values, fit.residual_max)) == repr(_float_reference(rows, rhs))
+    assert repr(fit.values) == repr(_float_reference(rows, rhs))
 
 
 @pytest.mark.parametrize("rows, rhs", FLOAT_SYSTEMS)
@@ -137,5 +133,4 @@ def test_float_weights_equal_repeated_rows(rows, rhs):
     fit = solve_least_squares(rows, rhs, weights)
     again = solve_least_squares(*_repeated(rows, rhs, weights))
     assert not fit.exact
-    assert (fit.values, fit.dropped, fit.residual_max) == \
-        (again.values, again.dropped, again.residual_max)
+    assert (fit.values, fit.dropped) == (again.values, again.dropped)

@@ -8,8 +8,7 @@ from contactgeo.errors import MissingPotential
 from contactgeo.scalar import Rat, parse
 from contactgeo.soliton import (
     SolitonProblem, check_kenmotsu_soliton, check_nullity_soliton, classify,
-    gradient_soliton_residual, lambda_string, soliton_residual, solve_soliton,
-    verify_soliton,
+    lambda_string, soliton_residual, solve_soliton, verify_soliton,
 )
 from contactgeo.structure import solve_nullity
 
@@ -34,7 +33,7 @@ def test_solve_kenmotsu_fixture(ex2):
     assert rep.lambda_tilde == 0
     assert rep.mu == 0
     assert rep.exact
-    assert rep.is_soliton
+    assert rep.passed
     assert rep.residual_max == 0.0
     assert rep.lambda_string() == "p/2 + 1/5"
 
@@ -60,7 +59,7 @@ def test_solve_nullity_fixture_best_fit(ex3):
     rep = solve_soliton(vector_problem(ex3))
     assert rep.lambda_tilde == -2
     assert rep.mu == 2
-    assert not rep.is_soliton
+    assert not rep.passed
     assert rep.residual_max == pytest.approx(4.0)
 
 
@@ -69,7 +68,7 @@ def test_solve_nullity_fixture_best_fit(ex3):
 
 def test_verify_at_wrong_constants(ex1):
     rep = verify_soliton(vector_problem(ex1), -1, 1)
-    assert not rep.is_soliton
+    assert not rep.passed
     assert rep.residual_max == pytest.approx(2.0)
     vals = sorted({simplify(e).value for _, _, e in rep.residual_entries()
                    if isinstance(simplify(e), Rat)})
@@ -78,7 +77,7 @@ def test_verify_at_wrong_constants(ex1):
 
 def test_verify_nullity_fixture(ex3):
     rep = verify_soliton(vector_problem(ex3), -4, 4)
-    assert not rep.is_soliton
+    assert not rep.passed
     assert rep.residual_max == pytest.approx(8.0)
     res = rep.residual
     assert simplify(res[0][0]).value == Fraction(-8)
@@ -101,7 +100,7 @@ def test_residual_affine_in_constants(ex2):
 
 def test_verify_accepts_string_constants(ex2):
     rep = verify_soliton(vector_problem(ex2), "0", "0")
-    assert rep.is_soliton
+    assert rep.passed
 
 
 # --- gradient form -----------------------------------------------------------
@@ -111,7 +110,7 @@ def test_gradient_residual(ex2):
     f = parse("x^2 + y^2 + z^2 + u^2 + v^2/2")
     P = SolitonProblem(ex2.M, ex2.table, f=f)
     assert P.form == "gradient"
-    res = gradient_soliton_residual(P, 0, 0)
+    res = soliton_residual(P, 0, 0)
     assert zero(ex2.M, res[0][0] - parse("v^2 - 1"))
 
 
@@ -121,8 +120,8 @@ def test_gradient_base_is_half_vector_base(ex3):
     f = parse("x^2 - 3*y*z + 2*z")
     Pg = SolitonProblem(M, ex3.table, f=f)
     Pv = SolitonProblem(M, ex3.table, V=M.gradient_field(f))
-    bg = Pg.base_tensor()
-    bv = Pv.base_tensor()
+    bg = Pg.base_tensor
+    bv = Pv.base_tensor
     for i in range(M.dim):
         for j in range(M.dim):
             assert zero(M, bv[i][j] - Rat(2) * bg[i][j])
@@ -210,11 +209,3 @@ def test_problem_requires_exactly_one_potential(ex2):
     with pytest.raises(ValueError):
         SolitonProblem(ex2.M, ex2.table, V=ex2.M.xi, f=parse("v"))
 
-
-def test_residual_form_mismatch(ex2):
-    Pv = SolitonProblem(ex2.M, ex2.table, V=ex2.M.xi)
-    with pytest.raises(MissingPotential):
-        gradient_soliton_residual(Pv, 0, 0)
-    Pf = SolitonProblem(ex2.M, ex2.table, f=parse("v"))
-    with pytest.raises(MissingPotential):
-        soliton_residual(Pf, 0, 0)

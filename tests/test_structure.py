@@ -5,6 +5,7 @@ computation of each tensor identity on the fixture frames.
 """
 
 import copy
+import json
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -13,8 +14,7 @@ import pytest
 from contactgeo.errors import DegenerateSystem
 from contactgeo.scalar import Rat, parse
 from contactgeo.structure import (
-    CheckReport, CheckResult, check_almost_contact, check_almost_kenmotsu,
-    check_contact_field, check_kenmotsu, solve_eta_einstein, solve_nullity,
+    check_almost_contact, check_almost_kenmotsu, check_contact_field, check_kenmotsu, solve_eta_einstein, solve_nullity,
 )
 
 
@@ -127,6 +127,9 @@ def test_nullity_fit_exact(ex3):
     assert not rep.data["mu_unconstrained"]
     assert rep.data["spectrum"] == ["-1", "0", "1"]
     assert rep.data["spectrum_spread"] == 0.0
+    # an exact fit and an exact spectrum are settled exactly
+    assert rep.result("nullity_fit").kind == "proved_zero"
+    assert rep.result("spectrum_consistency").kind == "proved_zero"
 
 
 def test_nullity_on_kenmotsu_mu_unconstrained(ex2):
@@ -189,6 +192,10 @@ def test_eta_einstein_not_fit_by_nullity_fixture(ex3):
     assert rep.data["a"] == "-2"
     assert rep.data["b"] == "-2"
     assert rep.data["residual_max"] == pytest.approx(2.0)
+    fit = rep.result("eta_einstein_fit")
+    assert fit.kind == "non_zero"
+    assert fit.witness[0] == "(S - a g - b eta(x)eta)(e_1, e_1)"
+    assert fit.witness[2] == -2
 
 
 def test_eta_einstein_heisenberg(heis):
@@ -244,16 +251,15 @@ def test_non_contact_field(ex3):
 def test_report_round_trip(ex3):
     rep = solve_nullity(ex3.M, ex3.conn, ex3.table, ex3.tensors)
     d = rep.to_dict()
-    back = CheckReport.from_dict(d)
-    assert back.to_dict() == d
-    assert back.passed == rep.passed
-    assert [r.name for r in back.results] == [r.name for r in rep.results]
+    assert json.loads(json.dumps(d)) == d
+    assert d["passed"] == rep.passed
+    assert [c["name"] for c in d["checks"]] == [r.name for r in rep.results]
 
 
 def test_result_witness_round_trip(ex1):
     rep = check_almost_contact(ex1.M)
     d = rep.to_dict()
-    back = CheckReport.from_dict(d)
-    assert back.to_dict() == d
-    w = back.result("metric_compatibility").witness
-    assert w is not None and w[2] == pytest.approx(-2.0)
+    assert json.loads(json.dumps(d)) == d
+    w = {c["name"]: c for c in d["checks"]}["metric_compatibility"]["witness"]
+    assert w["component"] == rep.result("metric_compatibility").witness[0]
+    assert w["value"] == pytest.approx(-2.0)
