@@ -377,23 +377,28 @@ class StructureTensors:
             out[j] = [add_all(t) for t in terms]
         return out
 
-    def spectrum(self, snap_tol=1e-9):
-        """Eigenvalues of h', exactly when they are integers, else sampled.
-
-        Returns ``(values, max_spread)``. When every entry of h' is a
-        rational constant whose spectrum ``integer_spectrum`` finds, the
-        values are those integers and the spread is exactly 0.0. Otherwise
-        the values come from numpy at the first sample point (snapped to
-        integers when that close), and the spread is the largest
-        eigenvalue movement across sample points; numpy is imported only
-        on that path.
-        """
+    def exact_spectrum(self):
+        """The eigenvalues of h' when every entry is a rational constant
+        and ``integer_spectrum`` finds them, else None."""
         if all(isinstance(e, Rat) for row in self.h_prime for e in row):
             # rows are images, so this is the transpose of the operator
             # matrix: same eigenvalues, same nullities
-            values = integer_spectrum([[e.value for e in row] for row in self.h_prime])
-            if values is not None:
-                return values, 0.0
+            return integer_spectrum([[e.value for e in row] for row in self.h_prime])
+        return None
+
+    def spectrum(self, snap_tol=1e-9):
+        """Eigenvalues of h', exactly when they are integers, else sampled.
+
+        Returns ``(values, max_spread)``. When ``exact_spectrum`` finds
+        them, the values are those integers and the spread is exactly 0.0.
+        Otherwise the values come from numpy at the first sample point
+        (snapped to integers when that close), and the spread is the
+        largest eigenvalue movement across sample points; numpy is
+        imported only on that path.
+        """
+        values = self.exact_spectrum()
+        if values is not None:
+            return values, 0.0
         import numpy as np
 
         M = self.M

@@ -198,11 +198,15 @@ def classify(lambda_tilde, n, p=None):
 
 
 def _report(P, lt, mu, mu_unconstrained=False):
+    """Settle the residual at (lt, mu); float constants, from a float fit
+    or a float that no small fraction matches, are held to the tolerance
+    even where the residual is constant."""
     M = P.M
     residual = soliton_residual(P, lt, mu)
     verdict = combine(M, "soliton_residual",
                       [(f"residual(e_{i + 1},e_{j + 1})", residual[i][j])
-                       for i in range(M.dim) for j in range(i, M.dim)])
+                       for i in range(M.dim) for j in range(i, M.dim)],
+                      exact=not isinstance(lt, float) and not isinstance(mu, float))
     return SolitonReport(P.form, M.n, lt, mu, residual, verdict,
                          mu_unconstrained)
 

@@ -86,21 +86,30 @@ class CheckReport:
         }
 
 
-def _verdict_of(M, expr):
-    return scalar.is_zero(expr, M.sampler, tol=M.tol)
+def _verdict_of(M, expr, exact=True):
+    v = scalar.is_zero(expr, M.sampler, tol=M.tol)
+    if not exact and v.kind == NON_ZERO and v.max_abs < M.tol:
+        # only a constant residual fails below the tolerance; built from
+        # float constants, it is known no better than that
+        return scalar.Verdict(NUMERICALLY_ZERO, v.max_abs)
+    return v
 
 
-def combine(M, name, parts, note=""):
+def combine(M, name, parts, note="", exact=True):
     """Aggregate labeled residual expressions into one CheckResult.
 
     parts: iterable of (component label, ScalarField). The worst verdict
-    wins; the witness points at the first offending component.
+    wins; the witness points at the first offending component, and
+    max_abs is the largest |value| the zero tests saw (for a failing
+    component, its value at the first point that breaks the tolerance).
+    ``exact=False`` says the parts were built from float constants: a
+    constant residual within the tolerance is then numerically zero.
     """
     kind = PROVED_ZERO
     max_abs = 0.0
     witness = None
     for label, expr in parts:
-        v = _verdict_of(M, expr)
+        v = _verdict_of(M, expr, exact)
         if v.max_abs > max_abs:
             max_abs = v.max_abs
         if _KIND_RANK[v.kind] > _KIND_RANK[kind]:
@@ -135,19 +144,22 @@ def snap(x):
     return Rat(Fraction(x).limit_denominator(10 ** 12))
 
 
-def settle_fit(M, name, labelled, constants):
+def settle_fit(M, name, labelled, constants, exact):
     """Settle a fit the way every identity is settled.
 
     ``labelled`` holds (component label, (a_1, ..., a_k, b)) pairs, the
-    tuples the fit was made from, and ``constants`` the fitted x_i as
-    Rats. The residual b - x_1 a_1 - ... - x_k a_k of every tuple goes
-    through ``combine``, so a fit that holds exactly is proved zero and
-    a failing one carries a component witness. A tuple of zero constants
-    has residual 0 and is left out, as it is from the fit.
+    tuples the fit was made from, ``constants`` the fitted x_i as Rats,
+    and ``exact`` whether the fit ran in rational arithmetic. The
+    residual b - x_1 a_1 - ... - x_k a_k of every tuple goes through
+    ``combine``, so a fit that holds exactly is proved zero and a failing
+    one carries a component witness; a float fit is held to the
+    tolerance on constant tuples too. A tuple of zero constants has
+    residual 0 and is left out, as it is from the fit.
     """
     return combine(M, name, [
         (label, entry[-1] - add_all([x * a for x, a in zip(constants, entry)]))
-        for label, entry in labelled if any(e is not ZERO for e in entry)])
+        for label, entry in labelled if any(e is not ZERO for e in entry)],
+        exact=exact)
 
 
 def check_almost_contact(M):
@@ -432,7 +444,7 @@ def solve_nullity(M, conn, table, tensors):
     mu_unconstrained = mu is None
     kap, mu_eff = snap(kappa), snap(mu)
 
-    fit_result = settle_fit(M, "nullity_fit", labelled, (kap, mu_eff))
+    fit_result = settle_fit(M, "nullity_fit", labelled, (kap, mu_eff), fit.exact)
     checks = [fit_result]
     hp2 = tensors.h_prime_squared()
     parts = []
@@ -477,8 +489,11 @@ def solve_nullity(M, conn, table, tensors):
             parts.append((f"(nabla eta - g + eta(x)eta - g(h'.,.))(e_{i + 1}, e_{j + 1})", e))
     checks.append(combine(M, "covariant_eta_shape", parts))
 
-    spectrum, spread = tensors.spectrum()
-    if isinstance(kappa, (int, Fraction)) and all(isinstance(x, int) for x in spectrum):
+    # the numpy fallback of spectrum() also gives ints, snapped at one
+    # point, so only exact_spectrum() settles the value exactly
+    exact = tensors.exact_spectrum()
+    spectrum, spread = (exact, 0.0) if exact is not None else tensors.spectrum()
+    if exact is not None and isinstance(kappa, (int, Fraction)):
         value = max(x * x for x in spectrum) + kappa + 1
     else:
         alpha = max(abs(float(x)) for x in spectrum)
@@ -519,7 +534,8 @@ def solve_eta_einstein(M, table):
         raise DegenerateSystem("metric column vanished; manifest is degenerate")
     if b is None:
         raise DegenerateSystem("eta(x)eta column vanished; eta is degenerate")
-    result = settle_fit(M, "eta_einstein_fit", labelled, (snap(a), snap(b)))
+    result = settle_fit(M, "eta_einstein_fit", labelled, (snap(a), snap(b)),
+                        fit.exact)
     einstein = result.passed and abs(float(b)) < M.tol
 
     # Kenmotsu consistency: with S = a g + b eta(x)eta one must have

@@ -195,6 +195,16 @@ def test_soliton_flags_override_manifest(capsys):
     assert "residual max = 4" in out
 
 
+def test_soliton_verify_exact_constants_ignore_tol(capsys):
+    # a constant residual of exact constants is zero or not; --tol
+    # applies to residuals that vary over the sample points
+    code, out, _ = run(capsys, "soliton", "example2", "--verify",
+                       "--lambda-tilde", "0.0000000001", "--mu", "0",
+                       "--tol", "1e-6")
+    assert code == 1
+    assert "residual max = 2e-10  [not a soliton]" in out
+
+
 def test_soliton_no_potential(capsys):
     code, _, err = run(capsys, "soliton", "eta_einstein", "--solve")
     assert code == 2

@@ -20,7 +20,7 @@ from contactgeo import soliton, structure
 from contactgeo.errors import DegenerateSystem, DivisionByZero
 from contactgeo.lstsq import solve_least_squares
 from contactgeo.scalar import (
-    NON_ZERO, PROVED_ZERO, Rat, ZERO, evaluate, parse,
+    NON_ZERO, NUMERICALLY_ZERO, PROVED_ZERO, Rat, ZERO, evaluate, parse,
 )
 from contactgeo.soliton import SolitonProblem, solve_soliton
 from contactgeo.structure import fit_sampled, settle_fit, snap, solve_eta_einstein
@@ -128,7 +128,8 @@ def test_gradient_soliton_mixed_entries(flat, monkeypatch):
 
 def settled(M, labelled):
     fit = fit_sampled(M, [entry for _, entry in labelled])
-    return fit, settle_fit(M, "fit", labelled, [snap(v) for v in fit.values])
+    return fit, settle_fit(M, "fit", labelled, [snap(v) for v in fit.values],
+                           fit.exact)
 
 
 def test_polynomial_rows_settle_exactly(flat):
@@ -152,6 +153,22 @@ def test_exp_rows_take_the_float_fit(flat):
     assert not fit.exact
     assert fit.values == pytest.approx([2, -1])
     assert result.kind != NON_ZERO
+
+
+def test_float_constants_meet_constant_tuples_within_tolerance(flat):
+    # 2 + 3e-11 snaps to a fraction 3e-11 off, so the residual of the
+    # constant tuple is a non-zero constant far below the tolerance
+    labelled = [("2 - a", (Rat(1), Rat(2)))]
+    near = [snap(2 + 3e-11)]
+    assert near != [Rat(2)]
+    loose = settle_fit(flat.M, "fit", labelled, near, exact=False)
+    assert loose.kind == NUMERICALLY_ZERO and loose.passed
+    assert 0 < loose.max_abs < flat.M.tol
+    strict = settle_fit(flat.M, "fit", labelled, near, exact=True)
+    assert strict.kind == NON_ZERO
+    assert strict.witness[0] == "2 - a"
+    far = settle_fit(flat.M, "fit", labelled, [snap(2.5)], exact=False)
+    assert far.kind == NON_ZERO
 
 
 def test_snap():

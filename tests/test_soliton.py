@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from contactgeo import soliton
 from contactgeo.errors import MissingPotential
+from contactgeo.lstsq import FitResult
 from contactgeo.scalar import Rat, parse
 from contactgeo.soliton import (
     SolitonProblem, check_kenmotsu_soliton, check_nullity_soliton, classify,
@@ -101,6 +103,24 @@ def test_residual_affine_in_constants(ex2):
 def test_verify_accepts_string_constants(ex2):
     rep = verify_soliton(vector_problem(ex2), "0", "0")
     assert rep.passed
+
+
+def test_exact_constants_near_a_soliton_are_not_one(ex2):
+    # lambda~ = mu = 0 solves example2; 10^-10 off, the residual is an
+    # exact non-zero constant, whatever the tolerance
+    rep = verify_soliton(vector_problem(ex2), "0.0000000001", 0)
+    assert rep.verdict.kind == "non_zero" and not rep.passed
+    assert rep.residual_max == pytest.approx(2e-10)
+
+
+def test_float_fit_near_a_soliton_passes(ex2, monkeypatch):
+    # a float fit is known only to the tolerance: constants 3e-11 off
+    # leave constant residuals below it, which pass as numerically zero
+    monkeypatch.setattr(soliton, "fit_sampled",
+                        lambda M, entries, skip_singular: FitResult([3e-11, -3e-11], [], False))
+    rep = solve_soliton(vector_problem(ex2))
+    assert rep.verdict.kind == "numerically_zero" and rep.passed
+    assert 0 < rep.residual_max < ex2.M.tol
 
 
 # --- gradient form -----------------------------------------------------------

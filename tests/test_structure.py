@@ -132,6 +132,20 @@ def test_nullity_fit_exact(ex3):
     assert rep.result("spectrum_consistency").kind == "proved_zero"
 
 
+def test_spectrum_consistency_of_a_sampled_spectrum(ex3):
+    # h'(e_3) = x e_1 keeps the spectrum {-1, 0, 1} at every point, and
+    # the fit never reads h'(xi), so kappa stays exactly -2; the numpy
+    # fallback returns the eigenvalues as ints, but they were sampled
+    tensors = copy.copy(ex3.tensors)
+    hp = ex3.tensors.h_prime
+    tensors.h_prime = [hp[0], hp[1], [parse("x"), hp[2][1], hp[2][2]]]
+    assert tensors.exact_spectrum() is None
+    rep = solve_nullity(ex3.M, ex3.conn, ex3.table, tensors)
+    assert rep.data["kappa"] == "-2" and rep.data["exact"]
+    assert rep.data["spectrum"] == ["-1", "0", "1"]
+    assert rep.result("spectrum_consistency").kind == "numerically_zero"
+
+
 def test_nullity_on_kenmotsu_mu_unconstrained(ex2):
     # h' = 0 makes the mu column vanish identically; kappa = -1
     rep = solve_nullity(ex2.M, ex2.conn, ex2.table, ex2.tensors)
