@@ -524,12 +524,18 @@ def _sweep_commands():
     # of the derived data, so these pin the commands that build the least
     for what in ("brackets", "ricci", "h"):
         out.append((["tables", GOLDEN_DIM7, "--what", what], 1729))
+    # a dim-9 Kenmotsu manifest in the poly warp form (perfbench/gen.py), the
+    # largest kind the derive benchmark runs: every table kind and the solve
+    for what in ("brackets", "conn", "riem", "ricci", "star", "h"):
+        out.append((["tables", GOLDEN_DIM9, "--what", what], 1729))
+    out.append((["soliton", GOLDEN_DIM9, "--solve"], 1729))
     return [argv + ["--json", "--seed", str(seed)] for argv, seed in out]
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_SWEEP = GOLDEN_DIR / "sweep_seed1729.json"
 GOLDEN_DIM7 = "kenmotsu_exp_7.json"
+GOLDEN_DIM9 = "kenmotsu_poly_9.json"
 GOLDEN_DIM3 = ("kenmotsu_exp_3.json", "kenmotsu_poly_3.json")
 
 
