@@ -26,7 +26,7 @@ from functools import cached_property
 from math import isqrt
 
 from .errors import DegeneratePlane
-from .geometry import lie_bracket
+from .geometry import _mat_vec, lie_bracket
 from .scalar import Rat, ZERO, ONE, add_all, evaluate
 
 HALF = Rat(Fraction(1, 2))
@@ -64,23 +64,33 @@ class ConnectionTable:
         the X-derivation of a component is taken through the frame:
         ``X(f) = sum_i x^i e_i(f)``.  The Christoffel part contracts
         ``c^l gamma[i][l][k]`` first and multiplies by ``x^i`` once; each
-        output component is merged in one ``add_all``.
+        output component is merged in one ``add_all``.  Only non-zero
+        components, derivatives and Christoffel symbols are visited, and
+        a component with no term is ``ZERO`` without a sum.
         """
-        M = self.M
-        n = M.dim
+        terms = [[] for _ in range(self.M.dim)]
+        self.nabla_terms(x_frame, c_frame, terms)
+        return [add_all(t) if t else ZERO for t in terms]
+
+    def nabla_terms(self, x_frame, c_frame, terms):
+        """Append the non-zero terms of ``nabla_X Y`` to ``terms[k]``, one
+        list per frame component, without summing them."""
+        frame = self.M.frame
         xs = [(i, x) for i, x in enumerate(x_frame) if x is not ZERO]
         c = [None if ck is ZERO else ck for ck in c_frame]
-        terms = [[] for _ in range(n)]
         for k, ck in enumerate(c):
             if ck is not None:
                 for i, x in xs:
-                    terms[k].append(x * M.frame[i].apply(ck))
+                    d = frame[i].apply(ck)
+                    if d is not ZERO:
+                        terms[k].append(x * d)
         for i, x in xs:
             for k, gs in self._gamma_nz[i]:
-                w = add_all([c[l] * g for l, g in gs if c[l] is not None])
-                if w is not ZERO:
-                    terms[k].append(x * w)
-        return [add_all(t) for t in terms]
+                ws = [c[l] * g for l, g in gs if c[l] is not None]
+                if ws:
+                    w = add_all(ws)
+                    if w is not ZERO:
+                        terms[k].append(x * w)
 
     def nabla_operator(self, A, x_frame):
         """Covariant derivative of a (1,1) tensor given as a frame matrix.
@@ -113,7 +123,7 @@ def frame_brackets(M):
         brackets[i][i] = [ZERO] * n
         for j in range(i + 1, n):
             brackets[i][j] = M.to_frame(lie_bracket(M.frame[i], M.frame[j]))
-            brackets[j][i] = [-c for c in brackets[i][j]]
+            brackets[j][i] = [c if c is ZERO else -c for c in brackets[i][j]]
     return brackets
 
 
@@ -123,29 +133,30 @@ def koszul(M):
     The bracket terms read the lowered structure constants
     ``low[i][j][k] = g([e_i, e_j], e_k)``, built once; ``g(e_i, [e_j, e_k])``
     is ``low[j][k][i]`` because ``ManifoldSpec`` only accepts a symmetric
-    metric.
+    metric.  Only non-zero terms are negated, scaled and summed.
     """
     n = M.dim
     G = M.metric
+    Ginv = M.metric_inverse
+    frame = M.frame
     brackets = frame_brackets(M)
-    low = [[[add_all([c * G[m][k] for m, c in enumerate(brackets[i][j])
-                      if c is not ZERO and G[m][k] is not ZERO])
-             for k in range(n)] for j in range(n)] for i in range(n)]
+    low = [[_mat_vec(G, brackets[i][j]) for j in range(n)] for i in range(n)]
     gamma = []
     for i in range(n):
         row_i = []
         for j in range(n):
-            rhs = [HALF * add_all([M.frame[i].apply(G[j][k]),
-                                   M.frame[j].apply(G[k][i]),
-                                   -M.frame[k].apply(G[i][j]),
-                                   -low[j][k][i], -low[i][k][j], low[i][j][k]])
-                   for k in range(n)]
+            rhs = []
+            for k in range(n):
+                parts = [frame[i].apply(G[j][k]), frame[j].apply(G[k][i]), low[i][j][k]]
+                for e in (frame[k].apply(G[i][j]), low[j][k][i], low[i][k][j]):
+                    if e is not ZERO:
+                        parts.append(-e)
+                s = add_all(parts)
+                rhs.append(s if s is ZERO else HALF * s)
             # solve sum_m gamma^m G_mk = rhs_k  =>  gamma = Ginv . rhs
-            entry = [
-                add_all([M.metric_inverse[m][k] * rhs[k] for k in range(n)])
-                for m in range(n)
-            ]
-            row_i.append(entry)
+            nz = [(k, r) for k, r in enumerate(rhs) if r is not ZERO]
+            row_i.append([add_all([Ginv[m][k] * r for k, r in nz if Ginv[m][k] is not ZERO])
+                          for m in range(n)])
         gamma.append(row_i)
     return ConnectionTable(M, gamma, brackets)
 
@@ -168,17 +179,21 @@ class CurvatureTable:
         conn = self.conn
         n = self.M.dim
         basis = frame_basis(n)
+        minus = [[e if e is ZERO else -e for e in row] for row in basis]
         R = [[None] * n for _ in range(n)]
         for i in range(n):
             R[i][i] = [[ZERO] * n for _ in range(n)]
             for j in range(i + 1, n):
                 R[i][j] = []
                 for k in range(n):
-                    a = conn.nabla_comps(basis[i], conn.gamma[j][k])
-                    b = conn.nabla_comps(basis[j], conn.gamma[i][k])
-                    c = conn.nabla_comps(conn.brackets[i][j], basis[k])
-                    R[i][j].append([add_all([p, -q, -s]) for p, q, s in zip(a, b, c)])
-                R[j][i] = [[-c for c in comps] for comps in R[i][j]]
+                    # nabla_{e_i} nabla_{e_j} e_k + nabla_{-e_j} nabla_{e_i} e_k
+                    # + nabla_{[e_j, e_i]} e_k, merged per component
+                    terms = [[] for _ in range(n)]
+                    conn.nabla_terms(basis[i], conn.gamma[j][k], terms)
+                    conn.nabla_terms(minus[j], conn.gamma[i][k], terms)
+                    conn.nabla_terms(conn.brackets[j][i], basis[k], terms)
+                    R[i][j].append([add_all(t) if t else ZERO for t in terms])
+                R[j][i] = [[c if c is ZERO else -c for c in comps] for comps in R[i][j]]
         return R
 
     @cached_property
@@ -197,8 +212,9 @@ class CurvatureTable:
                 for a, b in pairs:
                     # g(R(e_a, e_i) e_j, e_b)
                     low = add_all([c * G[m][b] for m, c in enumerate(R[a][i][j])
-                                   if c is not ZERO])
-                    terms.append(Ginv[a][b] * low)
+                                   if c is not ZERO and G[m][b] is not ZERO])
+                    if low is not ZERO:
+                        terms.append(Ginv[a][b] * low)
                 S[i][j] = add_all(terms)
         return S
 
@@ -208,7 +224,9 @@ class CurvatureTable:
         S = self.ricci
         n = self.M.dim
         Ginv = self.M.metric_inverse
-        return [[add_all([Ginv[k][j] * S[j][i] for j in range(n)]) for k in range(n)]
+        return [[add_all([Ginv[k][j] * S[j][i] for j in range(n)
+                          if Ginv[k][j] is not ZERO and S[j][i] is not ZERO])
+                 for k in range(n)]
                 for i in range(n)]
 
     @cached_property
@@ -217,7 +235,8 @@ class CurvatureTable:
 
     @cached_property
     def star_ricci(self):
-        """``S*_ij = 1/2 sum g^{ab} g(phi(R(e_i, phi e_j) e_a), e_b)``."""
+        """``S*_ij = 1/2 sum g^{ab} g(phi(R(e_i, phi e_j) e_a), e_b)``, over
+        the non-zero entries of R, phi, g and g^{-1} only."""
         R = self.R
         M = self.M
         n = M.dim
@@ -232,20 +251,18 @@ class CurvatureTable:
                 terms = []
                 for a in range(n):
                     # R(e_i, phi e_j) e_a, by linearity in the middle slot
-                    comps = [add_all([c * R[i][m][a][k] for m, c in phj
-                                      if R[i][m][a][k] is not ZERO])
-                             for k in range(n)]
+                    comps = _lincomb([(c, R[i][m][a]) for m, c in phj])
                     # apply phi
-                    phi_comps = [add_all([comps[m] * P[m][k] for m in range(n)
-                                          if comps[m] is not ZERO and P[m][k] is not ZERO])
-                                 for k in range(n)]
+                    phi_comps = _lincomb([(c, P[m]) for m, c in comps])
                     # contract with sum_b g^{ab} g(., e_b)
                     for b in range(n):
                         if Ginv[a][b] is not ZERO:
-                            inner = add_all([phi_comps[m] * G[m][b] for m in range(n)
-                                             if phi_comps[m] is not ZERO])
-                            terms.append(Ginv[a][b] * inner)
-                Sstar[i][j] = HALF * add_all(terms)
+                            inner = add_all([c * G[m][b] for m, c in phi_comps
+                                             if G[m][b] is not ZERO])
+                            if inner is not ZERO:
+                                terms.append(Ginv[a][b] * inner)
+                s = add_all(terms)
+                Sstar[i][j] = s if s is ZERO else HALF * s
         return Sstar
 
     @cached_property
@@ -274,11 +291,29 @@ class CurvatureTable:
         return [add_all(t) for t in terms]
 
 
+def _lincomb(pairs):
+    """The non-zero components of ``sum_r coeff_r row_r`` as (k, value)
+    pairs, from (coeff_r, row_r) pairs of a non-zero coefficient and a
+    dense row; only non-zero row entries are multiplied, each as
+    ``coeff * entry``, and each component is merged in one ``add_all``."""
+    terms = {}
+    for coeff, row in pairs:
+        for k, e in enumerate(row):
+            if e is not ZERO:
+                terms.setdefault(k, []).append(coeff * e)
+    out = []
+    for k in sorted(terms):
+        v = add_all(terms[k])
+        if v is not ZERO:
+            out.append((k, v))
+    return out
+
+
 def _trace(Ginv, T):
     """``sum g^{ij} T_ij``."""
     n = len(T)
     return add_all([Ginv[i][j] * T[i][j] for i in range(n) for j in range(n)
-                    if Ginv[i][j] is not ZERO])
+                    if Ginv[i][j] is not ZERO and T[i][j] is not ZERO])
 
 
 def sectional_curvature(M, table, X, Y):
@@ -308,10 +343,9 @@ def lie_derivative_metric(M, V):
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            val = V.apply(M.metric[i][j])
-            val = val - M.metric_apply(br[i], basis[j])
-            val = val - M.metric_apply(basis[i], br[j])
-            out[i][j] = out[j][i] = val
+            lowered = (M.metric_apply(br[i], basis[j]), M.metric_apply(basis[i], br[j]))
+            out[i][j] = out[j][i] = add_all([V.apply(M.metric[i][j])]
+                                            + [-e for e in lowered if e is not ZERO])
     return out
 
 

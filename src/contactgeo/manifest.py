@@ -35,24 +35,29 @@ def _expect(cond, message, where):
         raise ParseError(message, where=where)
 
 
-def _parse_expr(text, where):
+def _parse_expr(text, where, memo):
+    """Parse one entry; ``memo`` maps each text already parsed in this
+    manifest to its expression, so a repeated entry is parsed once."""
     _expect(isinstance(text, (str, int, float)), "expected an expression string", where)
     if isinstance(text, (int, float)):
         text = repr(text)
-    try:
-        return scalar.parse(text)
-    except ParseError as ex:
-        raise ParseError(f"{ex.args[0]}", where=f"{where}: {text!r}")
+    e = memo.get(text)
+    if e is None:
+        try:
+            e = memo[text] = scalar.parse(text)
+        except ParseError as ex:
+            raise ParseError(f"{ex.args[0]}", where=f"{where}: {text!r}")
+    return e
 
 
-def _parse_matrix(raw, dim, where):
+def _parse_matrix(raw, dim, where, memo):
     _expect(isinstance(raw, list) and len(raw) == dim,
             f"expected {dim} rows", where)
     out = []
     for i, row in enumerate(raw):
         _expect(isinstance(row, list) and len(row) == dim,
                 f"expected {dim} entries", f"{where}[{i}]")
-        out.append([_parse_expr(e, f"{where}[{i}][{j}]")
+        out.append([_parse_expr(e, f"{where}[{i}][{j}]", memo)
                     for j, e in enumerate(row)])
     return out
 
@@ -119,9 +124,10 @@ class Manifest:
         _expect(isinstance(name, str) and name, "name must be a nonempty string", "name")
         self.name = name
 
-        self.frame = _parse_matrix(data["frame"], dim, "frame")
-        self.metric_frame = _parse_matrix(data["metric_frame"], dim, "metric_frame")
-        self.phi_frame = _parse_matrix(data["phi_frame"], dim, "phi_frame")
+        memo = {}
+        self.frame = _parse_matrix(data["frame"], dim, "frame", memo)
+        self.metric_frame = _parse_matrix(data["metric_frame"], dim, "metric_frame", memo)
+        self.phi_frame = _parse_matrix(data["phi_frame"], dim, "phi_frame", memo)
 
         xi = data["xi"]
         if isinstance(xi, bool):
@@ -131,7 +137,7 @@ class Manifest:
             self.xi = xi
         elif isinstance(xi, list):
             _expect(len(xi) == dim, f"xi needs {dim} components", "xi")
-            self.xi = [_parse_expr(e, f"xi[{k}]") for k, e in enumerate(xi)]
+            self.xi = [_parse_expr(e, f"xi[{k}]", memo) for k, e in enumerate(xi)]
         else:
             raise ParseError("xi must be a frame index or component list", where="xi")
 
@@ -144,7 +150,7 @@ class Manifest:
             _expect(isinstance(entry, dict), "domain entries are objects", where)
             if "nonzero" in entry:
                 _expect(set(entry) == {"nonzero"}, "nonzero entries carry only that key", where)
-                self.nonvanish.append(_parse_expr(entry["nonzero"], f"{where}.nonzero"))
+                self.nonvanish.append(_parse_expr(entry["nonzero"], f"{where}.nonzero", memo))
             else:
                 _expect(set(entry) == {"coord", "min", "max"},
                         "interval entries need coord/min/max", where)
@@ -166,10 +172,11 @@ class Manifest:
                 comps = pot["vector"]
                 _expect(isinstance(comps, list) and len(comps) == dim,
                         f"potential vector needs {dim} components", "potential.vector")
-                self.potential_vector = [_parse_expr(e, f"potential.vector[{k}]")
+                self.potential_vector = [_parse_expr(e, f"potential.vector[{k}]", memo)
                                          for k, e in enumerate(comps)]
             else:
-                self.potential_function = _parse_expr(pot["function"], "potential.function")
+                self.potential_function = _parse_expr(pot["function"], "potential.function",
+                                                      memo)
 
         self.constants = {}
         cons = data.get("constants")

@@ -583,9 +583,11 @@ def diff(e, name):
     elif isinstance(e, Sym):
         out = ONE if e.name == name else ZERO
     elif isinstance(e, Exp):
-        out = mul(e, diff(e.arg, name))
+        d = diff(e.arg, name)
+        out = ZERO if d is ZERO else mul(e, d)
     elif isinstance(e, Pow):
-        out = mul(mul(Rat(e.exponent), pow_int(e.base, e.exponent - 1)), diff(e.base, name))
+        d = diff(e.base, name)
+        out = ZERO if d is ZERO else mul(mul(Rat(e.exponent), pow_int(e.base, e.exponent - 1)), d)
     elif isinstance(e, Mul):
         parts = []
         fs = e.factors

@@ -234,16 +234,19 @@ def verify_soliton(P, lambda_tilde, mu):
 def check_kenmotsu_soliton(M, P, report):
     """Consequence checks for a soliton on a Kenmotsu manifold.
 
-    The solved constants must satisfy lambda~ + mu = 0; the potential
-    must be a strict infinitesimal contact transformation (L_V eta = 0);
-    and the metric must be Einstein with Q = -2n Id.
+    The solved constants must satisfy lambda~ + mu = 0, exactly when
+    neither is a float (a float fit is known only to the tolerance); the
+    potential must be a strict infinitesimal contact transformation
+    (L_V eta = 0); and the metric must be Einstein with Q = -2n Id.
     """
     n = M.dim
     results = []
-    lt = _coerce(report.lambda_tilde)
-    mu = _coerce(0 if report.mu is None else report.mu)
-    results.append(_numeric_result("constant_sum", float(lt) + float(mu),
-                                   M.tol, note="lambda~ + mu"))
+    raw = (report.lambda_tilde, 0 if report.mu is None else report.mu)
+    lt, mu = (_coerce(c) for c in raw)
+    total = lt + mu
+    if any(isinstance(c, float) for c in raw):
+        total = float(total)
+    results.append(_numeric_result("constant_sum", total, M.tol, note="lambda~ + mu"))
 
     V = P.V if P.V is not None else M.gradient_field(P.f)
     lv_eta = lie_derivative_eta(M, V)
@@ -278,8 +281,8 @@ def check_nullity_soliton(M, P, report, nullity_report):
                        [(f"S*(e_{i + 1}, e_{j + 1})", star[i][j])
                         for i in range(n) for j in range(i, n)])]
     kappa = Fraction(nullity_report.data["kappa"])
-    results.append(_numeric_result("kappa_is_minus_two", float(kappa + 2),
-                                   M.tol, note=f"kappa = {kappa}"))
+    gap = kappa + 2 if nullity_report.data["exact"] else float(kappa + 2)
+    results.append(_numeric_result("kappa_is_minus_two", gap, M.tol, note=f"kappa = {kappa}"))
     data = {
         "lambda_tilde_plus_mu": str(s),
         "hypothesis_holds": hypothesis,

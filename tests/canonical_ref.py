@@ -17,11 +17,26 @@ with it.
 eigenvalues of h' at the first ten sample points, kept as it was. It is
 now the fallback for spectra that are not integer and exact, and tests
 compare ``spectrum()`` with it there.
+
+The dense frame contractions (``ref_apply``, ``ref_lie_bracket``,
+``ref_mat_vec``, ``ref_sym_inverse``, ``ref_from_frame``,
+``ref_frame_brackets``, ``ref_koszul``, ``ref_nabla_comps`` and
+``RefCurvatureTable``) are the earlier versions of ``VectorField.apply``,
+``lie_bracket``, ``_mat_vec``, ``sym_inverse``, ``ManifoldSpec.from_frame``,
+``frame_brackets``, ``koszul``, ``ConnectionTable.nabla_comps`` and the
+``R``, ``ricci``, ``ricci_operator`` and ``star_ricci`` of
+``CurvatureTable``, kept verbatim except that they call each other. They
+multiply, negate and sum every entry, zeros included; tests compare the
+sparse loops, which visit only non-zero entries, with them.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
-from contactgeo.errors import DivisionByZero, ExpressionError
+from contactgeo import scalar
+from contactgeo.curvature import HALF, ConnectionTable, frame_basis
+from contactgeo.errors import DivisionByZero, ExpressionError, SingularFrame
+from contactgeo.geometry import VectorField
 from contactgeo.scalar import (
     _EXPAND_LIMIT, ONE, ZERO, Add, Exp, Mul, Pow, Rat, Sym, add, add_all,
     evaluate, exp_of, mul, pow_int, sort_key,
@@ -222,3 +237,225 @@ def ref_spectrum(tensors, snap_tol=1e-9):
         r = round(x)
         values.append(int(r) if abs(x - r) < snap_tol else float(x))
     return values, spread
+
+
+# --- the earlier dense frame contractions ---------------------------------------
+
+
+def ref_apply(X, f):
+    """Derivation: ``X(f) = sum_i X^i df/dx_i``; zero on constants."""
+    if isinstance(f, Rat):
+        return ZERO
+    return add_all([c * scalar.diff(f, name)
+                    for name, c in zip(X.coords, X.comps) if c is not ZERO])
+
+
+def ref_lie_bracket(X, Y):
+    """``[X, Y]^k = sum_i (X^i dY^k/dx_i - Y^i dX^k/dx_i)``."""
+    X._check(Y)
+    comps = [add_all([ref_apply(X, yk), -ref_apply(Y, xk)]) for xk, yk in zip(X.comps, Y.comps)]
+    return VectorField(X.coords, comps)
+
+
+def ref_sym_inverse(mat):
+    """Invert a square matrix of scalar fields by Gauss-Jordan.
+
+    Returns ``(inverse, determinant)``.  Pivots are entries that are not
+    the zero constant; a column with no such entry raises.
+    """
+    n = len(mat)
+    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(mat)]
+    det = ONE
+    for col in range(n):
+        pivot_row = None
+        for r in range(col, n):
+            if aug[r][col] is not ZERO:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            raise SingularFrame("matrix of scalar fields has a structurally zero column")
+        if pivot_row != col:
+            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+            det = -det
+        pivot = aug[col][col]
+        det = det * pivot
+        inv_pivot = ONE / pivot
+        aug[col] = [x * inv_pivot for x in aug[col]]
+        for r in range(n):
+            if r == col:
+                continue
+            factor = aug[r][col]
+            if factor is ZERO:
+                continue
+            aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    inv = [row[n:] for row in aug]
+    return inv, det
+
+
+def ref_mat_vec(mat, vec):
+    """Row-vector times matrix: ``out[k] = sum_j vec[j] mat[j][k]``."""
+    n = len(mat)
+    return [add_all([vec[j] * mat[j][k] for j in range(n)]) for k in range(n)]
+
+
+def ref_to_frame(M, X):
+    """Frame components of a coordinate vector field."""
+    return ref_mat_vec(M.frame_inverse, list(X.comps))
+
+
+def ref_from_frame(M, c):
+    """Coordinate vector field with the given frame components."""
+    comps = [ZERO] * M.dim
+    for k in range(M.dim):
+        ck = c[k] if isinstance(c[k], scalar.ScalarField) else Rat(c[k])
+        for j in range(M.dim):
+            comps[j] = comps[j] + ck * M.frame[k].comps[j]
+    return VectorField(M.coords, comps)
+
+
+def ref_frame_brackets(M):
+    """Frame components of ``[e_i, e_j]`` for every frame pair."""
+    n = M.dim
+    brackets = [[None] * n for _ in range(n)]
+    for i in range(n):
+        brackets[i][i] = [ZERO] * n
+        for j in range(i + 1, n):
+            brackets[i][j] = ref_to_frame(M, ref_lie_bracket(M.frame[i], M.frame[j]))
+            brackets[j][i] = [-c for c in brackets[i][j]]
+    return brackets
+
+
+def ref_koszul(M):
+    """Levi-Civita connection of the declared frame metric."""
+    n = M.dim
+    G = M.metric
+    brackets = ref_frame_brackets(M)
+    low = [[[add_all([c * G[m][k] for m, c in enumerate(brackets[i][j])
+                      if c is not ZERO and G[m][k] is not ZERO])
+             for k in range(n)] for j in range(n)] for i in range(n)]
+    gamma = []
+    for i in range(n):
+        row_i = []
+        for j in range(n):
+            rhs = [HALF * add_all([ref_apply(M.frame[i], G[j][k]),
+                                   ref_apply(M.frame[j], G[k][i]),
+                                   -ref_apply(M.frame[k], G[i][j]),
+                                   -low[j][k][i], -low[i][k][j], low[i][j][k]])
+                   for k in range(n)]
+            # solve sum_m gamma^m G_mk = rhs_k  =>  gamma = Ginv . rhs
+            entry = [
+                add_all([M.metric_inverse[m][k] * rhs[k] for k in range(n)])
+                for m in range(n)
+            ]
+            row_i.append(entry)
+        gamma.append(row_i)
+    return ConnectionTable(M, gamma, brackets)
+
+
+def ref_nabla_comps(conn, x_frame, c_frame):
+    """Frame components of ``nabla_X Y`` from frame components."""
+    M = conn.M
+    n = M.dim
+    xs = [(i, x) for i, x in enumerate(x_frame) if x is not ZERO]
+    c = [None if ck is ZERO else ck for ck in c_frame]
+    terms = [[] for _ in range(n)]
+    for k, ck in enumerate(c):
+        if ck is not None:
+            for i, x in xs:
+                terms[k].append(x * ref_apply(M.frame[i], ck))
+    for i, x in xs:
+        for k, gs in conn._gamma_nz[i]:
+            w = add_all([c[l] * g for l, g in gs if c[l] is not None])
+            if w is not ZERO:
+                terms[k].append(x * w)
+    return [add_all(t) for t in terms]
+
+
+class RefCurvatureTable:
+    """Riemann, Ricci, Ricci operator and star-Ricci on the frame."""
+
+    def __init__(self, M, conn):
+        self.M = M
+        self.conn = conn
+
+    @cached_property
+    def R(self):
+        """``R[i][j][k]``: frame components of ``R(e_i, e_j) e_k``."""
+        conn = self.conn
+        n = self.M.dim
+        basis = frame_basis(n)
+        R = [[None] * n for _ in range(n)]
+        for i in range(n):
+            R[i][i] = [[ZERO] * n for _ in range(n)]
+            for j in range(i + 1, n):
+                R[i][j] = []
+                for k in range(n):
+                    a = ref_nabla_comps(conn, basis[i], conn.gamma[j][k])
+                    b = ref_nabla_comps(conn, basis[j], conn.gamma[i][k])
+                    c = ref_nabla_comps(conn, conn.brackets[i][j], basis[k])
+                    R[i][j].append([add_all([p, -q, -s]) for p, q, s in zip(a, b, c)])
+                R[j][i] = [[-c for c in comps] for comps in R[i][j]]
+        return R
+
+    @cached_property
+    def ricci(self):
+        """``S_ij = sum g^{ab} g(R(e_a, e_i) e_j, e_b)``, lowering only the
+        ``(a, b)`` entries with ``g^{ab}`` non-zero."""
+        R = self.R
+        n = self.M.dim
+        G = self.M.metric
+        Ginv = self.M.metric_inverse
+        pairs = [(a, b) for a in range(n) for b in range(n) if Ginv[a][b] is not ZERO]
+        S = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                terms = []
+                for a, b in pairs:
+                    # g(R(e_a, e_i) e_j, e_b)
+                    low = add_all([c * G[m][b] for m, c in enumerate(R[a][i][j])
+                                   if c is not ZERO])
+                    terms.append(Ginv[a][b] * low)
+                S[i][j] = add_all(terms)
+        return S
+
+    @cached_property
+    def ricci_operator(self):
+        """Rows: ``Q e_i = sum_k Q[i][k] e_k`` with ``g(Q e_i, .) = S(e_i, .)``."""
+        S = self.ricci
+        n = self.M.dim
+        Ginv = self.M.metric_inverse
+        return [[add_all([Ginv[k][j] * S[j][i] for j in range(n)]) for k in range(n)]
+                for i in range(n)]
+
+    @cached_property
+    def star_ricci(self):
+        """``S*_ij = 1/2 sum g^{ab} g(phi(R(e_i, phi e_j) e_a), e_b)``."""
+        R = self.R
+        M = self.M
+        n = M.dim
+        G = M.metric
+        Ginv = M.metric_inverse
+        P = M.phi
+        # non-zero frame components of phi(e_j)
+        phis = [[(m, c) for m, c in enumerate(row) if c is not ZERO] for row in P]
+        Sstar = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j, phj in enumerate(phis):
+                terms = []
+                for a in range(n):
+                    # R(e_i, phi e_j) e_a, by linearity in the middle slot
+                    comps = [add_all([c * R[i][m][a][k] for m, c in phj
+                                      if R[i][m][a][k] is not ZERO])
+                             for k in range(n)]
+                    # apply phi
+                    phi_comps = [add_all([comps[m] * P[m][k] for m in range(n)
+                                          if comps[m] is not ZERO and P[m][k] is not ZERO])
+                                 for k in range(n)]
+                    # contract with sum_b g^{ab} g(., e_b)
+                    for b in range(n):
+                        if Ginv[a][b] is not ZERO:
+                            inner = add_all([phi_comps[m] * G[m][b] for m in range(n)
+                                             if phi_comps[m] is not ZERO])
+                            terms.append(Ginv[a][b] * inner)
+                Sstar[i][j] = HALF * add_all(terms)
+        return Sstar

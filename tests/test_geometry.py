@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from contactgeo.errors import ExpressionError, ValidationError
+from contactgeo import scalar
+from contactgeo.errors import (
+    ExpressionError, InsufficientSamples, SingularFrame, ValidationError,
+)
 from contactgeo.geometry import ManifoldSpec, VectorField, lie_bracket, sym_inverse
-from contactgeo.scalar import ONE, Rat, ZERO, parse
+from contactgeo.scalar import ONE, Rat, Sampler, ZERO, parse
 
 from canonical_ref import simplify
 from fields import random_vector_fields
@@ -130,3 +133,52 @@ def test_singular_frame_rejected():
     with pytest.raises(ValidationError):
         ManifoldSpec("m", ["x", "y", "z"], rows, eye, eye, 2,
                      box={"x": (-1, 1)}, samples=25)
+
+
+# --- nondegeneracy on the sampling domain ----------------------------------------
+
+BOX = {"x": (-1, 1), "y": (-1, 1), "z": (-1, 1)}
+
+
+def _spec(frame, metric, tol=1e-9, box=BOX, nonvanish=()):
+    eye = [[ONE if i == j else ZERO for j in range(3)] for i in range(3)]
+    return ManifoldSpec("m", ["x", "y", "z"], frame or eye, metric or eye, eye, 2,
+                        box=box, nonvanish=nonvanish, samples=15, tol=tol)
+
+
+def _first_failing_point(det, tol):
+    """The witness of the point loop: the first sample point where |det| < tol."""
+    for env in Sampler(["x", "y", "z"], BOX, count=15).points():
+        if abs(float(scalar.evaluate(det, env))) < tol:
+            return {k: str(v) for k, v in env.items()}
+    return None
+
+
+def test_small_constant_metric_determinant_is_singular_at_the_first_point():
+    # det = 1/1000 is a constant below the tolerance: judged once, and
+    # reported at the first sample point, as the point loop reports it
+    metric = [[Rat(Fraction(1, 1000)), ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
+    with pytest.raises(SingularFrame, match=r"det\(metric_frame\)") as info:
+        _spec(None, metric, tol=1e-2)
+    first = Sampler(["x", "y", "z"], BOX, count=15).points()[0]
+    assert info.value.witness == {k: str(v) for k, v in first.items()}
+    assert info.value.witness == _first_failing_point(Rat(Fraction(1, 1000)), 1e-2)
+    # above the tolerance the same metric is accepted
+    assert _spec(None, metric).metric_det == Rat(Fraction(1, 1000))
+
+
+def test_frame_determinant_small_inside_the_box_is_singular_where_the_loop_finds_it():
+    # det(frame) = x is not constant, so every point is evaluated
+    frame = [[S("x"), ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
+    with pytest.raises(SingularFrame, match=r"det\(frame\)") as info:
+        _spec(frame, None, tol=0.25)
+    assert info.value.witness == _first_failing_point(S("x"), 0.25)
+    assert abs(Fraction(info.value.witness["x"])) < Fraction(1, 4)
+
+
+def test_unmeetable_domain_still_draws_its_points():
+    # both determinants are the constant 1, but the points are still drawn,
+    # and no point keeps |x| >= 1e-3 on this box
+    box = {"x": (Fraction(-1, 10000), Fraction(1, 10000))}
+    with pytest.raises(InsufficientSamples):
+        _spec(None, None, box=box, nonvanish=(S("x"),))

@@ -1,0 +1,144 @@
+"""Sparse frame contractions against the earlier dense loops.
+
+The frame loops from the manifest to the curvature visit only entries
+that are not ``ZERO``. Canonical sums drop zeros and do not depend on
+the order of their operands, so every table must be ``==``-equal, node
+for node, to the dense references in ``canonical_ref``. The manifolds
+are the five fixtures, the golden manifests, and one frame under a
+constant metric that is not diagonal, with a phi that has several
+entries per row, so the skips on g, g^{-1} and phi run where those are
+not the identity or a signed permutation.
+
+The guard at the end counts products with a ``ZERO`` operand while the
+connection and R, S, S* are built on each golden manifest: there must be
+none, so a dense loop cannot come back unnoticed.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from contactgeo import manifest, scalar
+from contactgeo.curvature import CurvatureTable, frame_basis, frame_brackets, koszul
+from contactgeo.geometry import ManifoldSpec, lie_bracket
+from contactgeo.scalar import ZERO, add_all, parse
+
+from canonical_ref import (
+    RefCurvatureTable, ref_apply, ref_from_frame, ref_frame_brackets, ref_koszul,
+    ref_lie_bracket, ref_mat_vec, ref_sym_inverse, ref_to_frame,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_NAMES = ("kenmotsu_exp_3", "kenmotsu_poly_3", "kenmotsu_exp_7", "kenmotsu_poly_9")
+FIXTURES = ("ex1", "ex2", "ex3", "flat", "heis")
+MANIFOLDS = FIXTURES + GOLDEN_NAMES + ("skew",)
+
+
+def _rows(text):
+    return [[parse(e) for e in row.split()] for row in text.split(";")]
+
+
+def _skew():
+    """A 5-dim frame with brackets under a constant, non-diagonal metric,
+    and a phi with two or three entries per row."""
+    return ManifoldSpec(
+        name="skew",
+        coords=("x", "y", "z", "u", "v"),
+        frame=_rows("1 0 0 0 0; 0 exp(x) 0 0 0; y 0 1 0 0; 0 0 z 1 0; 0 x 0 0 exp(-x)"),
+        metric=_rows("2 1 0 0 0; 1 2 0 0 0; 0 0 3 0 1; 0 0 0 1 0; 0 0 1 0 2"),
+        phi=_rows("0 1 2 0 0; -1 0 0 1 0; 0 -1 0 0 3; 1 0 -2 0 1; 0 1 0 -1 0"),
+        xi=4,
+        box={c: (-1, 1) for c in ("x", "y", "z", "u", "v")},
+        samples=5,
+    )
+
+
+def _load(name):
+    if name == "skew":
+        return _skew()
+    return manifest.load(GOLDEN / f"{name}.json").manifold()
+
+
+@pytest.fixture(scope="module")
+def manifolds(request):
+    out = {name: request.getfixturevalue(name).M for name in FIXTURES}
+    for name in GOLDEN_NAMES + ("skew",):
+        out[name] = _load(name)
+    return out
+
+
+@pytest.mark.parametrize("name", MANIFOLDS)
+def test_inverses_match_dense(manifolds, name):
+    M = manifolds[name]
+    assert ref_sym_inverse(M.frame_matrix) == (M.frame_inverse, M.frame_det)
+    assert ref_sym_inverse(M.metric) == (M.metric_inverse, M.metric_det)
+
+
+@pytest.mark.parametrize("name", MANIFOLDS)
+def test_vectors_match_dense(manifolds, name):
+    M = manifolds[name]
+    n = M.dim
+    phi_fields = [M.from_frame(row) for row in M.phi]
+    assert phi_fields == [ref_from_frame(M, row) for row in M.phi]
+    assert M.eta_frame == [add_all([M.xi_frame[k] * M.metric[j][k] for k in range(n)])
+                           for j in range(n)]
+    fields = list(M.frame) + phi_fields
+    for X in fields:
+        assert M.to_frame(X) == ref_to_frame(M, X)
+        for Y in fields:
+            assert lie_bracket(X, Y) == ref_lie_bracket(X, Y)
+        for f in X.comps + tuple(M.eta_frame):
+            assert X.apply(f) == ref_apply(X, f)
+    for row in M.phi + frame_basis(n):
+        assert M.phi_frame_apply(row) == ref_mat_vec(M.phi, row)
+        assert M.sharp(row) == [add_all([M.metric_inverse[m][k] * row[k] for k in range(n)])
+                                for m in range(n)]
+
+
+@pytest.mark.parametrize("name", MANIFOLDS)
+def test_connection_and_curvature_match_dense(manifolds, name):
+    M = manifolds[name]
+    conn = koszul(M)
+    ref = ref_koszul(M)
+    assert frame_brackets(M) == ref_frame_brackets(M) == ref.brackets == conn.brackets
+    assert conn.gamma == ref.gamma
+    table, dense = CurvatureTable(M, conn), RefCurvatureTable(M, conn)
+    for quantity in ("R", "ricci", "ricci_operator", "star_ricci"):
+        assert getattr(table, quantity) == getattr(dense, quantity), quantity
+
+
+def test_skew_manifold_exercises_the_skips(manifolds):
+    # the metric, its inverse and phi have zero and non-zero entries off the
+    # diagonal, and the curvature is not flat
+    M = manifolds["skew"]
+    for A in (M.metric, M.metric_inverse, M.phi):
+        off = [A[i][j] for i in range(M.dim) for j in range(M.dim) if i != j]
+        assert any(e is ZERO for e in off) and any(e is not ZERO for e in off)
+    assert all(sum(e is not ZERO for e in row) >= 2 for row in M.phi)
+    table = CurvatureTable(M, koszul(M))
+    assert any(e is not ZERO for row in table.star_ricci for e in row)
+
+
+# --- the zero-work guard ------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_no_product_with_a_zero_operand(monkeypatch, name):
+    M = _load(name)
+    counts = {"calls": 0, "zero": 0}
+    mul = scalar.mul
+
+    def counting_mul(a, b):
+        counts["calls"] += 1
+        if a is ZERO or b is ZERO:
+            counts["zero"] += 1
+        return mul(a, b)
+
+    scalar.clear_caches()
+    monkeypatch.setattr(scalar, "mul", counting_mul)
+    table = CurvatureTable(M, koszul(M))
+    for quantity in ("R", "ricci", "ricci_operator", "scalar_curvature",
+                     "star_ricci", "star_scalar"):
+        getattr(table, quantity)
+    assert counts["calls"] > 0
+    assert counts["zero"] == 0
