@@ -367,7 +367,7 @@ def hessian(M, conn, f):
         for j in range(n):
             out[i][j] = add_all([M.frame[i].apply(ef[j])]
                                 + [-(gk * ef[k]) for k, gk in enumerate(conn.gamma[i][j])
-                                   if gk is not ZERO])
+                                   if gk is not ZERO and ef[k] is not ZERO])
     return out
 
 
@@ -387,7 +387,8 @@ class StructureTensors:
             # (L_xi phi)(Y) = [xi, phi Y] - phi([xi, Y])
             a = M.to_frame(lie_bracket(xi, phiY))
             b = M.phi_frame_apply(M.to_frame(lie_bracket(xi, Y)))
-            return [HALF * (p - q) for p, q in zip(a, b)]
+            diff = [p if q is ZERO else add_all([p, -q]) for p, q in zip(a, b)]
+            return [d if d is ZERO else HALF * d for d in diff]
 
         self.h = [half_lie_phi(M.frame[j], phi_fields[j]) for j in range(n)]
         # h'(e_j) = h(phi e_j), computed directly from the bracket definition

@@ -16,11 +16,14 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import scalar
-from .errors import ExpressionError, SingularFrame, ValidationError
-from .scalar import Rat, Sampler, ZERO, ONE, add_all, is_zero, evaluate
+from .errors import DivisionByZero, ExpressionError, SingularFrame, ValidationError
+from .scalar import (
+    Add, Exp, Mul, Pow, Rat, Sampler, Sym, ZERO, ONE, add_all, is_zero, evaluate,
+)
 
 Number = (int, Fraction)
 
@@ -149,6 +152,72 @@ def _mat_vec(mat, vec):
             for k in range(len(mat))]
 
 
+def _exp_bound(x, toward):
+    """``exp(x)`` as an exact Fraction, rounded one float step toward
+    ``toward`` (+-inf) on the argument and again on the value."""
+    y = math.exp(math.nextafter(float(x), toward))
+    return Fraction(max(0.0, math.nextafter(y, toward)))
+
+
+def _bounds(e, box, memo):
+    found = memo.get(e)
+    if found is not None:
+        return found
+    if isinstance(e, Rat):
+        out = (e.value, e.value)
+    elif isinstance(e, Sym):
+        out = tuple(sorted(box[e.name]))
+    elif isinstance(e, Exp):
+        lo, hi = _bounds(e.arg, box, memo)
+        out = (_exp_bound(lo, -math.inf), _exp_bound(hi, math.inf))
+    elif isinstance(e, Pow):
+        lo, hi = _bounds(e.base, box, memo)
+        n = e.exponent
+        if n < 0:
+            if lo <= 0 <= hi:
+                raise DivisionByZero("the base interval contains 0")
+            lo, hi, n = 1 / Fraction(hi), 1 / Fraction(lo), -n
+        a, b = lo**n, hi**n
+        if n % 2 or lo >= 0:
+            out = (a, b)
+        elif hi <= 0:
+            out = (b, a)
+        else:
+            out = (Fraction(0), max(a, b))
+    elif isinstance(e, Mul):
+        lo = hi = Fraction(1)
+        for f in e.factors:
+            flo, fhi = _bounds(f, box, memo)
+            ends = (lo * flo, lo * fhi, hi * flo, hi * fhi)
+            lo, hi = min(ends), max(ends)
+        out = (lo, hi)
+    elif isinstance(e, Add):
+        parts = [_bounds(t, box, memo) for t in e.terms]
+        out = (sum(p[0] for p in parts), sum(p[1] for p in parts))
+    else:
+        raise ExpressionError(f"not a scalar expression: {e!r}")
+    memo[e] = out
+    return out
+
+
+def bounds(e, box):
+    """An interval ``(lo, hi)`` of Fractions that encloses the field ``e``
+    on the closed box ``box`` (coordinate -> (lo, hi)), or None when it
+    cannot be decided: a coordinate the box does not bound, a negative
+    power of a base whose interval contains 0, or an exp that overflows.
+    The arithmetic is exact, except that exp is rounded outward."""
+    try:
+        return _bounds(e, box, {})
+    except (KeyError, DivisionByZero, OverflowError):
+        return None
+
+
+def _off_zero(e, box, gap):
+    """Whether the enclosure of ``e`` on the box stays ``gap`` away from 0."""
+    span = bounds(e, box)
+    return span is not None and (span[0] >= gap or span[1] <= -gap)
+
+
 class ManifoldSpec:
     """Validated manifold data plus cached derived quantities."""
 
@@ -211,12 +280,24 @@ class ManifoldSpec:
             raise ValidationError(f"{label} must be {self.dim}x{self.dim}")
 
     def _validate_nondegeneracy(self):
-        """Each determinant must stay off zero at every sample point. A
-        constant one has the same value at all of them, so it is judged
-        once, at the first point, which is also the witness the full loop
-        would report."""
+        """Each determinant must stay off zero at every sample point.
+
+        One whose enclosure on the domain box stays 2 * tol away from 0
+        passes unevaluated; any other is evaluated at the points (a
+        constant once, at the first point, the witness the full loop would
+        report). The points are drawn here only if a nonvanishing
+        constraint comes within 2 * margin of 0 on the box: only then can
+        candidates be rejected and the sampler fall short, which must show
+        at construction. Otherwise they are drawn on first use.
+        """
+        sampler = self.sampler
+        if not all(_off_zero(g, sampler.box, 2 * sampler.margin)
+                   for g in sampler.nonvanish):
+            sampler.points()
         for label, det in (("frame", self.frame_det), ("metric_frame", self.metric_det)):
-            points = self.sampler.points()
+            if _off_zero(det, sampler.box, 2 * self.tol):
+                continue
+            points = sampler.points()
             if isinstance(det, Rat):
                 points = points[:1]
             for env in points:

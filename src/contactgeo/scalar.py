@@ -694,8 +694,9 @@ def is_zero(e, sampler=None, tol=1e-9):
     ``e`` must be canonical, as every node built by this module is: terms
     that cancel have already collapsed to the zero constant, which is
     proved zero, and any other constant is non-zero.  Other expressions
-    are evaluated at the sampler's points and judged against the absolute
-    tolerance.
+    are evaluated at every sample point and judged against the absolute
+    tolerance; a failure's witness is the first point that breaks it, and
+    ``max_abs`` is the largest |value| over all the points.
     """
     if e is ZERO:
         return _PROVED
@@ -705,22 +706,21 @@ def is_zero(e, sampler=None, tol=1e-9):
         raise ExpressionError("a sampler is required for non-constant zero tests")
     max_abs = 0.0
     used = 0
+    witness = None
     for env in sampler.points():
         try:
             v = _eval(e, env, {})
-        except DivisionByZero:
-            continue
-        except OverflowError:
+        except (DivisionByZero, OverflowError):
             continue
         used += 1
         a = abs(float(v))
-        if a >= tol:
-            return Verdict(NON_ZERO, a, (dict(env), v))
+        if a >= tol and witness is None:
+            witness = (dict(env), v)
         if a > max_abs:
             max_abs = a
     if used == 0:
         raise InsufficientSamples("every sample point hit a singularity")
-    return Verdict(NUMERICALLY_ZERO, max_abs)
+    return Verdict(NUMERICALLY_ZERO if witness is None else NON_ZERO, max_abs, witness)
 
 
 # --- sampling ----------------------------------------------------------------

@@ -16,7 +16,7 @@ from functools import cached_property
 
 from .curvature import hessian, lie_derivative_eta, lie_derivative_metric
 from .errors import DegenerateSystem, MissingPotential
-from .scalar import PROVED_ZERO, Rat, ZERO, to_str
+from .scalar import MINUS_ONE, ONE, PROVED_ZERO, Rat, ZERO, add_all, to_str
 from .structure import CheckReport, _numeric_result, combine, fit_sampled, snap
 
 
@@ -30,6 +30,20 @@ def _coerce(q):
         return Fraction(q)
     f = Fraction(q).limit_denominator(10 ** 12)
     return f if abs(float(f) - float(q)) < 1e-15 else float(q)
+
+
+TWO = Rat(2)
+
+
+def _product(*factors):
+    """The product of the factors, ``ZERO`` without a multiplication when
+    one of them is ``ZERO``."""
+    if any(f is ZERO for f in factors):
+        return ZERO
+    out = factors[0]
+    for f in factors[1:]:
+        out = out * f
+    return out
 
 
 class SolitonProblem:
@@ -65,7 +79,7 @@ class SolitonProblem:
         star = self.table.star_ricci
         if self.V is not None:
             lie = lie_derivative_metric(M, self.V)
-            out = [[lie[i][j] + Rat(2) * star[i][j] for j in range(n)]
+            out = [[lie[i][j] + _product(TWO, star[i][j]) for j in range(n)]
                    for i in range(n)]
         else:
             hess = hessian(M, self.table.conn, self.f)
@@ -75,11 +89,11 @@ class SolitonProblem:
     @cached_property
     def coefficient_tensors(self):
         """Coefficients of (lambda~, mu) in the residual, as matrices."""
-        M, n = self.M, self.M.dim
-        scale = Rat(2) if self.V is not None else Rat(1)
-        g_part = [[scale * M.metric[i][j] for j in range(n)] for i in range(n)]
+        M = self.M
+        scale = TWO if self.V is not None else ONE
         eta = M.eta_frame
-        eta_part = [[scale * eta[i] * eta[j] for j in range(n)] for i in range(n)]
+        g_part = [[_product(scale, g) for g in row] for row in M.metric]
+        eta_part = [[_product(scale, ei, ej) for ej in eta] for ei in eta]
         return g_part, eta_part
 
 
@@ -90,7 +104,7 @@ def soliton_residual(P, lambda_tilde, mu):
     base = P.base_tensor
     g_part, eta_part = P.coefficient_tensors
     lt, m = snap(lambda_tilde), snap(mu)
-    return [[base[i][j] + lt * g_part[i][j] + m * eta_part[i][j]
+    return [[add_all([base[i][j], _product(lt, g_part[i][j]), _product(m, eta_part[i][j])])
              for j in range(n)] for i in range(n)]
 
 
@@ -217,7 +231,7 @@ def solve_soliton(P):
     n = M.dim
     base = P.base_tensor
     g_part, eta_part = P.coefficient_tensors
-    entries = [(g_part[i][j], eta_part[i][j], -base[i][j])
+    entries = [(g_part[i][j], eta_part[i][j], _product(MINUS_ONE, base[i][j]))
                for i in range(n) for j in range(i, n)]
     fit = fit_sampled(M, entries, skip_singular=True)
     lt, mu = fit.values

@@ -99,9 +99,9 @@ def combine(M, name, parts, note="", exact=True):
     """Aggregate labeled residual expressions into one CheckResult.
 
     parts: iterable of (component label, ScalarField). The worst verdict
-    wins; the witness points at the first offending component, and
-    max_abs is the largest |value| the zero tests saw (for a failing
-    component, its value at the first point that breaks the tolerance).
+    wins; the witness points at the first offending component (and at the
+    first sample point where it breaks the tolerance), and max_abs is the
+    largest |value| over the components and the sample points.
     ``exact=False`` says the parts were built from float constants: a
     constant residual within the tolerance is then numerically zero.
     """
@@ -383,8 +383,10 @@ def fit_sampled(M, entries, skip_singular=False):
     normal equations and has residual 0, so it is left out; a tuple of
     other constants gives the same row at every point, so it enters once,
     weighted by the number of points used; only the remaining tuples are
-    evaluated point by point. With ``skip_singular`` a point where some
-    entry cannot be evaluated is skipped instead of raising.
+    evaluated point by point. When no tuple depends on the point, no point
+    is drawn: every point would be used, so the weight is the sampler's
+    count. With ``skip_singular`` a point where some entry cannot be
+    evaluated is skipped instead of raising.
     """
     constant, varying = [], []
     for entry in entries:
@@ -393,8 +395,9 @@ def fit_sampled(M, entries, skip_singular=False):
         elif any(e.value != 0 for e in entry):
             constant.append(tuple(e.value for e in entry))
     rows, rhs = [], []
-    used = 0
-    for env in M.sampler.points():
+    points = M.sampler.points() if varying else ()
+    used = 0 if varying else M.sampler.count
+    for env in points:
         try:
             values = [[evaluate(e, env) for e in entry] for entry in varying]
         except (DivisionByZero, ZeroDivisionError, OverflowError):

@@ -574,3 +574,30 @@ def test_acceptance_09_no_numerically_zero_verdict(capsys, monkeypatch):
                        for family, rep in payload["checks"].items()
                        for r in rep["checks"] if r["verdict"] == "numerically_zero"]
             assert not numeric, (name, numeric)
+
+
+# --- 10: sample points are drawn only where something is undecided --------------
+
+
+def test_acceptance_10_points_drawn_only_where_undecided(capsys, monkeypatch):
+    # every determinant and fit tuple of the sweep is settled without a
+    # point; example3 declares y non-zero on [-2, 2], so its sampler can
+    # reject candidates and draws at construction, in every command
+    with announce(capsys, "10 only example3's commands draw sample points"):
+        monkeypatch.chdir(GOLDEN_DIR)
+        commands = _sweep_commands()
+        running, drew = [], []
+        generate = Sampler._generate
+
+        def recording(sampler):
+            drew.append(running[-1])
+            return generate(sampler)
+
+        monkeypatch.setattr(Sampler, "_generate", recording)
+        for argv in commands:
+            running.append(argv)
+            cli_main(list(argv))
+        capsys.readouterr()
+        expected = [argv for argv in commands if argv[1] == "example3"]
+        assert len(expected) == 10
+        assert drew == expected

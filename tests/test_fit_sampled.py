@@ -80,6 +80,16 @@ def with_points(M, points):
     return M
 
 
+def without_points(M):
+    """A copy of ``M`` whose sampler has its count but fails on a draw."""
+    def points():
+        raise AssertionError("a sample point was drawn")
+
+    M = copy.copy(M)
+    M.sampler = SimpleNamespace(count=M.sampler.count, points=points)
+    return M
+
+
 # --- constant and point-dependent entries together ---------------------------
 
 
@@ -100,6 +110,10 @@ def test_eta_einstein_mixed_entries(flat, monkeypatch):
     assert settled.kind == NON_ZERO
     assert settled.witness[0].startswith("(S - a g - b eta(x)eta)(e_")
     assert rep.data["residual_max"] == settled.max_abs > 0
+    # max_abs is the worst |residual| over the components and points; the
+    # witness stays the first point where a component breaks the tolerance
+    assert round(settled.max_abs, 3) == 3.000
+    assert round(abs(float(settled.witness[2])), 3) == 1.108
     a, b = fit.values
     assert rep.data["a"] == str(a) and rep.data["b"] == str(b)
     assert a + b == 3
@@ -121,6 +135,17 @@ def test_gradient_soliton_mixed_entries(flat, monkeypatch):
     assert rep.residual_max == rep.verdict.max_abs > 0
     assert (rep.lambda_tilde, rep.mu) == tuple(fit.values)
     assert fit.values[0] + fit.values[1] == 0
+
+
+@pytest.mark.parametrize("skip_singular", [False, True])
+def test_constant_tuples_draw_no_point(flat, skip_singular):
+    # zero, exact and inconsistent constant tuples: no tuple depends on the
+    # point, so the rows weigh the sampler's count and no point is drawn
+    entries = [(Rat(1), Rat(2), Rat(3)), (ZERO, ZERO, ZERO),
+               (Rat(2), ZERO, Rat(Fraction(1, 3))), (Rat(-1), Rat(1), Rat(4))]
+    fit = fit_sampled(without_points(flat.M), entries, skip_singular=skip_singular)
+    assert fields(fit) == fields(reference_fit(flat.M, entries))
+    assert fit.exact
 
 
 # --- rows that depend on the point -------------------------------------------

@@ -9,9 +9,10 @@ constant metric that is not diagonal, with a phi that has several
 entries per row, so the skips on g, g^{-1} and phi run where those are
 not the identity or a signed permutation.
 
-The guard at the end counts products with a ``ZERO`` operand while the
-connection and R, S, S* are built on each golden manifest: there must be
-none, so a dense loop cannot come back unnoticed.
+The guards at the end count products with a ``ZERO`` operand on each
+golden manifest, while the connection and R, S, S* are built, and while
+h, h' and both forms of the soliton solve are: there must be none, so a
+dense loop cannot come back unnoticed.
 """
 
 from pathlib import Path
@@ -19,9 +20,12 @@ from pathlib import Path
 import pytest
 
 from contactgeo import manifest, scalar
-from contactgeo.curvature import CurvatureTable, frame_basis, frame_brackets, koszul
+from contactgeo.curvature import (
+    CurvatureTable, StructureTensors, frame_basis, frame_brackets, koszul,
+)
 from contactgeo.geometry import ManifoldSpec, lie_bracket
-from contactgeo.scalar import ZERO, add_all, parse
+from contactgeo.scalar import ZERO, Sym, add_all, parse
+from contactgeo.soliton import SolitonProblem, solve_soliton
 
 from canonical_ref import (
     RefCurvatureTable, ref_apply, ref_from_frame, ref_frame_brackets, ref_koszul,
@@ -122,9 +126,9 @@ def test_skew_manifold_exercises_the_skips(manifolds):
 # --- the zero-work guard ------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", GOLDEN_NAMES)
-def test_no_product_with_a_zero_operand(monkeypatch, name):
-    M = _load(name)
+def _count_zero_products(monkeypatch):
+    """Empty the scalar caches and count every ``scalar.mul`` call from here
+    on, and those with a ``ZERO`` operand."""
     counts = {"calls": 0, "zero": 0}
     mul = scalar.mul
 
@@ -136,9 +140,35 @@ def test_no_product_with_a_zero_operand(monkeypatch, name):
 
     scalar.clear_caches()
     monkeypatch.setattr(scalar, "mul", counting_mul)
+    return counts
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_no_product_with_a_zero_operand(monkeypatch, name):
+    M = _load(name)
+    counts = _count_zero_products(monkeypatch)
     table = CurvatureTable(M, koszul(M))
     for quantity in ("R", "ricci", "ricci_operator", "scalar_curvature",
                      "star_ricci", "star_scalar"):
         getattr(table, quantity)
+    assert counts["calls"] > 0
+    assert counts["zero"] == 0
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_no_product_with_a_zero_operand_in_h_or_the_soliton(monkeypatch, name):
+    # the h of StructureTensors, and SolitonProblem's tensors, fit entries
+    # and residual, in the vector form (the manifest's potential) and the
+    # gradient form (f = t^2 in the last coordinate, through the Hessian)
+    mf = manifest.load(GOLDEN / f"{name}.json")
+    M = mf.manifold()
+    table = CurvatureTable(M, koszul(M))
+    table.star_ricci
+    f = Sym(M.coords[-1]) ** 2
+    counts = _count_zero_products(monkeypatch)
+    StructureTensors(M)
+    for problem in (SolitonProblem(M, table, V=mf.potential_field()),
+                    SolitonProblem(M, table, f=f)):
+        solve_soliton(problem)
     assert counts["calls"] > 0
     assert counts["zero"] == 0
