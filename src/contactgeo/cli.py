@@ -7,11 +7,11 @@ JSON is emitted with sorted keys.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
 from functools import cached_property
+from types import SimpleNamespace
 
 from . import __version__
 from . import manifest as manifest_mod
@@ -27,53 +27,119 @@ CHECK_NAMES = ("almost_contact", "kenmotsu", "almost_kenmotsu",
 TABLE_NAMES = ("brackets", "conn", "riem", "ricci", "star", "h")
 
 
-def _fraction_arg(text):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+def _table_name(text):
+    if text not in TABLE_NAMES:
+        raise ContactGeoError(
+            f"--what must be one of {', '.join(TABLE_NAMES)}, not {text!r}")
+    return text
 
 
-def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("manifest", help="manifest path or bundled fixture name")
-    common.add_argument("--json", action="store_true", dest="as_json",
-                        help="emit a JSON report instead of text")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the sampling seed")
-    common.add_argument("--samples", type=int, default=None,
-                        help="override the sample-point count")
-    common.add_argument("--tol", type=float, default=None,
-                        help="override the zero-test tolerance")
+# Each subcommand's options that take a value, as (dest, converter), and its
+# flags, as dest. Every subcommand also takes one manifest argument.
+_COMMON = {"--seed": ("seed", int), "--samples": ("samples", int),
+           "--tol": ("tol", float)}
+COMMANDS = {
+    "check": ({**_COMMON, "--checks": ("checks", str)},
+              {"--json": "as_json"}),
+    "tables": ({**_COMMON, "--what": ("what", _table_name)},
+               {"--json": "as_json"}),
+    "soliton": ({**_COMMON, "--lambda-tilde": ("lambda_tilde", Fraction),
+                 "--mu": ("mu", Fraction), "--p": ("p", Fraction)},
+                {"--json": "as_json", "--solve": "solve", "--verify": "verify"}),
+}
+_DEFAULTS = {"checks": ",".join(CHECK_NAMES)}
 
-    p = argparse.ArgumentParser(
-        prog="contactgeo",
-        description="verify almost contact metric structures and "
-                    "*-conformal eta-Ricci solitons",
-    )
-    p.add_argument("--version", action="version", version=f"contactgeo {__version__}")
-    sub = p.add_subparsers(dest="command", required=True)
+USAGE = """\
+usage: contactgeo {check,tables,soliton} MANIFEST [options]
 
-    pc = sub.add_parser("check", parents=[common],
-                        help="run the structure checks")
-    pc.add_argument("--checks", default=",".join(CHECK_NAMES),
-                    help="comma-separated subset of: " + ", ".join(CHECK_NAMES))
+Verify almost contact metric structures and *-conformal eta-Ricci solitons.
+MANIFEST is a manifest path or the name of a bundled fixture.
 
-    pt = sub.add_parser("tables", parents=[common],
-                        help="print connection/curvature/ricci tables")
-    pt.add_argument("--what", choices=TABLE_NAMES, required=True)
+commands:
+  check       run the structure checks
+  tables      print connection/curvature/ricci tables
+  soliton     solve or verify the soliton equation
 
-    ps = sub.add_parser("soliton", parents=[common],
-                        help="solve or verify the soliton equation")
-    mode = ps.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--solve", action="store_true")
-    mode.add_argument("--verify", action="store_true")
-    ps.add_argument("--lambda-tilde", type=_fraction_arg, default=None,
-                    dest="lambda_tilde")
-    ps.add_argument("--mu", type=_fraction_arg, default=None)
-    ps.add_argument("--p", type=_fraction_arg, default=None,
-                    help="numeric pressure for a concrete classification")
-    return p
+options of every command:
+  --json            emit a JSON report instead of text
+  --seed N          override the sampling seed
+  --samples N       override the sample-point count
+  --tol X           override the zero-test tolerance
+
+check:
+  --checks LIST     comma-separated subset of almost_contact, kenmotsu,
+                    almost_kenmotsu, nullity, eta_einstein (default: all)
+
+tables:
+  --what KIND       required: brackets, conn, riem, ricci, star or h
+
+soliton:
+  --solve           fit the soliton constants (this or --verify is required)
+  --verify          check the soliton equation at given constants
+  --lambda-tilde Q  lambda~ for --verify (default: the manifest's constant)
+  --mu Q            mu for --verify (default: the manifest's constant)
+  --p Q             numeric pressure for a concrete classification
+
+An option takes its value as the next argument or after '=' (--seed=5); a
+repeated option's last value wins; option names are never abbreviated.
+
+  -h, --help        show this help and exit
+  --version         show the version and exit"""
+
+
+def parse_args(argv):
+    """The command line as a namespace of the option table's dests.
+
+    ``-h``/``--help`` or ``--version`` anywhere gives a namespace whose
+    ``command`` is None and whose ``text`` is to be printed. Every usage
+    error raises ``ContactGeoError``.
+    """
+    argv = list(argv)
+    for token in argv:
+        if token in ("-h", "--help", "--version"):
+            text = f"contactgeo {__version__}" if token == "--version" else USAGE
+            return SimpleNamespace(command=None, text=text)
+    if not argv or argv[0] not in COMMANDS:
+        got = f"unknown command {argv[0]!r}" if argv else "no command given"
+        raise ContactGeoError(f"{got}; choose from {', '.join(COMMANDS)}")
+    command = argv[0]
+    options, flags = COMMANDS[command]
+    args = SimpleNamespace(command=command, manifest=None)
+    for dest, _ in options.values():
+        setattr(args, dest, _DEFAULTS.get(dest))
+    for dest in flags.values():
+        setattr(args, dest, False)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "-" or not token.startswith("-"):
+            if args.manifest is not None:
+                raise ContactGeoError(f"unexpected argument {token!r}")
+            args.manifest = token
+            continue
+        name, eq, value = token.partition("=")
+        if name in flags:
+            if eq:
+                raise ContactGeoError(f"{name} takes no value")
+            setattr(args, flags[name], True)
+        elif name in options:
+            if not eq:
+                value = next(tokens, None)
+                if value is None:
+                    raise ContactGeoError(f"{name} needs a value")
+            dest, convert = options[name]
+            try:
+                setattr(args, dest, convert(value))
+            except (ValueError, ZeroDivisionError):
+                raise ContactGeoError(f"{name}: invalid value {value!r}") from None
+        else:
+            raise ContactGeoError(f"unknown option {name!r} for {command}")
+    if args.manifest is None:
+        raise ContactGeoError(f"{command} needs a manifest path or bundled fixture name")
+    if command == "tables" and args.what is None:
+        raise ContactGeoError(f"tables needs --what, one of {', '.join(TABLE_NAMES)}")
+    if command == "soliton" and args.solve == args.verify:
+        raise ContactGeoError("soliton needs exactly one of --solve and --verify")
+    return args
 
 
 class Workspace:
@@ -381,9 +447,11 @@ def cmd_soliton(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args.command is None:
+            print(args.text)
+            return 0
         if args.command == "check":
             return cmd_check(args)
         if args.command == "tables":

@@ -96,22 +96,23 @@ class ConnectionTable:
         """Covariant derivative of a (1,1) tensor given as a frame matrix.
 
         ``(nabla_X A)(e_j) = nabla_X (A e_j) - A (nabla_X e_j)``; rows of
-        the result are images of the frame vectors. Each component of
-        ``A (nabla_X e_j)`` is merged in one ``add_all``.
+        the result are images of the frame vectors. The terms of both parts
+        of each component are merged in one ``add_all``.
         """
         M = self.M
         n = M.dim
         out = []
         for j in range(n):
-            first = self.nabla_comps(x_frame, A[j])
-            nx_ej = self.nabla_comps(x_frame, [ONE if k == j else ZERO for k in range(n)])
             terms = [[] for _ in range(n)]
+            self.nabla_terms(x_frame, A[j], terms)
+            nx_ej = self.nabla_comps(x_frame, [ONE if k == j else ZERO for k in range(n)])
             for m, c in enumerate(nx_ej):
                 if c is not ZERO:
+                    c = -c
                     for k, amk in enumerate(A[m]):
                         if amk is not ZERO:
                             terms[k].append(c * amk)
-            out.append([a - add_all(t) for a, t in zip(first, terms)])
+            out.append([add_all(t) for t in terms])
         return out
 
 
@@ -521,10 +522,11 @@ class ExteriorData:
         self.d_eta = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                val = M.frame[i].apply(eta[j]) - M.frame[j].apply(eta[i])
-                val = val - add_all([brackets[i][j][k] * eta[k] for k in range(n)
-                                     if brackets[i][j][k] is not ZERO])
-                self.d_eta[i][j] = val
+                minus = [M.frame[j].apply(eta[i])] + [
+                    c * eta[k] for k, c in enumerate(brackets[i][j])
+                    if c is not ZERO and eta[k] is not ZERO]
+                self.d_eta[i][j] = add_all([M.frame[i].apply(eta[j])]
+                                           + [-e for e in minus if e is not ZERO])
 
         # Phi(X, Y) = g(X, phi Y)
         self.Phi = [[None] * n for _ in range(n)]
@@ -544,16 +546,18 @@ class ExteriorData:
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
+                    minus = (M.frame[j].apply(self.Phi[i][k]),
+                             phi_form(brackets[i][j], basis[k]),
+                             phi_form(brackets[j][k], basis[i]))
                     self.d_Phi[(i, j, k)] = add_all([
                         M.frame[i].apply(self.Phi[j][k]),
-                        -M.frame[j].apply(self.Phi[i][k]),
                         M.frame[k].apply(self.Phi[i][j]),
-                        -phi_form(brackets[i][j], basis[k]),
-                        phi_form(brackets[i][k], basis[j]),
-                        -phi_form(brackets[j][k], basis[i])])
-                    self.eta_wedge_Phi[(i, j, k)] = add_all([eta[i] * self.Phi[j][k],
-                                                             eta[j] * self.Phi[k][i],
-                                                             eta[k] * self.Phi[i][j]])
+                        phi_form(brackets[i][k], basis[j])]
+                        + [-e for e in minus if e is not ZERO])
+                    wedge = ((eta[i], self.Phi[j][k]), (eta[j], self.Phi[k][i]),
+                             (eta[k], self.Phi[i][j]))
+                    self.eta_wedge_Phi[(i, j, k)] = add_all([
+                        a * b for a, b in wedge if a is not ZERO and b is not ZERO])
 
 
 def nijenhuis(M):

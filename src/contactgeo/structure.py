@@ -22,10 +22,11 @@ from . import scalar
 from .curvature import (ExteriorData, frame_basis, lie_derivative_eta,
                         lie_derivative_metric)
 from .errors import DegenerateSystem, DivisionByZero
-from .geometry import lie_bracket
+from .geometry import _mat_vec, lie_bracket
 from .lstsq import solve_least_squares
 from .scalar import (
-    NON_ZERO, NUMERICALLY_ZERO, ONE, PROVED_ZERO, Rat, ZERO, add_all, evaluate, to_str,
+    MINUS_ONE, NON_ZERO, NUMERICALLY_ZERO, ONE, PROVED_ZERO, Rat, ZERO, add_all, evaluate,
+    to_str,
 )
 
 _KIND_RANK = {PROVED_ZERO: 0, NUMERICALLY_ZERO: 1, NON_ZERO: 2}
@@ -84,6 +85,19 @@ class CheckReport:
             "checks": [r.to_dict() for r in self.results],
             "data": self.data,
         }
+
+
+def _prod(*factors):
+    """The product of the factors; ``ZERO``, with nothing multiplied, when
+    one of them is ``ZERO``. The residuals are sums of such products, and
+    most frame components are zero."""
+    for f in factors:
+        if f is ZERO:
+            return ZERO
+    out = factors[0]
+    for f in factors[1:]:
+        out = out * f
+    return out
 
 
 def _verdict_of(M, expr, exact=True):
@@ -157,7 +171,8 @@ def settle_fit(M, name, labelled, constants, exact):
     residual 0 and is left out, as it is from the fit.
     """
     return combine(M, name, [
-        (label, entry[-1] - add_all([x * a for x, a in zip(constants, entry)]))
+        (label, add_all([entry[-1]] + [_prod(MINUS_ONE, x, a)
+                                       for x, a in zip(constants, entry)]))
         for label, entry in labelled if any(e is not ZERO for e in entry)],
         exact=exact)
 
@@ -175,13 +190,14 @@ def check_almost_contact(M):
     for j in range(n):
         for k in range(n):
             delta = ONE if j == k else ZERO
-            e = phi2[j][k] + delta - eta[j] * xi[k]
+            e = add_all([phi2[j][k], delta, _prod(MINUS_ONE, eta[j], xi[k])])
             parts_sq.append((f"(phi^2 + Id - eta(x)xi)(e_{j + 1})[{k + 1}]", e))
 
     parts_comp = []
     for i in range(n):
         for j in range(i, n):
-            e = M.metric_apply(M.phi[i], M.phi[j]) - G[i][j] + eta[i] * eta[j]
+            e = add_all([M.metric_apply(M.phi[i], M.phi[j]), _prod(MINUS_ONE, G[i][j]),
+                         _prod(eta[i], eta[j])])
             parts_comp.append((f"compat(e_{i + 1}, e_{j + 1})", e))
 
     phi_xi = M.phi_frame_apply(xi)
@@ -203,7 +219,8 @@ def check_almost_contact(M):
                  for j in range(n)]),
         combine(M, "eta_metric_duality",
                 [(f"g(e_{j + 1}, xi) - eta(e_{j + 1})",
-                  M.metric_apply(basis[j], xi) - eta[j]) for j in range(n)]),
+                  add_all([M.metric_apply(basis[j], xi), _prod(MINUS_ONE, eta[j])]))
+                 for j in range(n)]),
         combine(M, "phi_antisymmetry", parts_anti),
     ]
     return CheckReport("almost_contact", results)
@@ -222,7 +239,7 @@ def check_kenmotsu(M, conn, table):
         # (nabla_X phi)Y = nabla_X(phi Y) - phi(nabla_X Y)
         a = conn.nabla_comps(x_frame, M.phi_frame_apply(y_frame))
         b = M.phi_frame_apply(conn.nabla_comps(x_frame, y_frame))
-        return [p - q for p, q in zip(a, b)]
+        return [add_all([p, _prod(MINUS_ONE, q)]) for p, q in zip(a, b)]
 
     parts_b8 = []
     for i in range(n):
@@ -230,21 +247,23 @@ def check_kenmotsu(M, conn, table):
             lhs = nabla_phi(basis[i], basis[j])
             coeff = M.metric_apply(M.phi[i], basis[j])
             for k in range(n):
-                e = lhs[k] - coeff * xi[k] + eta[j] * M.phi[i][k]
+                e = add_all([lhs[k], _prod(MINUS_ONE, coeff, xi[k]),
+                             _prod(eta[j], M.phi[i][k])])
                 parts_b8.append((f"(nabla_e{i + 1} phi)e_{j + 1}[{k + 1}]", e))
 
     parts_b9 = []
     for i in range(n):
         nx = conn.nabla_comps(basis[i], xi)
         for k in range(n):
-            e = nx[k] - (ONE if i == k else ZERO) + eta[i] * xi[k]
+            e = add_all([nx[k], MINUS_ONE if i == k else ZERO, _prod(eta[i], xi[k])])
             parts_b9.append((f"(nabla_e{i + 1} xi - e_{i + 1} + eta xi)[{k + 1}]", e))
 
     parts_b10 = []
     for i in range(n):
         for j in range(n):
-            de = M.frame[i].apply(eta[j]) - M.metric_apply(conn.gamma[i][j], xi)
-            e = de - G[i][j] + eta[i] * eta[j]
+            e = add_all([M.frame[i].apply(eta[j]),
+                         _prod(MINUS_ONE, M.metric_apply(conn.gamma[i][j], xi)),
+                         _prod(MINUS_ONE, G[i][j]), _prod(eta[i], eta[j])])
             parts_b10.append((f"(nabla eta - g + eta(x)eta)(e_{i + 1}, e_{j + 1})", e))
 
     parts_b11 = []
@@ -252,21 +271,21 @@ def check_kenmotsu(M, conn, table):
         for j in range(i + 1, n):
             rv = table.riemann_apply(basis[i], basis[j], xi)
             for k in range(n):
-                e = rv[k] - eta[i] * (ONE if j == k else ZERO) \
-                    + eta[j] * (ONE if i == k else ZERO)
+                e = add_all([rv[k], _prod(MINUS_ONE, eta[i]) if j == k else ZERO,
+                             eta[j] if i == k else ZERO])
                 parts_b11.append((f"R(e_{i + 1}, e_{j + 1})xi[{k + 1}]", e))
 
     parts_b12 = []
     for i in range(n):
-        s = add_all([table.ricci[i][j] * xi[j] for j in range(n)])
-        parts_b12.append((f"S(e_{i + 1}, xi) + 2n eta(e_{i + 1})",
-                          s + two_n * eta[i]))
+        s = add_all([_prod(table.ricci[i][j], xi[j]) for j in range(n)]
+                    + [_prod(two_n, eta[i])])
+        parts_b12.append((f"S(e_{i + 1}, xi) + 2n eta(e_{i + 1})", s))
 
     lg = lie_derivative_metric(M, M.xi)
     parts_b13 = []
     for i in range(n):
         for j in range(i, n):
-            e = lg[i][j] - Rat(2) * G[i][j] + Rat(2) * eta[i] * eta[j]
+            e = add_all([lg[i][j], _prod(Rat(-2), G[i][j]), _prod(Rat(2), eta[i], eta[j])])
             parts_b13.append((f"(L_xi g - 2g + 2eta(x)eta)(e_{i + 1}, e_{j + 1})", e))
 
     Q = table.ricci_operator
@@ -274,24 +293,25 @@ def check_kenmotsu(M, conn, table):
     for i in range(n):
         dQ = conn.nabla_operator(Q, basis[i])
         # (nabla_X Q)(xi) by linearity over the frame images
-        img = [add_all([xi[j] * dQ[j][k] for j in range(n)]) for k in range(n)]
+        img = _mat_vec(dQ, xi)
         for k in range(n):
-            e = img[k] + Q[i][k] + two_n * (ONE if i == k else ZERO)
+            e = add_all([img[k], Q[i][k], two_n if i == k else ZERO])
             parts_c1.append((f"((nabla_e{i + 1} Q)xi + Q e_{i + 1} + 2n e_{i + 1})[{k + 1}]", e))
 
     dQxi = conn.nabla_operator(Q, xi)
     parts_c2 = []
     for i in range(n):
         for k in range(n):
-            e = dQxi[i][k] + Rat(2) * Q[i][k] + Rat(4 * M.n) * (ONE if i == k else ZERO)
+            e = add_all([dQxi[i][k], _prod(Rat(2), Q[i][k]),
+                         Rat(4 * M.n) if i == k else ZERO])
             parts_c2.append((f"((nabla_xi Q)e_{i + 1} + 2Q e_{i + 1} + 4n e_{i + 1})[{k + 1}]", e))
 
-    coef = Rat(2 * M.n - 1)
+    coef = Rat(1 - 2 * M.n)
     parts_c3 = []
     for i in range(n):
         for j in range(i, n):
-            e = table.star_ricci[i][j] - table.ricci[i][j] - coef * G[i][j] \
-                - eta[i] * eta[j]
+            e = add_all([table.star_ricci[i][j], _prod(MINUS_ONE, table.ricci[i][j]),
+                         _prod(coef, G[i][j]), _prod(MINUS_ONE, eta[i], eta[j])])
             parts_c3.append((f"(S* - S - (2n-1)g - eta(x)eta)(e_{i + 1}, e_{j + 1})", e))
 
     results = [
@@ -320,20 +340,20 @@ def check_almost_kenmotsu(M, conn, table, tensors, ext=None):
     parts_eta = [(f"d eta(e_{i + 1}, e_{j + 1})", ext.d_eta[i][j])
                  for i in range(n) for j in range(i + 1, n)]
     parts_phi = [(f"(dPhi - 2 eta^Phi)(e_{i + 1}, e_{j + 1}, e_{k + 1})",
-                  ext.d_Phi[(i, j, k)] - Rat(2) * ext.eta_wedge_Phi[(i, j, k)])
+                  add_all([ext.d_Phi[(i, j, k)],
+                           _prod(Rat(-2), ext.eta_wedge_Phi[(i, j, k)])]))
                  for (i, j, k) in sorted(ext.d_Phi)]
 
     h, hp = tensors.h, tensors.h_prime
-    h_xi = [add_all([xi[j] * h[j][k] for j in range(n)]) for k in range(n)]
-    hp_xi = [add_all([xi[j] * hp[j][k] for j in range(n)]) for k in range(n)]
+    h_xi = _mat_vec(h, xi)
+    hp_xi = _mat_vec(hp, xi)
     parts_b16 = [(f"(h xi)[{k + 1}]", h_xi[k]) for k in range(n)]
     parts_b16 += [(f"(h' xi)[{k + 1}]", hp_xi[k]) for k in range(n)]
 
     parts_b17 = []
     for j in range(n):
         hphi = M.phi_frame_apply([h[j][k] for k in range(n)])  # phi(h e_j)
-        phih_j = [add_all([M.phi[j][m] * h[m][k] for m in range(n)])
-                  for k in range(n)]  # h(phi e_j)
+        phih_j = _mat_vec(h, M.phi[j])  # h(phi e_j)
         for k in range(n):
             parts_b17.append((f"(h phi + phi h)(e_{j + 1})[{k + 1}]",
                               phih_j[k] + hphi[k]))
@@ -345,7 +365,8 @@ def check_almost_kenmotsu(M, conn, table, tensors, ext=None):
     for i in range(n):
         nx = conn.nabla_comps(basis[i], xi)
         for k in range(n):
-            e = nx[k] - (ONE if i == k else ZERO) + eta[i] * xi[k] - hp[i][k]
+            e = add_all([nx[k], MINUS_ONE if i == k else ZERO, _prod(eta[i], xi[k]),
+                         _prod(MINUS_ONE, hp[i][k])])
             parts_b18.append((f"(nabla_e{i + 1} xi - e - eta xi - h')[{k + 1}]", e))
 
     # curvature against the Reeb field must close over h':
@@ -356,10 +377,10 @@ def check_almost_kenmotsu(M, conn, table, tensors, ext=None):
         for j in range(i + 1, n):
             rv = table.riemann_apply(basis[i], basis[j], xi)
             for k in range(n):
-                e = rv[k]
-                e = e - eta[i] * ((ONE if j == k else ZERO) + hp[j][k])
-                e = e + eta[j] * ((ONE if i == k else ZERO) + hp[i][k])
-                e = e - (dhp[i][j][k] - dhp[j][i][k])
+                shape_j = add_all([ONE if j == k else ZERO, hp[j][k]])
+                shape_i = add_all([ONE if i == k else ZERO, hp[i][k]])
+                e = add_all([rv[k], _prod(MINUS_ONE, eta[i], shape_j), _prod(eta[j], shape_i),
+                             _prod(MINUS_ONE, dhp[i][j][k]), dhp[j][i][k]])
                 parts_b19.append((f"R(e_{i + 1}, e_{j + 1})xi shape[{k + 1}]", e))
 
     results = [
@@ -436,8 +457,9 @@ def solve_nullity(M, conn, table, tensors):
         for j in range(i + 1, n):
             rv = table.riemann_apply(basis[i], basis[j], xi)
             for k in range(n):
-                a_k = eta[j] * (ONE if i == k else ZERO) - eta[i] * (ONE if j == k else ZERO)
-                a_m = eta[j] * hp[i][k] - eta[i] * hp[j][k]
+                a_k = add_all([eta[j] if i == k else ZERO,
+                               _prod(MINUS_ONE, eta[i]) if j == k else ZERO])
+                a_m = add_all([_prod(eta[j], hp[i][k]), _prod(MINUS_ONE, eta[i], hp[j][k])])
                 labelled.append((f"R(e_{i + 1}, e_{j + 1})xi nullity form[{k + 1}]",
                                  (a_k, a_m, rv[k])))
     fit = fit_sampled(M, [entry for _, entry in labelled])
@@ -450,11 +472,13 @@ def solve_nullity(M, conn, table, tensors):
     fit_result = settle_fit(M, "nullity_fit", labelled, (kap, mu_eff), fit.exact)
     checks = [fit_result]
     hp2 = tensors.h_prime_squared()
+    kap1 = kap + ONE
     parts = []
     for i in range(n):
         for k in range(n):
             delta = ONE if i == k else ZERO
-            e = hp2[i][k] + (kap + ONE) * (delta - eta[i] * xi[k])
+            e = add_all([hp2[i][k],
+                         _prod(kap1, add_all([delta, _prod(MINUS_ONE, eta[i], xi[k])]))])
             parts.append((f"(h'^2 + (k+1)(Id - eta(x)xi))(e_{i + 1})[{k + 1}]", e))
     checks.append(combine(M, "h_prime_square", parts))
 
@@ -465,30 +489,35 @@ def solve_nullity(M, conn, table, tensors):
             hpi = [hp[i][k] for k in range(n)]
             ghij = M.metric_apply(hpi, basis[j])
             for k in range(n):
-                e = rv[k] - kap * (G[i][j] * xi[k] - eta[j] * (ONE if i == k else ZERO))
-                e = e - mu_eff * (ghij * xi[k] - eta[j] * hpi[k])
+                along_kap = add_all([_prod(G[i][j], xi[k]),
+                                     _prod(MINUS_ONE, eta[j]) if i == k else ZERO])
+                along_mu = add_all([_prod(ghij, xi[k]), _prod(MINUS_ONE, eta[j], hpi[k])])
+                e = add_all([rv[k], _prod(MINUS_ONE, kap, along_kap),
+                             _prod(MINUS_ONE, mu_eff, along_mu)])
                 parts.append((f"R(xi, e_{i + 1})e_{j + 1} shape[{k + 1}]", e))
     checks.append(combine(M, "reeb_curvature_operator", parts))
 
     parts = []
     for i in range(n):
         for k in range(n):
-            delta = ONE if i == k else ZERO
-            e = table.ricci_operator[i][k] + Rat(two_n) * delta \
-                - Rat(two_n) * (kap + ONE) * eta[i] * xi[k] + Rat(two_n) * hp[i][k]
+            e = add_all([table.ricci_operator[i][k], Rat(two_n) if i == k else ZERO,
+                         _prod(Rat(-two_n), kap1, eta[i], xi[k]),
+                         _prod(Rat(two_n), hp[i][k])])
             parts.append((f"(Q + 2n Id - 2n(k+1)eta(x)xi + 2n h')(e_{i + 1})[{k + 1}]", e))
     checks.append(combine(M, "ricci_operator_form", parts))
 
     checks.append(combine(M, "scalar_curvature_value",
                           [("r - 2n(k - 2n)",
-                            table.scalar_curvature - Rat(two_n) * (kap - Rat(two_n)))]))
+                            add_all([table.scalar_curvature,
+                                     Rat(-two_n * (kap.value - two_n))]))]))
 
     parts = []
     for i in range(n):
         for j in range(n):
-            de = M.frame[i].apply(eta[j]) - M.metric_apply(conn.gamma[i][j], xi)
-            hpi = [hp[i][k] for k in range(n)]
-            e = de - G[i][j] + eta[i] * eta[j] - M.metric_apply(hpi, basis[j])
+            e = add_all([M.frame[i].apply(eta[j]),
+                         _prod(MINUS_ONE, M.metric_apply(conn.gamma[i][j], xi)),
+                         _prod(MINUS_ONE, G[i][j]), _prod(eta[i], eta[j]),
+                         _prod(MINUS_ONE, M.metric_apply(hp[i], basis[j]))])
             parts.append((f"(nabla eta - g + eta(x)eta - g(h'.,.))(e_{i + 1}, e_{j + 1})", e))
     checks.append(combine(M, "covariant_eta_shape", parts))
 
@@ -507,7 +536,9 @@ def solve_nullity(M, conn, table, tensors):
     parts = []
     for i in range(n):
         for j in range(i, n):
-            e = table.star_ricci[i][j] + (kap + Rat(2)) * (G[i][j] - eta[i] * eta[j])
+            e = add_all([table.star_ricci[i][j],
+                         _prod(kap + Rat(2),
+                               add_all([G[i][j], _prod(MINUS_ONE, eta[i], eta[j])]))])
             parts.append((f"(S* + (k+2)(g - eta(x)eta))(e_{i + 1}, e_{j + 1})", e))
     checks.append(combine(M, "star_ricci_form", parts))
 
@@ -529,7 +560,7 @@ def solve_eta_einstein(M, table):
     eta = M.eta_frame
     G = M.metric
     labelled = [(f"(S - a g - b eta(x)eta)(e_{i + 1}, e_{j + 1})",
-                 (G[i][j], eta[i] * eta[j], table.ricci[i][j]))
+                 (G[i][j], _prod(eta[i], eta[j]), table.ricci[i][j]))
                 for i in range(n) for j in range(i, n)]
     fit = fit_sampled(M, [entry for _, entry in labelled])
     a, b = fit.values

@@ -28,12 +28,19 @@ The dense frame contractions (``ref_apply``, ``ref_lie_bracket``,
 ``CurvatureTable``, kept verbatim except that they call each other. They
 multiply, negate and sum every entry, zeros included; tests compare the
 sparse loops, which visit only non-zero entries, with them.
+
+``ref_parser`` is the earlier argparse command line, ``build_parser`` of
+``contactgeo.cli`` kept verbatim. Tests compare the namespaces that
+``cli.parse_args`` returns with its own, and that both reject the same
+malformed command lines.
 """
 
+import argparse
 from fractions import Fraction
 from functools import cached_property
 
-from contactgeo import scalar
+from contactgeo import __version__, scalar
+from contactgeo.cli import CHECK_NAMES, TABLE_NAMES
 from contactgeo.curvature import HALF, ConnectionTable, frame_basis
 from contactgeo.errors import DivisionByZero, ExpressionError, SingularFrame
 from contactgeo.geometry import VectorField
@@ -459,3 +466,55 @@ class RefCurvatureTable:
                             terms.append(Ginv[a][b] * inner)
                 Sstar[i][j] = HALF * add_all(terms)
         return Sstar
+
+
+# --- the argparse command line ---------------------------------------------------
+
+
+def _fraction_arg(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+
+
+def ref_parser():
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("manifest", help="manifest path or bundled fixture name")
+    common.add_argument("--json", action="store_true", dest="as_json",
+                        help="emit a JSON report instead of text")
+    common.add_argument("--seed", type=int, default=None,
+                        help="override the sampling seed")
+    common.add_argument("--samples", type=int, default=None,
+                        help="override the sample-point count")
+    common.add_argument("--tol", type=float, default=None,
+                        help="override the zero-test tolerance")
+
+    p = argparse.ArgumentParser(
+        prog="contactgeo",
+        description="verify almost contact metric structures and "
+                    "*-conformal eta-Ricci solitons",
+    )
+    p.add_argument("--version", action="version", version=f"contactgeo {__version__}")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    pc = sub.add_parser("check", parents=[common],
+                        help="run the structure checks")
+    pc.add_argument("--checks", default=",".join(CHECK_NAMES),
+                    help="comma-separated subset of: " + ", ".join(CHECK_NAMES))
+
+    pt = sub.add_parser("tables", parents=[common],
+                        help="print connection/curvature/ricci tables")
+    pt.add_argument("--what", choices=TABLE_NAMES, required=True)
+
+    ps = sub.add_parser("soliton", parents=[common],
+                        help="solve or verify the soliton equation")
+    mode = ps.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--solve", action="store_true")
+    mode.add_argument("--verify", action="store_true")
+    ps.add_argument("--lambda-tilde", type=_fraction_arg, default=None,
+                    dest="lambda_tilde")
+    ps.add_argument("--mu", type=_fraction_arg, default=None)
+    ps.add_argument("--p", type=_fraction_arg, default=None,
+                    help="numeric pressure for a concrete classification")
+    return p

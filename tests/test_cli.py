@@ -1,11 +1,15 @@
 """Command-line interface: exit codes, rendering, determinism."""
 
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from contactgeo import cli
 from contactgeo.cli import main
 
 
@@ -307,3 +311,33 @@ def test_subprocess_determinism():
     assert a.returncode == b.returncode == 1
     assert a.stdout == b.stdout
     assert json.loads(a.stdout)["checks"]["nullity"]["passed"] is True
+
+
+# --- the entry point -----------------------------------------------------------
+
+
+def _entry_point(*argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-m", "contactgeo.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_entry_point_usage_error():
+    done = _entry_point("check", "example2", "--bogus")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: unknown option '--bogus' for check\n"
+
+
+def test_entry_point_version():
+    done = _entry_point("--version")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "contactgeo 0.1.0\n", "")
+
+
+def test_entry_point_help_names_every_option():
+    done = _entry_point("--help")
+    assert done.returncode == 0 and done.stderr == ""
+    names = {name for options, flags in cli.COMMANDS.values() for name in [*options, *flags]}
+    for name in sorted(names) + ["-h", "--help", "--version"]:
+        assert re.search(rf"(?<![\w-]){name}(?![\w-])", done.stdout), name

@@ -1,7 +1,11 @@
-"""numpy stays off the start-up path.
+"""numpy, argparse and locale stay off the start-up path.
 
 Importing ``contactgeo.cli`` must not load numpy, and neither may the
 commands whose spectra are integer and exact and whose fits are exact.
+None of them, and no usage error, loads argparse or locale (which
+argparse's gettext imports to translate its first message): the command
+line is read from one option table.
+
 Each case runs in a fresh interpreter, since the test process may have
 loaded numpy already. A float least-squares fit is the positive control:
 it does load numpy.
@@ -15,13 +19,15 @@ import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
+LOADED = "print(*(name in sys.modules for name in ('numpy', 'argparse', 'locale')))"
+
 RUN_MAIN = """
 import contextlib, io, sys
 from contactgeo.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     rc = main(sys.argv[1:])
-print(rc, 'numpy' in sys.modules)
-"""
+print(rc)
+""" + LOADED
 
 
 def _python(code, *argv):
@@ -34,7 +40,7 @@ def _python(code, *argv):
 
 
 def test_import_cli_loads_no_numpy():
-    assert _python("import sys, contactgeo.cli; print('numpy' in sys.modules)") == ["False"]
+    assert _python("import sys, contactgeo.cli\n" + LOADED) == ["False"] * 3
 
 
 @pytest.mark.parametrize("argv, rc", [
@@ -43,9 +49,10 @@ def test_import_cli_loads_no_numpy():
     (["check", "example1"], "1"),
     (["tables", "example3", "--what", "h"], "0"),
     (["soliton", "example1", "--solve"], "0"),
+    (["check", "example1", "--bogus"], "2"),
 ])
 def test_commands_load_no_numpy(argv, rc):
-    assert _python(RUN_MAIN, *argv) == [rc, "False"]
+    assert _python(RUN_MAIN, *argv) == [rc] + ["False"] * 3
 
 
 def test_float_fit_loads_numpy():

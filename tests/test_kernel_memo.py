@@ -98,7 +98,7 @@ def test_workspace_starts_with_empty_caches(monkeypatch):
         return resolve(name)
 
     monkeypatch.setattr(cli.manifest_mod, "resolve", spy)
-    cli.Workspace(cli.build_parser().parse_args(["check", "example1"]))
+    cli.Workspace(cli.parse_args(["check", "example1"]))
     # empty when the manifest is read, and the old entries stay gone
     assert seen == [(0, 0)]
     assert not stale_mul & set(scalar._mul_cache)

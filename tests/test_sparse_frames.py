@@ -11,7 +11,9 @@ not the identity or a signed permutation.
 
 The guards at the end count products with a ``ZERO`` operand on each
 golden manifest, while the connection and R, S, S* are built, and while
-h, h' and both forms of the soliton solve are: there must be none, so a
+h, h' and both forms of the soliton solve are, and on the manifests the
+full ``check`` runs on (the fixtures and the dim-3 golden ones), from the
+manifest to the verdict of each check family: there must be none, so a
 dense loop cannot come back unnoticed.
 """
 
@@ -20,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from contactgeo import manifest, scalar
+from contactgeo.cli import CHECK_NAMES, Workspace, parse_args, run_checks
 from contactgeo.curvature import (
     CurvatureTable, StructureTensors, frame_basis, frame_brackets, koszul,
 )
@@ -170,5 +173,19 @@ def test_no_product_with_a_zero_operand_in_h_or_the_soliton(monkeypatch, name):
     for problem in (SolitonProblem(M, table, V=mf.potential_field()),
                     SolitonProblem(M, table, f=f)):
         solve_soliton(problem)
+    assert counts["calls"] > 0
+    assert counts["zero"] == 0
+
+
+CHECKED = ("example1", "example2", "example3", "flat", "eta_einstein",
+           "kenmotsu_exp_3", "kenmotsu_poly_3")
+
+
+@pytest.mark.parametrize("family", CHECK_NAMES)
+@pytest.mark.parametrize("name", CHECKED)
+def test_no_product_with_a_zero_operand_in_the_checks(monkeypatch, name, family):
+    path = str(GOLDEN / f"{name}.json") if name in GOLDEN_NAMES else name
+    counts = _count_zero_products(monkeypatch)
+    run_checks(Workspace(parse_args(["check", path])), [family])
     assert counts["calls"] > 0
     assert counts["zero"] == 0
