@@ -17,8 +17,7 @@ from . import __version__
 from . import manifest as manifest_mod
 from . import soliton as soliton_mod
 from . import structure
-from .curvature import (CurvatureTable, ExteriorData, StructureTensors, frame_brackets,
-                        koszul)
+from .curvature import CurvatureTable, StructureTensors, frame_brackets, koszul
 from .errors import ContactGeoError, MissingPotential
 from .scalar import ZERO, clear_caches, to_str
 
@@ -231,9 +230,8 @@ def run_checks(ws, selected):
         elif name == "kenmotsu":
             reports[name] = structure.check_kenmotsu(M, ws.conn, ws.table)
         elif name == "almost_kenmotsu":
-            ext = ExteriorData(M, ws.conn)
             reports[name] = structure.check_almost_kenmotsu(
-                M, ws.conn, ws.table, ws.tensors, ext)
+                M, ws.conn, ws.table, ws.tensors)
         elif name == "nullity":
             reports[name] = structure.solve_nullity(M, ws.conn, ws.table, ws.tensors)
         elif name == "eta_einstein":

@@ -25,11 +25,12 @@ from fractions import Fraction
 from functools import cached_property
 from math import isqrt
 
-from .errors import DegeneratePlane
 from .geometry import _mat_vec, lie_bracket
 from .scalar import Rat, ZERO, ONE, add_all, evaluate
 
 HALF = Rat(Fraction(1, 2))
+# a sampled h' eigenvalue this close to an integer is reported as that integer
+SNAP_TOL = 1e-9
 
 
 def frame_basis(n):
@@ -317,25 +318,6 @@ def _trace(Ginv, T):
                     if Ginv[i][j] is not ZERO and T[i][j] is not ZERO])
 
 
-def sectional_curvature(M, table, X, Y):
-    """``k(X,Y) = g(R(X,Y)Y, X) / (g(X,X) g(Y,Y) - g(X,Y)^2)``.
-
-    Raises DegeneratePlane when the denominator vanishes on the domain.
-    """
-    x = M._frame_comps(X)
-    y = M._frame_comps(Y)
-    num = M.metric_apply(table.riemann_apply(x, y, y), x)
-    den = M.metric_apply(x, x) * M.metric_apply(y, y) - pow2(M.metric_apply(x, y))
-    verdict = M.is_zero_field(den)
-    if verdict.is_zero:
-        raise DegeneratePlane("the declared 2-plane is degenerate for this metric")
-    return num / den
-
-
-def pow2(e):
-    return e * e
-
-
 def lie_derivative_metric(M, V):
     """``(L_V g)(e_i, e_j) = V(g_ij) - g([V,e_i], e_j) - g(e_i, [V,e_j])``."""
     n = M.dim
@@ -347,15 +329,6 @@ def lie_derivative_metric(M, V):
             lowered = (M.metric_apply(br[i], basis[j]), M.metric_apply(basis[i], br[j]))
             out[i][j] = out[j][i] = add_all([V.apply(M.metric[i][j])]
                                             + [-e for e in lowered if e is not ZERO])
-    return out
-
-
-def lie_derivative_eta(M, V):
-    """``(L_V eta)(e_j) = V(eta_j) - eta([V, e_j])``."""
-    out = []
-    for j in range(M.dim):
-        br = M.to_frame(lie_bracket(V, M.frame[j]))
-        out.append(V.apply(M.eta_frame[j]) - M.metric_apply(br, M.xi_frame))
     return out
 
 
@@ -422,7 +395,7 @@ class StructureTensors:
             return integer_spectrum([[e.value for e in row] for row in self.h_prime])
         return None
 
-    def spectrum(self, snap_tol=1e-9):
+    def spectrum(self):
         """Eigenvalues of h', exactly when they are integers, else sampled.
 
         Returns ``(values, max_spread)``. When ``exact_spectrum`` finds
@@ -456,7 +429,7 @@ class StructureTensors:
         values = []
         for x in first:
             r = round(x)
-            values.append(int(r) if abs(x - r) < snap_tol else float(x))
+            values.append(int(r) if abs(x - r) < SNAP_TOL else float(x))
         return values, spread
 
 
@@ -510,12 +483,11 @@ def _rank(rows):
 class ExteriorData:
     """``d eta``, the fundamental 2-form ``Phi``, ``d Phi``, ``eta ^ Phi``."""
 
-    def __init__(self, M, conn=None):
+    def __init__(self, M, conn):
         self.M = M
         n = M.dim
         basis = frame_basis(n)
-        brackets = conn.brackets if conn is not None else frame_brackets(M)
-        self.brackets = brackets
+        brackets = conn.brackets
 
         eta = M.eta_frame
         # d eta (e_i, e_j)
@@ -558,26 +530,3 @@ class ExteriorData:
                              (eta[k], self.Phi[i][j]))
                     self.eta_wedge_Phi[(i, j, k)] = add_all([
                         a * b for a, b in wedge if a is not ZERO and b is not ZERO])
-
-
-def nijenhuis(M):
-    """``N_phi(X,Y) = phi^2 [X,Y] + [phi X, phi Y] - phi[phi X, Y]
-    - phi[X, phi Y] + 2 d eta(X,Y) xi`` on frame pairs."""
-    n = M.dim
-    ext = ExteriorData(M)
-    phi_fields = [M.from_frame(M.phi[j]) for j in range(n)]
-    out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = lie_bracket(M.frame[i], M.frame[j])
-            t1 = M.phi_frame_apply(M.phi_frame_apply(M.to_frame(br)))
-            t2 = M.to_frame(lie_bracket(phi_fields[i], phi_fields[j]))
-            t3 = M.phi_frame_apply(M.to_frame(lie_bracket(phi_fields[i], M.frame[j])))
-            t4 = M.phi_frame_apply(M.to_frame(lie_bracket(M.frame[i], phi_fields[j])))
-            de = ext.d_eta[i][j]
-            comps = []
-            for k in range(n):
-                val = t1[k] + t2[k] - t3[k] - t4[k] + Rat(2) * de * M.xi_frame[k]
-                comps.append(val)
-            out[(i, j)] = comps
-    return out

@@ -41,10 +41,6 @@ class SingularFrame(ValidationError):
     """Declared frame is not invertible on the sampling domain."""
 
 
-class DegeneratePlane(ContactGeoError):
-    """Sectional curvature requested for a degenerate 2-plane."""
-
-
 class DegenerateSystem(ContactGeoError):
     """Least-squares normal equations are singular."""
 

@@ -25,8 +25,6 @@ from .scalar import (
     Add, Exp, Mul, Pow, Rat, Sampler, Sym, ZERO, ONE, add_all, is_zero, evaluate,
 )
 
-Number = (int, Fraction)
-
 
 class VectorField:
     """Coordinate-component vector field on a chart."""
@@ -55,23 +53,6 @@ class VectorField:
                 if d is not ZERO:
                     terms.append(c * d)
         return add_all(terms)
-
-    def __add__(self, other):
-        self._check(other)
-        return VectorField(self.coords, [a + b for a, b in zip(self.comps, other.comps)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return VectorField(self.coords, [a - b for a, b in zip(self.comps, other.comps)])
-
-    def __neg__(self):
-        return VectorField(self.coords, [-a for a in self.comps])
-
-    def scale(self, f):
-        """Multiply by a scalar field (or exact constant)."""
-        if isinstance(f, Number):
-            f = Rat(f)
-        return VectorField(self.coords, [f * a for a in self.comps])
 
     def _check(self, other):
         if not isinstance(other, VectorField) or other.coords != self.coords:

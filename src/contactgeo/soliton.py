@@ -14,10 +14,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .curvature import hessian, lie_derivative_eta, lie_derivative_metric
+from .curvature import hessian, lie_derivative_metric
 from .errors import DegenerateSystem, MissingPotential
-from .scalar import MINUS_ONE, ONE, PROVED_ZERO, Rat, ZERO, add_all, to_str
-from .structure import CheckReport, _numeric_result, combine, fit_sampled, snap
+from .scalar import MINUS_ONE, ONE, PROVED_ZERO, Rat, add_all, to_str
+from .structure import _prod, combine, fit_sampled, snap
 
 
 def _coerce(q):
@@ -33,17 +33,6 @@ def _coerce(q):
 
 
 TWO = Rat(2)
-
-
-def _product(*factors):
-    """The product of the factors, ``ZERO`` without a multiplication when
-    one of them is ``ZERO``."""
-    if any(f is ZERO for f in factors):
-        return ZERO
-    out = factors[0]
-    for f in factors[1:]:
-        out = out * f
-    return out
 
 
 class SolitonProblem:
@@ -79,7 +68,7 @@ class SolitonProblem:
         star = self.table.star_ricci
         if self.V is not None:
             lie = lie_derivative_metric(M, self.V)
-            out = [[lie[i][j] + _product(TWO, star[i][j]) for j in range(n)]
+            out = [[lie[i][j] + _prod(TWO, star[i][j]) for j in range(n)]
                    for i in range(n)]
         else:
             hess = hessian(M, self.table.conn, self.f)
@@ -92,8 +81,8 @@ class SolitonProblem:
         M = self.M
         scale = TWO if self.V is not None else ONE
         eta = M.eta_frame
-        g_part = [[_product(scale, g) for g in row] for row in M.metric]
-        eta_part = [[_product(scale, ei, ej) for ej in eta] for ei in eta]
+        g_part = [[_prod(scale, g) for g in row] for row in M.metric]
+        eta_part = [[_prod(scale, ei, ej) for ej in eta] for ei in eta]
         return g_part, eta_part
 
 
@@ -104,7 +93,7 @@ def soliton_residual(P, lambda_tilde, mu):
     base = P.base_tensor
     g_part, eta_part = P.coefficient_tensors
     lt, m = snap(lambda_tilde), snap(mu)
-    return [[add_all([base[i][j], _product(lt, g_part[i][j]), _product(m, eta_part[i][j])])
+    return [[add_all([base[i][j], _prod(lt, g_part[i][j]), _prod(m, eta_part[i][j])])
              for j in range(n)] for i in range(n)]
 
 
@@ -231,7 +220,7 @@ def solve_soliton(P):
     n = M.dim
     base = P.base_tensor
     g_part, eta_part = P.coefficient_tensors
-    entries = [(g_part[i][j], eta_part[i][j], _product(MINUS_ONE, base[i][j]))
+    entries = [(g_part[i][j], eta_part[i][j], _prod(MINUS_ONE, base[i][j]))
                for i in range(n) for j in range(i, n)]
     fit = fit_sampled(M, entries, skip_singular=True)
     lt, mu = fit.values
@@ -243,63 +232,3 @@ def solve_soliton(P):
 def verify_soliton(P, lambda_tilde, mu):
     """Residual report at user-supplied constants."""
     return _report(P, _coerce(lambda_tilde), _coerce(mu))
-
-
-def check_kenmotsu_soliton(M, P, report):
-    """Consequence checks for a soliton on a Kenmotsu manifold.
-
-    The solved constants must satisfy lambda~ + mu = 0, exactly when
-    neither is a float (a float fit is known only to the tolerance); the
-    potential must be a strict infinitesimal contact transformation
-    (L_V eta = 0); and the metric must be Einstein with Q = -2n Id.
-    """
-    n = M.dim
-    results = []
-    raw = (report.lambda_tilde, 0 if report.mu is None else report.mu)
-    lt, mu = (_coerce(c) for c in raw)
-    total = lt + mu
-    if any(isinstance(c, float) for c in raw):
-        total = float(total)
-    results.append(_numeric_result("constant_sum", total, M.tol, note="lambda~ + mu"))
-
-    V = P.V if P.V is not None else M.gradient_field(P.f)
-    lv_eta = lie_derivative_eta(M, V)
-    results.append(combine(M, "strict_contact_potential",
-                           [(f"(L_V eta)(e_{j + 1})", lv_eta[j]) for j in range(n)]))
-
-    Q = P.table.ricci_operator
-    parts = []
-    for i in range(n):
-        for k in range(n):
-            delta = Rat(2 * M.n) if i == k else ZERO
-            parts.append((f"(Q + 2n Id)(e_{i + 1})[{k + 1}]", Q[i][k] + delta))
-    results.append(combine(M, "einstein_operator", parts))
-    return CheckReport("kenmotsu_soliton", results,
-                       {"lambda_tilde_plus_mu": str(lt + mu)})
-
-
-def check_nullity_soliton(M, P, report, nullity_report):
-    """Consequence checks for a soliton on a nullity-type manifold.
-
-    Evaluates the exactness hypothesis lambda~ + mu != 0 and the
-    expected degeneracies: S* = 0 and kappa = -2.
-    """
-    lt = _coerce(report.lambda_tilde)
-    mu = _coerce(0 if report.mu is None else report.mu)
-    s = lt + mu
-    hypothesis = abs(float(s)) >= M.tol
-
-    n = M.dim
-    star = P.table.star_ricci
-    results = [combine(M, "star_ricci_vanishes",
-                       [(f"S*(e_{i + 1}, e_{j + 1})", star[i][j])
-                        for i in range(n) for j in range(i, n)])]
-    kappa = Fraction(nullity_report.data["kappa"])
-    gap = kappa + 2 if nullity_report.data["exact"] else float(kappa + 2)
-    results.append(_numeric_result("kappa_is_minus_two", gap, M.tol, note=f"kappa = {kappa}"))
-    data = {
-        "lambda_tilde_plus_mu": str(s),
-        "hypothesis_holds": hypothesis,
-        "kappa": str(kappa),
-    }
-    return CheckReport("nullity_soliton", results, data)

@@ -1,6 +1,5 @@
 """Structure classification: almost contact axioms, Kenmotsu and
-almost-Kenmotsu conditions, nullity and eta-Einstein fitting, contact
-vector field tests.
+almost-Kenmotsu conditions, nullity and eta-Einstein fitting.
 
 Every check reduces tensor identities to componentwise scalar residuals
 and runs them through the zero tester, so a failing identity always
@@ -19,14 +18,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import scalar
-from .curvature import (ExteriorData, frame_basis, lie_derivative_eta,
-                        lie_derivative_metric)
+from .curvature import ExteriorData, frame_basis, lie_derivative_metric
 from .errors import DegenerateSystem, DivisionByZero
-from .geometry import _mat_vec, lie_bracket
+from .geometry import _mat_vec
 from .lstsq import solve_least_squares
 from .scalar import (
     MINUS_ONE, NON_ZERO, NUMERICALLY_ZERO, ONE, PROVED_ZERO, Rat, ZERO, add_all, evaluate,
-    to_str,
 )
 
 _KIND_RANK = {PROVED_ZERO: 0, NUMERICALLY_ZERO: 1, NON_ZERO: 2}
@@ -328,14 +325,13 @@ def check_kenmotsu(M, conn, table):
     return CheckReport("kenmotsu", results)
 
 
-def check_almost_kenmotsu(M, conn, table, tensors, ext=None):
+def check_almost_kenmotsu(M, conn, table, tensors):
     """d eta = 0, d Phi = 2 eta ^ Phi, and the h-tensor identities."""
     n = M.dim
     basis = frame_basis(n)
     eta = M.eta_frame
     xi = M.xi_frame
-    if ext is None:
-        ext = ExteriorData(M, conn)
+    ext = ExteriorData(M, conn)
 
     parts_eta = [(f"d eta(e_{i + 1}, e_{j + 1})", ext.d_eta[i][j])
                  for i in range(n) for j in range(i + 1, n)]
@@ -598,36 +594,3 @@ def solve_eta_einstein(M, table):
         "kenmotsu_consistency": consistency,
     }
     return CheckReport("eta_einstein", [result], data)
-
-
-def check_contact_field(M, V):
-    """Classify a candidate contact vector field.
-
-    contact: [V, xi] = f xi for some function f;
-    infinitesimal contact transformation: L_V eta = c eta;
-    strict: L_V eta = 0.
-    """
-    n = M.dim
-    w = M.to_frame(lie_bracket(V, M.xi))
-    f_field = M.metric_apply(w, M.xi_frame)
-    remainder = [(f"([V,xi] - f xi)[{k + 1}]",
-                  w[k] - f_field * M.xi_frame[k]) for k in range(n)]
-    contact = combine(M, "contact_field", remainder)
-
-    lv_eta = lie_derivative_eta(M, V)
-    c_field = add_all([M.xi_frame[j] * lv_eta[j] for j in range(n)])
-    infinitesimal = combine(
-        M, "infinitesimal_contact",
-        [(f"(L_V eta - c eta)(e_{j + 1})", lv_eta[j] - c_field * M.eta_frame[j])
-         for j in range(n)])
-    strict = combine(M, "strict_contact",
-                     [(f"(L_V eta)(e_{j + 1})", lv_eta[j]) for j in range(n)])
-
-    data = {
-        "f": to_str(f_field),
-        "eta_factor": to_str(c_field),
-        "is_contact": contact.passed,
-        "is_infinitesimal_contact": infinitesimal.passed,
-        "is_strict": strict.passed,
-    }
-    return CheckReport("contact_field", [contact, infinitesimal, strict], data)

@@ -2,13 +2,7 @@
 
 from fractions import Fraction
 
-import pytest
-
-from contactgeo.curvature import (
-    ExteriorData, hessian, lie_derivative_metric, nijenhuis,
-    sectional_curvature,
-)
-from contactgeo.errors import DegeneratePlane
+from contactgeo.curvature import ExteriorData, hessian, lie_derivative_metric
 from contactgeo.scalar import ONE, Rat, ZERO, parse
 
 from canonical_ref import simplify
@@ -185,23 +179,3 @@ def test_exterior_data(ex2, ex3):
         for key in ext.d_Phi:
             resid = ext.d_Phi[key] - Rat(2) * ext.eta_wedge_Phi[key]
             assert b.M.is_zero_field(resid).is_zero
-
-
-def test_nijenhuis_vanishes_only_when_normal(ex2, ex3):
-    N2 = nijenhuis(ex2.M)
-    assert all(is_const(c, 0) for comps in N2.values() for c in comps)
-    N3 = nijenhuis(ex3.M)
-    assert any(not is_const(c, 0) for comps in N3.values() for c in comps)
-
-
-def test_sectional_curvature(ex2, ex3):
-    k = sectional_curvature(ex2.M, ex2.table,
-                            [ONE, ZERO, ZERO, ZERO, ZERO],
-                            [ZERO, ZERO, ZERO, ZERO, ONE])
-    assert is_const(k, -1)
-    k3 = sectional_curvature(ex3.M, ex3.table,
-                             [ONE, ZERO, ZERO], [ZERO, ZERO, ONE])
-    assert is_const(k3, -4)
-    with pytest.raises(DegeneratePlane):
-        sectional_curvature(ex3.M, ex3.table,
-                            [ONE, ZERO, ZERO], [Rat(2), ZERO, ZERO])

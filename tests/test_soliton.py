@@ -9,10 +9,9 @@ from contactgeo.errors import MissingPotential
 from contactgeo.lstsq import FitResult
 from contactgeo.scalar import Rat, parse
 from contactgeo.soliton import (
-    SolitonProblem, check_kenmotsu_soliton, check_nullity_soliton, classify,
+    SolitonProblem, classify,
     lambda_string, soliton_residual, solve_soliton, verify_soliton,
 )
-from contactgeo.structure import solve_nullity
 
 from canonical_ref import simplify
 
@@ -191,60 +190,6 @@ def test_report_to_dict(ex2):
     assert d["residual"]["e_1,e_1"] == "0"
     assert len(d["residual"]) == 15
     assert d["classification"].startswith("shrinking for p < -2/5")
-
-
-# --- consequence checks ------------------------------------------------------
-
-
-def test_kenmotsu_soliton_consequences(ex2):
-    P = vector_problem(ex2)
-    rep = solve_soliton(P)
-    out = check_kenmotsu_soliton(ex2.M, P, rep)
-    assert out.passed
-    assert out.data["lambda_tilde_plus_mu"] == "0"
-    names = [r.name for r in out.results]
-    assert names == ["constant_sum", "strict_contact_potential",
-                     "einstein_operator"]
-
-
-def test_nullity_soliton_consequences(ex3):
-    P = vector_problem(ex3)
-    rep = verify_soliton(P, -4, 4)
-    nrep = solve_nullity(ex3.M, ex3.conn, ex3.table, ex3.tensors)
-    out = check_nullity_soliton(ex3.M, P, rep, nrep)
-    assert out.result("star_ricci_vanishes").passed
-    assert out.result("kappa_is_minus_two").passed
-    assert out.data["kappa"] == "-2"
-    assert out.data["lambda_tilde_plus_mu"] == "0"
-    # lambda~ + mu = 0 sits exactly on the excluded pressure value
-    assert out.data["hypothesis_holds"] is False
-
-
-def test_kenmotsu_constant_sum_is_exact(ex2):
-    # lambda~ = mu = 0 come out of an exact fit, so their sum is proved zero
-    P = vector_problem(ex2)
-    out = check_kenmotsu_soliton(ex2.M, P, solve_soliton(P))
-    r = out.result("constant_sum")
-    assert (r.kind, r.max_abs, r.witness) == ("proved_zero", 0.0, None)
-
-
-def test_kenmotsu_constant_sum_of_a_float_fit_keeps_the_tolerance(ex2, monkeypatch):
-    # float constants that small fractions match are still known only to
-    # the tolerance, so their sum is not proved zero
-    monkeypatch.setattr(soliton, "fit_sampled",
-                        lambda M, entries, skip_singular: FitResult([3e-11, -3e-11], [], False))
-    P = vector_problem(ex2)
-    r = check_kenmotsu_soliton(ex2.M, P, solve_soliton(P)).result("constant_sum")
-    assert r.kind == "numerically_zero" and r.passed
-
-
-def test_nullity_kappa_is_exactly_minus_two(ex3):
-    P = vector_problem(ex3)
-    nrep = solve_nullity(ex3.M, ex3.conn, ex3.table, ex3.tensors)
-    assert nrep.data["exact"]
-    out = check_nullity_soliton(ex3.M, P, verify_soliton(P, -4, 4), nrep)
-    r = out.result("kappa_is_minus_two")
-    assert (r.kind, r.max_abs, r.witness) == ("proved_zero", 0.0, None)
 
 
 # --- error paths -------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from contactgeo.errors import DegenerateSystem
 from contactgeo.scalar import Rat, parse
 from contactgeo.structure import (
-    check_almost_contact, check_almost_kenmotsu, check_contact_field, check_kenmotsu, solve_eta_einstein, solve_nullity,
+    check_almost_contact, check_almost_kenmotsu, check_kenmotsu, solve_eta_einstein, solve_nullity,
 )
 
 
@@ -235,28 +235,6 @@ def test_eta_einstein_recovers_manufactured_coefficients(flat):
     assert rep.data["b"] == "5"
     assert rep.data["exact"]
     assert rep.data["residual_max"] == 0.0
-
-
-# --- contact vector fields ---------------------------------------------------
-
-
-def test_potentials_are_strict_contact_fields(ex1, ex2, ex3):
-    for b in (ex1, ex2, ex3):
-        V = b.manifest.potential_field()
-        rep = check_contact_field(b.M, V)
-        assert rep.data["is_contact"]
-        assert rep.data["is_infinitesimal_contact"]
-        assert rep.data["is_strict"]
-        assert rep.data["f"] == "0"
-
-
-def test_non_contact_field(ex3):
-    # [y e_1, xi] = (2y+1) e_1 is not proportional to xi
-    M = ex3.M
-    V = M.from_frame([parse("y"), Rat(0), Rat(0)])
-    rep = check_contact_field(M, V)
-    assert not rep.data["is_contact"]
-    assert not rep.result("contact_field").passed
 
 
 # --- report plumbing ---------------------------------------------------------
