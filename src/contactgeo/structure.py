@@ -363,7 +363,7 @@ def check_almost_kenmotsu(M, conn, table, tensors):
         for k in range(n):
             e = add_all([nx[k], MINUS_ONE if i == k else ZERO, _prod(eta[i], xi[k]),
                          _prod(MINUS_ONE, hp[i][k])])
-            parts_b18.append((f"(nabla_e{i + 1} xi - e - eta xi - h')[{k + 1}]", e))
+            parts_b18.append((f"(nabla_e{i + 1} xi - e_{i + 1} + eta xi - h')[{k + 1}]", e))
 
     # curvature against the Reeb field must close over h':
     # R(X,Y)xi = eta(X)(Y + h'Y) - eta(Y)(X + h'X) + (nabla_X h')Y - (nabla_Y h')X
