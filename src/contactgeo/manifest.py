@@ -12,11 +12,6 @@ import json
 import os
 from fractions import Fraction
 
-try:
-    from importlib import resources
-except ImportError:  # pragma: no cover
-    resources = None
-
 from . import scalar
 from .errors import ParseError
 from .geometry import ManifoldSpec, VectorField
@@ -237,9 +232,12 @@ def load(path):
     return loads(raw, path=str(path))
 
 
+# the bundled fixtures ship as package data next to this module
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
 def fixture_names():
-    pkg = resources.files("contactgeo") / "fixtures"
-    return sorted(p.name[:-5] for p in pkg.iterdir() if p.name.endswith(".json"))
+    return sorted(name[:-5] for name in os.listdir(FIXTURES) if name.endswith(".json"))
 
 
 def resolve(arg):
@@ -248,9 +246,10 @@ def resolve(arg):
         return load(arg)
     base = arg[:-5] if arg.endswith(".json") else arg
     if base.isidentifier():
-        pkg = resources.files("contactgeo") / "fixtures" / f"{base}.json"
-        if pkg.is_file():
-            return loads(pkg.read_bytes(), path=f"{base}.json")
+        path = os.path.join(FIXTURES, f"{base}.json")
+        if os.path.isfile(path):
+            with open(path, "rb") as fh:
+                return loads(fh.read(), path=f"{base}.json")
     raise ParseError(
         f"no such manifest file or fixture: {arg!r} "
         f"(bundled: {', '.join(fixture_names())})",

@@ -1,14 +1,17 @@
-"""numpy, argparse and locale stay off the start-up path.
+"""numpy, argparse, locale and importlib.resources stay off the start-up path.
 
 Importing ``contactgeo.cli`` must not load numpy, and neither may the
 commands whose spectra are integer and exact and whose fits are exact.
 None of them, and no usage error, loads argparse or locale (which
 argparse's gettext imports to translate its first message): the command
-line is read from one option table.
+line is read from one option table. Nor does any of them load
+importlib.resources: the bundled fixtures are found by path.
 
 Each case runs in a fresh interpreter, since the test process may have
 loaded numpy already. A float least-squares fit is the positive control:
-it does load numpy.
+it does load numpy. The importlib.resources cases run with ``-I -S``, so
+that no site hook or environment variable loads it first and masks a
+regression.
 """
 
 import os
@@ -64,3 +67,45 @@ fit = solve_least_squares([(1.0,), (1.0,)], [0.5, 1.5])
 print(fit.exact, abs(fit.values[0] - 1.0) < 1e-12, 'numpy' in sys.modules)
 """
     assert _python(code) == ["False", "True", "True"]
+
+
+# -I ignores PYTHONPATH, so the code puts src (its first argument) on sys.path
+ON_PATH = "import sys\nsys.path.insert(0, sys.argv.pop(1))\n"
+RESOURCES_LOADED = "print('importlib.resources' in sys.modules)"
+
+RUN_MAIN_ISOLATED = ON_PATH + """
+import contextlib, io
+from contactgeo.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(sys.argv[1:])
+print(rc)
+""" + RESOURCES_LOADED
+
+
+def _isolated(code, *argv):
+    return subprocess.run([sys.executable, "-I", "-S", "-c", code, SRC, *argv],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_cli_loads_no_importlib_resources():
+    out = _isolated(ON_PATH + "import contactgeo.cli\n" + RESOURCES_LOADED)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "example2"],
+    ["tables", "example3", "--what", "h"],
+])
+def test_fixture_commands_load_no_importlib_resources(argv):
+    out = _isolated(RUN_MAIN_ISOLATED, *argv)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0", "False"]
+
+
+def test_unknown_fixture_lists_the_bundled_names_without_importlib_resources():
+    out = _isolated(RUN_MAIN_ISOLATED, "check", "nosuch")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["2", "False"]
+    assert ("(bundled: eta_einstein, example1, example2, example3, flat)"
+            in out.stderr)
