@@ -601,3 +601,44 @@ def test_acceptance_10_points_drawn_only_where_undecided(capsys, monkeypatch):
         expected = [argv for argv in commands if argv[1] == "example3"]
         assert len(expected) == 10
         assert drew == expected
+
+
+# --- 11: the paper's conclusions on the bundled examples --------------------------
+
+
+def _json_of(capsys, argv):
+    cli_main(argv + ["--json"])
+    return json.loads(capsys.readouterr().out)
+
+
+def test_acceptance_11_paper_conclusions(capsys, ex1, ex2, ex3):
+    with announce(capsys, "11 paper conclusions on the bundled examples"):
+        # example2: a Kenmotsu manifold (n = 2) with a contact potential is
+        # Einstein, S = -2n g, and its soliton has lambda~ + mu = 0
+        checks = _json_of(capsys, ["check", "example2"])["checks"]
+        assert checks["kenmotsu"]["passed"]
+        fit = checks["eta_einstein"]["data"]
+        assert (fit["a"], fit["b"], fit["einstein"]) == ("-4", "0", True)
+        sol = _json_of(capsys, ["soliton", "example2", "--solve"])["soliton"]
+        assert (sol["lambda_tilde"], sol["mu"], sol["exact"]) == ("0", "0", True)
+
+        # example3: a (kappa,mu)'-almost Kenmotsu manifold with S* = 0 and
+        # kappa = -2, locally H^2(-4) x R; on its orthonormal frame with
+        # xi = e_3, K(e_1, xi) = -4 and every other frame plane is flat
+        nullity = _json_of(capsys, ["check", "example3"])["checks"]["nullity"]["data"]
+        assert (nullity["kappa"], nullity["exact"]) == ("-2", True)
+        star = _json_of(capsys, ["tables", "example3", "--what", "star"])["entries"]
+        assert star == {"r*": "0"}
+        riem = _json_of(capsys, ["tables", "example3", "--what", "riem"])["entries"]
+        assert riem == {"R(e_1,e_3)e_1": "4 e_3", "R(e_1,e_3)e_3": "-4 e_1"}
+
+        # every potential is a strict infinitesimal contact transformation:
+        # (L_V eta)(e_j) = V(eta(e_j)) - eta([V, e_j]) = 0
+        for b in (ex1, ex2, ex3):
+            M, V = b.M, b.manifest.potential_field()
+            for j in range(M.dim):
+                lv_eta = (V.apply(M.eta_frame[j])
+                          - M.metric_apply(M.to_frame(lie_bracket(V, M.frame[j])),
+                                           M.xi_frame))
+                verdict = is_zero(lv_eta, M.sampler, tol=TOL)
+                assert verdict.kind == "proved_zero", (b.manifest.name, j)
