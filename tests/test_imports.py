@@ -24,13 +24,16 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 LOADED = "print(*(name in sys.modules for name in ('numpy', 'argparse', 'locale')))"
 
-RUN_MAIN = """
+# runs main on the arguments; prints its exit code, and what main wrote to
+# stderr stays on the process's stderr
+RUN = """
 import contextlib, io, sys
 from contactgeo.cli import main
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()):
     rc = main(sys.argv[1:])
 print(rc)
-""" + LOADED
+"""
+RUN_MAIN = RUN + LOADED
 
 
 def _python(code, *argv):
@@ -73,13 +76,7 @@ print(fit.exact, abs(fit.values[0] - 1.0) < 1e-12, 'numpy' in sys.modules)
 ON_PATH = "import sys\nsys.path.insert(0, sys.argv.pop(1))\n"
 RESOURCES_LOADED = "print('importlib.resources' in sys.modules)"
 
-RUN_MAIN_ISOLATED = ON_PATH + """
-import contextlib, io
-from contactgeo.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    rc = main(sys.argv[1:])
-print(rc)
-""" + RESOURCES_LOADED
+RUN_MAIN_ISOLATED = ON_PATH + RUN + RESOURCES_LOADED
 
 
 def _isolated(code, *argv):
