@@ -48,15 +48,9 @@ class ConnectionTable:
         self.M = M
         self.gamma = gamma
         self.brackets = brackets  # frame components of [e_i, e_j]
-        n = M.dim
-        # non-zero Christoffel symbols: _gamma_nz[i] lists (k, [(l, gamma[i][l][k])])
-        # for every k that has one
-        self._gamma_nz = [[] for _ in range(n)]
-        for i in range(n):
-            for k in range(n):
-                gs = [(l, gamma[i][l][k]) for l in range(n) if gamma[i][l][k] is not ZERO]
-                if gs:
-                    self._gamma_nz[i].append((k, gs))
+        # _nabla_nz[i][j]: the non-zero (k, gamma[i][j][k]) of nabla_{e_i} e_j
+        self._nabla_nz = [[[(k, g) for k, g in enumerate(row) if g is not ZERO] for row in rows]
+                          for rows in gamma]
 
     def nabla_comps(self, x_frame, c_frame):
         """Frame components of ``nabla_X Y`` from frame components.
@@ -78,20 +72,21 @@ class ConnectionTable:
         list per frame component, without summing them."""
         frame = self.M.frame
         xs = [(i, x) for i, x in enumerate(x_frame) if x is not ZERO]
-        c = [None if ck is ZERO else ck for ck in c_frame]
-        for k, ck in enumerate(c):
-            if ck is not None:
-                for i, x in xs:
-                    d = frame[i].apply(ck)
-                    if d is not ZERO:
-                        terms[k].append(x * d)
+        cs = [(l, cl) for l, cl in enumerate(c_frame) if cl is not ZERO]
+        for l, cl in cs:
+            for i, x in xs:
+                d = frame[i].apply(cl)
+                if d is not ZERO:
+                    terms[l].append(x * d)
         for i, x in xs:
-            for k, gs in self._gamma_nz[i]:
-                ws = [c[l] * g for l, g in gs if c[l] is not None]
-                if ws:
-                    w = add_all(ws)
-                    if w is not ZERO:
-                        terms[k].append(x * w)
+            ws = {}
+            for l, cl in cs:
+                for k, g in self._nabla_nz[i][l]:
+                    ws.setdefault(k, []).append(cl * g)
+            for k, t in ws.items():
+                w = add_all(t)
+                if w is not ZERO:
+                    terms[k].append(x * w)
 
     def nabla_operator(self, A, x_frame):
         """Covariant derivative of a (1,1) tensor given as a frame matrix.
@@ -130,36 +125,47 @@ def frame_brackets(M):
 
 
 def koszul(M):
-    """Levi-Civita connection of the declared frame metric.
+    """Levi-Civita connection of the declared (symmetric) frame metric.
 
-    The bracket terms read the lowered structure constants
-    ``low[i][j][k] = g([e_i, e_j], e_k)``, built once; ``g(e_i, [e_j, e_k])``
-    is ``low[j][k][i]`` because ``ManifoldSpec`` only accepts a symmetric
-    metric.  Only non-zero terms are negated, scaled and summed.
+    ``2 g(nabla_{e_i} e_j, e_k)`` is scattered into slots (i, j, k) from the
+    non-zero data only: ``L = g([e_a, e_b], e_c)``, a < b, to (a, b, c),
+    (c, b, a), (b, c, a) and ``-L`` to (c, a, b), (a, c, b), (b, a, c); and
+    ``D = e_a(g_bc)``, of a metric entry that is not constant, to (a, b, c),
+    (c, a, b) and ``-D`` to (b, c, a). Each slot is summed and halved, and
+    raised with g^{-1} only for the (i, j) that have one.
     """
     n = M.dim
     G = M.metric
     Ginv = M.metric_inverse
-    frame = M.frame
     brackets = frame_brackets(M)
-    low = [[_mat_vec(G, brackets[i][j]) for j in range(n)] for i in range(n)]
-    gamma = []
-    for i in range(n):
-        row_i = []
-        for j in range(n):
-            rhs = []
-            for k in range(n):
-                parts = [frame[i].apply(G[j][k]), frame[j].apply(G[k][i]), low[i][j][k]]
-                for e in (frame[k].apply(G[i][j]), low[j][k][i], low[i][k][j]):
-                    if e is not ZERO:
-                        parts.append(-e)
-                s = add_all(parts)
-                rhs.append(s if s is ZERO else HALF * s)
-            # solve sum_m gamma^m G_mk = rhs_k  =>  gamma = Ginv . rhs
-            nz = [(k, r) for k, r in enumerate(rhs) if r is not ZERO]
-            row_i.append([add_all([Ginv[m][k] * r for k, r in nz if Ginv[m][k] is not ZERO])
-                          for m in range(n)])
-        gamma.append(row_i)
+    slots = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c, low in enumerate(_mat_vec(G, brackets[a][b])):
+                if low is not ZERO:
+                    neg = -low
+                    for key, e in (((a, b, c), low), ((c, b, a), low), ((b, c, a), low),
+                                   ((c, a, b), neg), ((a, c, b), neg), ((b, a, c), neg)):
+                        slots.setdefault(key, []).append(e)
+    for b in range(n):
+        for c in range(b, n):
+            if not isinstance(G[b][c], Rat):
+                for a, e_a in enumerate(M.frame):
+                    d = e_a.apply(G[b][c])
+                    if d is not ZERO:
+                        for p, q in {(b, c), (c, b)}:
+                            for key, e in (((a, p, q), d), ((q, a, p), d), ((p, q, a), -d)):
+                                slots.setdefault(key, []).append(e)
+    rhs = {}
+    for (i, j, k), parts in slots.items():
+        s = add_all(parts)
+        if s is not ZERO:
+            rhs.setdefault((i, j), []).append((k, HALF * s))
+    # solve sum_m gamma^m G_mk = rhs_k  =>  gamma = Ginv . rhs
+    gamma = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), nz in rhs.items():
+        gamma[i][j] = [add_all([Ginv[m][k] * r for k, r in nz if Ginv[m][k] is not ZERO])
+                       for m in range(n)]
     return ConnectionTable(M, gamma, brackets)
 
 
@@ -177,24 +183,36 @@ class CurvatureTable:
 
     @cached_property
     def R(self):
-        """``R[i][j][k]``: frame components of ``R(e_i, e_j) e_k``."""
+        """``R[i][j][k]``: frame components of ``R(e_i, e_j) e_k``, for i < j
+        scattered per component from the non-zero Christoffel symbols:
+        ``e_i(Gamma^m_jk)`` where not constant, ``Gamma^l_jk Gamma^m_il``,
+        both with i, j swapped and negated, and ``[e_j, e_i]^p Gamma^m_pk``;
+        R[j][i] is -R[i][j]."""
         conn = self.conn
         n = self.M.dim
-        basis = frame_basis(n)
-        minus = [[e if e is ZERO else -e for e in row] for row in basis]
+        frame = self.M.frame
+        nz = conn._nabla_nz
         R = [[None] * n for _ in range(n)]
         for i in range(n):
             R[i][i] = [[ZERO] * n for _ in range(n)]
             for j in range(i + 1, n):
+                ji = [(p, x) for p, x in enumerate(conn.brackets[j][i]) if x is not ZERO]
                 R[i][j] = []
                 for k in range(n):
-                    # nabla_{e_i} nabla_{e_j} e_k + nabla_{-e_j} nabla_{e_i} e_k
-                    # + nabla_{[e_j, e_i]} e_k, merged per component
-                    terms = [[] for _ in range(n)]
-                    conn.nabla_terms(basis[i], conn.gamma[j][k], terms)
-                    conn.nabla_terms(minus[j], conn.gamma[i][k], terms)
-                    conn.nabla_terms(conn.brackets[j][i], basis[k], terms)
-                    R[i][j].append([add_all(t) if t else ZERO for t in terms])
+                    terms = {}
+                    for s, t, x in ((i, j, ONE), (j, i, -ONE)):
+                        for l, c in nz[t][k]:
+                            if not isinstance(c, Rat):
+                                d = frame[s].apply(c)
+                                if d is not ZERO:
+                                    terms.setdefault(l, []).append(x * d)
+                            for m, g in nz[s][l]:
+                                terms.setdefault(m, []).append(x * (c * g))
+                    for p, x in ji:
+                        for m, g in nz[p][k]:
+                            terms.setdefault(m, []).append(x * g)
+                    R[i][j].append([add_all(terms[m]) if m in terms else ZERO
+                                    for m in range(n)])
                 R[j][i] = [[c if c is ZERO else -c for c in comps] for comps in R[i][j]]
         return R
 
@@ -238,31 +256,33 @@ class CurvatureTable:
     @cached_property
     def star_ricci(self):
         """``S*_ij = 1/2 sum g^{ab} g(phi(R(e_i, phi e_j) e_a), e_b)``, over
-        the non-zero entries of R, phi, g and g^{-1} only."""
-        R = self.R
+        the non-zero entries of R, phi, g and g^{-1} only, and only the a
+        with some ``R(e_i, e_m) e_a`` non-zero, m in phi(e_j)."""
         M = self.M
         n = M.dim
         G = M.metric
-        Ginv = M.metric_inverse
-        P = M.phi
-        # non-zero frame components of phi(e_j)
-        phis = [[(m, c) for m, c in enumerate(row) if c is not ZERO] for row in P]
+        # the non-zero (k, R^k) of R(e_i, e_m) e_a, phi(e_j) and row a of g^{-1}
+        R = [[[[(k, c) for k, c in enumerate(comps) if c is not ZERO] for comps in Rim]
+              for Rim in Ri] for Ri in self.R]
+        phis = [[(m, c) for m, c in enumerate(row) if c is not ZERO] for row in M.phi]
+        ginv = [[(b, g) for b, g in enumerate(row) if g is not ZERO] for row in M.metric_inverse]
         Sstar = [[None] * n for _ in range(n)]
         for i in range(n):
             for j, phj in enumerate(phis):
+                # R(e_i, phi e_j) e_a, by linearity in the middle slot
+                by_a = {}
+                for m, c in phj:
+                    for a, row in enumerate(R[i][m]):
+                        if row:
+                            by_a.setdefault(a, []).append((c, row))
                 terms = []
-                for a in range(n):
-                    # R(e_i, phi e_j) e_a, by linearity in the middle slot
-                    comps = _lincomb([(c, R[i][m][a]) for m, c in phj])
-                    # apply phi
-                    phi_comps = _lincomb([(c, P[m]) for m, c in comps])
-                    # contract with sum_b g^{ab} g(., e_b)
-                    for b in range(n):
-                        if Ginv[a][b] is not ZERO:
-                            inner = add_all([c * G[m][b] for m, c in phi_comps
-                                             if G[m][b] is not ZERO])
-                            if inner is not ZERO:
-                                terms.append(Ginv[a][b] * inner)
+                for a, pairs in by_a.items():
+                    # apply phi, and contract with sum_b g^{ab} g(., e_b)
+                    phi_comps = _lincomb([(c, phis[m]) for m, c in _lincomb(pairs)])
+                    for b, g in ginv[a]:
+                        inner = add_all([c * G[m][b] for m, c in phi_comps if G[m][b] is not ZERO])
+                        if inner is not ZERO:
+                            terms.append(g * inner)
                 s = add_all(terms)
                 Sstar[i][j] = s if s is ZERO else HALF * s
         return Sstar
@@ -272,37 +292,30 @@ class CurvatureTable:
         return _trace(self.M.metric_inverse, self.star_ricci)
 
     def riemann_apply(self, x_frame, y_frame, z_frame):
-        """``R(X, Y) Z`` by multilinearity over frame components."""
-        n = self.M.dim
-        terms = [[] for _ in range(n)]
-        for i in range(n):
-            if x_frame[i] is ZERO:
-                continue
-            for j in range(n):
-                if y_frame[j] is ZERO:
-                    continue
-                coeff = x_frame[i] * y_frame[j]
-                for k in range(n):
-                    if z_frame[k] is ZERO:
-                        continue
-                    rm = self.R[i][j][k]
-                    c = coeff * z_frame[k]
-                    for m in range(n):
-                        if rm[m] is not ZERO:
-                            terms[m].append(c * rm[m])
+        """``R(X, Y) Z`` by multilinearity over the non-zero frame components."""
+        x, y, z = ([(i, c) for i, c in enumerate(f) if c is not ZERO]
+                   for f in (x_frame, y_frame, z_frame))
+        terms = [[] for _ in range(self.M.dim)]
+        for i, u in x:
+            for j, v in y:
+                coeff = u * v
+                for k, w in z:
+                    c = coeff * w
+                    for m, r in enumerate(self.R[i][j][k]):
+                        if r is not ZERO:
+                            terms[m].append(c * r)
         return [add_all(t) for t in terms]
 
 
 def _lincomb(pairs):
     """The non-zero components of ``sum_r coeff_r row_r`` as (k, value)
-    pairs, from (coeff_r, row_r) pairs of a non-zero coefficient and a
-    dense row; only non-zero row entries are multiplied, each as
-    ``coeff * entry``, and each component is merged in one ``add_all``."""
+    pairs, from (coeff_r, row_r) pairs of a non-zero coefficient and the
+    non-zero (k, entry) pairs of a row; each product is ``coeff * entry``,
+    and each component is merged in one ``add_all``."""
     terms = {}
     for coeff, row in pairs:
-        for k, e in enumerate(row):
-            if e is not ZERO:
-                terms.setdefault(k, []).append(coeff * e)
+        for k, e in row:
+            terms.setdefault(k, []).append(coeff * e)
     out = []
     for k in sorted(terms):
         v = add_all(terms[k])
@@ -372,18 +385,11 @@ class StructureTensors:
     def h_prime_squared(self):
         """``h'^2`` as a frame matrix; each component merged in one ``add_all``."""
         n = self.M.dim
-        hp = self.h_prime
+        nz = [[(k, e) for k, e in enumerate(row) if e is not ZERO] for row in self.h_prime]
         out = [[ZERO] * n for _ in range(n)]
-        for j in range(n):
-            nz = [(m, a) for m, a in enumerate(hp[j]) if a is not ZERO]
-            if not nz:
-                continue
-            terms = [[] for _ in range(n)]
-            for m, a in nz:
-                for k, b in enumerate(hp[m]):
-                    if b is not ZERO:
-                        terms[k].append(a * b)
-            out[j] = [add_all(t) for t in terms]
+        for j, row in enumerate(nz):
+            for k, v in _lincomb([(a, nz[m]) for m, a in row]):
+                out[j][k] = v
         return out
 
     def exact_spectrum(self):

@@ -75,7 +75,8 @@ def lie_bracket(X, Y):
     X._check(Y)
     comps = []
     for xk, yk in zip(X.comps, Y.comps):
-        a, b = X.apply(yk), Y.apply(xk)
+        a = ZERO if isinstance(yk, Rat) else X.apply(yk)
+        b = ZERO if isinstance(xk, Rat) else Y.apply(xk)
         comps.append(a if b is ZERO else add_all([a, -b]))
     return VectorField(X.coords, comps)
 
@@ -140,19 +141,26 @@ def _exp_bound(x, toward):
     return Fraction(max(0.0, math.nextafter(y, toward)))
 
 
+def _float_step(lo, hi):
+    """``(lo, hi)`` widened by a float step each way, to hold its values' floats."""
+    return (Fraction(math.nextafter(float(lo), -math.inf)),
+            Fraction(math.nextafter(float(hi), math.inf)))
+
+
 def _bounds(e, box, memo):
+    """``(lo, hi, inexact)``, inexact when ``evaluate`` gives e as a float."""
     found = memo.get(e)
     if found is not None:
         return found
     if isinstance(e, Rat):
-        out = (e.value, e.value)
+        out = (e.value, e.value, False)
     elif isinstance(e, Sym):
-        out = tuple(sorted(box[e.name]))
+        out = (*sorted(box[e.name]), False)
     elif isinstance(e, Exp):
-        lo, hi = _bounds(e.arg, box, memo)
-        out = (_exp_bound(lo, -math.inf), _exp_bound(hi, math.inf))
+        lo, hi, _ = _bounds(e.arg, box, memo)
+        out = (_exp_bound(lo, -math.inf), _exp_bound(hi, math.inf), True)
     elif isinstance(e, Pow):
-        lo, hi = _bounds(e.base, box, memo)
+        lo, hi, inexact = _bounds(e.base, box, memo)
         n = e.exponent
         if n < 0:
             if lo <= 0 <= hi:
@@ -165,16 +173,25 @@ def _bounds(e, box, memo):
             out = (b, a)
         else:
             out = (Fraction(0), max(a, b))
-    elif isinstance(e, Mul):
-        lo = hi = Fraction(1)
-        for f in e.factors:
-            flo, fhi = _bounds(f, box, memo)
-            ends = (lo * flo, lo * fhi, hi * flo, hi * fhi)
-            lo, hi = min(ends), max(ends)
-        out = (lo, hi)
-    elif isinstance(e, Add):
-        parts = [_bounds(t, box, memo) for t in e.terms]
-        out = (sum(p[0] for p in parts), sum(p[1] for p in parts))
+        out = (*(_float_step(*out) if inexact else out), inexact)
+    elif isinstance(e, (Mul, Add)):
+        # folded as evaluate does: once a float enters, each step is rounded
+        is_mul = isinstance(e, Mul)
+        lo = hi = Fraction(int(is_mul))
+        inexact = False
+        for t in e.factors if is_mul else e.terms:
+            tlo, thi, t_inexact = _bounds(t, box, memo)
+            inexact = inexact or t_inexact
+            if inexact:
+                (lo, hi), (tlo, thi) = _float_step(lo, hi), _float_step(tlo, thi)
+            if is_mul:
+                ends = (lo * tlo, lo * thi, hi * tlo, hi * thi)
+                lo, hi = min(ends), max(ends)
+            else:
+                lo, hi = lo + tlo, hi + thi
+            if inexact:
+                lo, hi = _float_step(lo, hi)
+        out = (lo, hi, inexact)
     else:
         raise ExpressionError(f"not a scalar expression: {e!r}")
     memo[e] = out
@@ -183,12 +200,12 @@ def _bounds(e, box, memo):
 
 def bounds(e, box):
     """An interval ``(lo, hi)`` of Fractions that encloses the field ``e``
-    on the closed box ``box`` (coordinate -> (lo, hi)), or None when it
-    cannot be decided: a coordinate the box does not bound, a negative
-    power of a base whose interval contains 0, or an exp that overflows.
-    The arithmetic is exact, except that exp is rounded outward."""
+    and its ``evaluate`` value on the closed box ``box`` (coordinate ->
+    (lo, hi)), or None when it cannot be decided: a coordinate the box does
+    not bound, a negative power of a base whose interval contains 0, or an
+    exp that overflows. Exact, but rounded outward where a float enters."""
     try:
-        return _bounds(e, box, {})
+        return _bounds(e, box, {})[:2]
     except (KeyError, DivisionByZero, OverflowError):
         return None
 

@@ -415,7 +415,7 @@ def add(a, b):
 
 
 def neg(a):
-    return mul(MINUS_ONE, a)
+    return Rat(-a.value) if isinstance(a, Rat) else mul(MINUS_ONE, a)
 
 
 def sub(a, b):

@@ -25,9 +25,14 @@ The dense frame contractions (``ref_apply``, ``ref_lie_bracket``,
 ``lie_bracket``, ``_mat_vec``, ``sym_inverse``, ``ManifoldSpec.from_frame``,
 ``frame_brackets``, ``koszul``, ``ConnectionTable.nabla_comps`` and the
 ``R``, ``ricci``, ``ricci_operator`` and ``star_ricci`` of
-``CurvatureTable``, kept verbatim except that they call each other. They
-multiply, negate and sum every entry, zeros included; tests compare the
-sparse loops, which visit only non-zero entries, with them.
+``CurvatureTable``, kept verbatim except that they call each other and
+that ``ref_nabla_comps`` reads the Christoffel symbols from
+``conn.gamma``. They multiply, negate and sum every entry, zeros
+included; tests compare the sparse loops, which visit only non-zero
+entries, with them. ``ref_koszul`` and ``RefCurvatureTable.R`` are the
+dense references for the scatter loops of ``koszul`` and
+``CurvatureTable.R``, which visit only the non-zero structure constants,
+metric derivatives and Christoffel symbols.
 
 ``ref_parser`` is the earlier argparse command line, ``build_parser`` of
 ``contactgeo.cli`` kept verbatim. Tests compare the namespaces that
@@ -371,8 +376,9 @@ def ref_nabla_comps(conn, x_frame, c_frame):
             for i, x in xs:
                 terms[k].append(x * ref_apply(M.frame[i], ck))
     for i, x in xs:
-        for k, gs in conn._gamma_nz[i]:
-            w = add_all([c[l] * g for l, g in gs if c[l] is not None])
+        for k in range(n):
+            w = add_all([c[l] * conn.gamma[i][l][k] for l in range(n)
+                         if c[l] is not None and conn.gamma[i][l][k] is not ZERO])
             if w is not ZERO:
                 terms[k].append(x * w)
     return [add_all(t) for t in terms]

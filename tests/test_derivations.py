@@ -3,8 +3,8 @@
 ``VectorField.apply`` returns ``ZERO`` on a constant and otherwise sums
 ``c * diff(f, x)`` over the non-zero components in one ``add_all``;
 ``lie_bracket`` merges each component in one ``add_all``; ``koszul``
-reads its bracket terms from the lowered structure constants
-``g([e_i, e_j], e_k)``, built once. The references below are the earlier
+scatters the non-zero lowered structure constants ``g([e_i, e_j], e_k)``
+and metric derivatives into its slots. The references below are the earlier
 pairwise versions, kept verbatim except that they call each other;
 canonical forms are unique, so the results must be ``==``-equal node for
 node.
@@ -17,10 +17,11 @@ import pytest
 
 from contactgeo import manifest, scalar
 from contactgeo.curvature import HALF, koszul
-from contactgeo.geometry import ManifoldSpec, VectorField, lie_bracket
-from contactgeo.scalar import ONE, Rat, ZERO, parse
+from contactgeo.geometry import VectorField, lie_bracket
+from contactgeo.scalar import ONE, Rat, ZERO
 
 from fields import random_polynomial, random_vector_fields
+from manifolds import warped
 
 DIM7 = Path(__file__).parent / "golden" / "kenmotsu_exp_7.json"
 
@@ -99,25 +100,6 @@ def reference_koszul(M):
     return gamma, brackets
 
 
-def _warped():
-    """A frame with brackets under a non-constant, non-diagonal metric, so the
-    derivative terms of Koszul's formula do not vanish."""
-    P = parse
-    return ManifoldSpec(
-        name="warped",
-        coords=("x", "y", "z"),
-        frame=[[P("1"), P("0"), P("0")], [P("0"), P("1"), P("0")],
-               [P("y"), P("x*z"), P("1")]],
-        metric=[[P("2 + y^2"), P("x"), P("0")], [P("x"), P("2"), P("z")],
-                [P("0"), P("z"), P("3")]],
-        phi=[[P("0"), P("1"), P("0")], [P("-1"), P("0"), P("0")],
-             [P("0"), P("0"), P("0")]],
-        xi=2,
-        box={"x": (-1, 1), "y": (-1, 1), "z": (-1, 1)},
-        samples=5,
-    )
-
-
 MANIFOLDS = ("ex1", "ex2", "ex3", "flat", "heis", "dim7", "warped")
 
 
@@ -125,7 +107,7 @@ MANIFOLDS = ("ex1", "ex2", "ex3", "flat", "heis", "dim7", "warped")
 def manifolds(request):
     out = {name: request.getfixturevalue(name).M for name in MANIFOLDS[:5]}
     out["dim7"] = manifest.load(DIM7).manifold()
-    out["warped"] = _warped()
+    out["warped"] = warped()
     return out
 
 

@@ -1,6 +1,7 @@
 """Enclosures of scalar fields on the domain box, and what they spare.
 
-``geometry.bounds`` encloses a field on the closed coordinate box.
+``geometry.bounds`` encloses a field, and the value ``evaluate`` gives
+it (a float once an exp enters), on the closed coordinate box.
 ``ManifoldSpec`` accepts a determinant whose enclosure stays 2 * tol away
 from 0 without evaluating it at any point, and otherwise runs the point
 loop, whose witness and errors these tests compare with a plain loop
@@ -75,6 +76,17 @@ def _trees():
         )
 
     return st.recursive(leaves, grow, max_leaves=6)
+
+
+@pytest.mark.parametrize("text", ["1 + exp(-2)", "y + exp(-2)", "4/3 + exp(-1/4)"])
+def test_bounds_enclose_the_float_that_evaluate_rounds_to(text):
+    # the exact upper end of 1 + exp(-2) is 1 plus exp(-2) rounded up, but
+    # evaluate adds in floats, and 1.0 + exp(-2) rounds up past it
+    e = parse(text)
+    lo, hi = bounds(e, _box({"x": (0, 0), "y": (1, 1)}))
+    value = evaluate(e, {"x": Fraction(0), "y": Fraction(1)})
+    assert isinstance(value, float)
+    assert lo <= value <= hi
 
 
 def _intervals():

@@ -4,12 +4,16 @@ The frame loops from the manifest to the curvature visit only entries
 that are not ``ZERO``. Canonical sums drop zeros and do not depend on
 the order of their operands, so every table must be ``==``-equal, node
 for node, to the dense references in ``canonical_ref``. The manifolds
-are the five fixtures, the golden manifests, and one frame under a
-constant metric that is not diagonal, with a phi that has several
-entries per row, so the skips on g, g^{-1} and phi run where those are
-not the identity or a signed permutation.
+are the five fixtures, the golden manifests, one frame under a constant
+metric that is not diagonal, with a phi that has several entries per
+row, so the skips on g, g^{-1} and phi run where those are not the
+identity or a signed permutation, and one frame under a metric that is
+neither constant nor diagonal, so the metric derivatives that ``koszul``
+scatters are not all zero.
 
-The guards at the end count products with a ``ZERO`` operand on each
+The guards at the end count the derivations of a constant while
+``koszul`` and R are built, on each golden manifest and on the skew
+frame, and products with a ``ZERO`` operand on each
 golden manifest, while the connection and R, S, S* are built, and while
 h, h' and both forms of the soliton solve are, and on the manifests the
 full ``check`` runs on (the fixtures and the dim-3 golden ones), from the
@@ -26,19 +30,20 @@ from contactgeo.cli import CHECK_NAMES, Workspace, parse_args, run_checks
 from contactgeo.curvature import (
     CurvatureTable, StructureTensors, frame_basis, frame_brackets, koszul,
 )
-from contactgeo.geometry import ManifoldSpec, lie_bracket
-from contactgeo.scalar import ZERO, Sym, add_all, parse
+from contactgeo.geometry import ManifoldSpec, VectorField, lie_bracket
+from contactgeo.scalar import ZERO, Rat, Sym, add_all, parse
 from contactgeo.soliton import SolitonProblem, solve_soliton
 
 from canonical_ref import (
     RefCurvatureTable, ref_apply, ref_from_frame, ref_frame_brackets, ref_koszul,
     ref_lie_bracket, ref_mat_vec, ref_sym_inverse, ref_to_frame,
 )
+from manifolds import warped
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_NAMES = ("kenmotsu_exp_3", "kenmotsu_poly_3", "kenmotsu_exp_7", "kenmotsu_poly_9")
 FIXTURES = ("ex1", "ex2", "ex3", "flat", "heis")
-MANIFOLDS = FIXTURES + GOLDEN_NAMES + ("skew",)
+MANIFOLDS = FIXTURES + GOLDEN_NAMES + ("skew", "warped")
 
 
 def _rows(text):
@@ -63,13 +68,15 @@ def _skew():
 def _load(name):
     if name == "skew":
         return _skew()
+    if name == "warped":
+        return warped()
     return manifest.load(GOLDEN / f"{name}.json").manifold()
 
 
 @pytest.fixture(scope="module")
 def manifolds(request):
     out = {name: request.getfixturevalue(name).M for name in FIXTURES}
-    for name in GOLDEN_NAMES + ("skew",):
+    for name in GOLDEN_NAMES + ("skew", "warped"):
         out[name] = _load(name)
     return out
 
@@ -126,7 +133,35 @@ def test_skew_manifold_exercises_the_skips(manifolds):
     assert any(e is not ZERO for row in table.star_ricci for e in row)
 
 
-# --- the zero-work guard ------------------------------------------------------
+def test_warped_manifold_exercises_the_metric_derivatives(manifolds):
+    # an off-diagonal metric entry is not constant, so koszul has derivative
+    # terms to scatter, and the curvature is not flat
+    M = manifolds["warped"]
+    assert not isinstance(M.metric[0][1], Rat)
+    assert any(e_a.apply(M.metric[0][1]) is not ZERO for e_a in M.frame)
+    table = CurvatureTable(M, koszul(M))
+    assert any(c is not ZERO for Ri in table.R for Rij in Ri for comps in Rij for c in comps)
+
+
+# --- the zero-work guards -----------------------------------------------------
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES + ("skew",))
+def test_no_derivation_of_a_constant_in_koszul_or_r(monkeypatch, name):
+    M = _load(name)
+    counts = {"calls": 0, "constant": 0}
+    apply = VectorField.apply
+
+    def counting_apply(self, f):
+        counts["calls"] += 1
+        if isinstance(f, Rat):
+            counts["constant"] += 1
+        return apply(self, f)
+
+    monkeypatch.setattr(VectorField, "apply", counting_apply)
+    CurvatureTable(M, koszul(M)).R
+    assert counts["calls"] > 0
+    assert counts["constant"] == 0
 
 
 def _count_zero_products(monkeypatch):
