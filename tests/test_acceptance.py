@@ -534,6 +534,7 @@ def _sweep_commands():
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_SWEEP = GOLDEN_DIR / "sweep_seed1729.json"
+GOLDEN_SWEEP_TEXT = GOLDEN_DIR / "sweep_text_seed1729.json"
 GOLDEN_DIM7 = "kenmotsu_exp_7.json"
 GOLDEN_DIM9 = "kenmotsu_poly_9.json"
 GOLDEN_DIM3 = ("kenmotsu_exp_3.json", "kenmotsu_poly_3.json")
@@ -557,6 +558,20 @@ def test_acceptance_08_cli_determinism(capsys, monkeypatch):
         assert first == json.loads(GOLDEN_SWEEP.read_text())
         for chunk in first:
             json.loads(chunk)
+
+
+def test_acceptance_08b_cli_text_output(capsys, monkeypatch):
+    # the same commands without --json: the text rendering, line for line,
+    # and the exit code of each
+    with announce(capsys, "08b CLI text output"):
+        monkeypatch.chdir(GOLDEN_DIR)
+        got = []
+        for argv in _sweep_commands():
+            argv = [a for a in argv if a != "--json"]
+            code = cli_main(list(argv))
+            got.append({"argv": argv, "exit_code": code,
+                        "stdout": capsys.readouterr().out})
+        assert got == json.loads(GOLDEN_SWEEP_TEXT.read_text())
 
 
 # --- 9: every verdict of check is settled structurally --------------------------
