@@ -300,82 +300,62 @@ def _nonzero(e):
 
 
 def collect_table(ws, what):
-    """(human lines, json entries) for one table kind."""
+    """(human lines, json entries) for one table kind: a line
+    ``key = value`` per entry, and for h a line for the h' spectrum."""
     M = ws.M
     n = M.dim
-    lines, entries = [], {}
+    entries = {}
     if what == "brackets":
         brackets = frame_brackets(M)
         for i in range(n):
             for j in range(i + 1, n):
                 comps = brackets[i][j]
                 if any(_nonzero(c) for c in comps):
-                    key = f"[e_{i + 1},e_{j + 1}]"
-                    val = frame_comb(comps)
-                    lines.append(f"{key} = {val}")
-                    entries[key] = val
+                    entries[f"[e_{i + 1},e_{j + 1}]"] = frame_comb(comps)
     elif what == "conn":
         # the full grid, zeros included: the classical display
         for i in range(n):
             for j in range(n):
-                key = f"nabla_e{i + 1} e_{j + 1}"
-                val = frame_comb(ws.conn.gamma[i][j])
-                lines.append(f"{key} = {val}")
-                entries[key] = val
+                entries[f"nabla_e{i + 1} e_{j + 1}"] = frame_comb(ws.conn.gamma[i][j])
     elif what == "riem":
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(n):
                     comps = ws.table.R[i][j][k]
                     if any(_nonzero(c) for c in comps):
-                        key = f"R(e_{i + 1},e_{j + 1})e_{k + 1}"
-                        val = frame_comb(comps)
-                        lines.append(f"{key} = {val}")
-                        entries[key] = val
+                        entries[f"R(e_{i + 1},e_{j + 1})e_{k + 1}"] = frame_comb(comps)
     elif what == "ricci":
         for i in range(n):
             for j in range(i, n):
                 e = ws.table.ricci[i][j]
                 if _nonzero(e):
-                    key = f"S(e_{i + 1},e_{j + 1})"
-                    lines.append(f"{key} = {to_str(e)}")
-                    entries[key] = to_str(e)
+                    entries[f"S(e_{i + 1},e_{j + 1})"] = to_str(e)
         for i in range(n):
             comps = ws.table.ricci_operator[i]
             if any(_nonzero(c) for c in comps):
-                key = f"Q e_{i + 1}"
-                val = frame_comb(comps)
-                lines.append(f"{key} = {val}")
-                entries[key] = val
+                entries[f"Q e_{i + 1}"] = frame_comb(comps)
         entries["r"] = to_str(ws.table.scalar_curvature)
-        lines.append(f"r = {entries['r']}")
     elif what == "star":
         for i in range(n):
             for j in range(i, n):
                 e = ws.table.star_ricci[i][j]
                 if _nonzero(e):
-                    key = f"S*(e_{i + 1},e_{j + 1})"
-                    lines.append(f"{key} = {to_str(e)}")
-                    entries[key] = to_str(e)
+                    entries[f"S*(e_{i + 1},e_{j + 1})"] = to_str(e)
         entries["r*"] = to_str(ws.table.star_scalar)
-        lines.append(f"r* = {entries['r*']}")
     elif what == "h":
         ten = ws.tensors
         for label, rows in (("h", ten.h), ("h'", ten.h_prime)):
             for j in range(n):
                 if any(_nonzero(c) for c in rows[j]):
-                    key = f"{label} e_{j + 1}"
-                    val = frame_comb(rows[j])
-                    lines.append(f"{key} = {val}")
-                    entries[key] = val
-        values, spread = ten.spectrum()
+                    entries[f"{label} e_{j + 1}"] = frame_comb(rows[j])
+    lines = [f"{key} = {val}" for key, val in entries.items()]
+    if what == "h":
+        values, spread, _ = ws.tensors.spectrum()
         entries["spectrum"] = [str(v) for v in values]
         entries["spectrum_spread"] = float(spread)
         lines.append(f"h' spectrum: {{{', '.join(str(v) for v in values)}}}"
                      f" (spread {spread:.3g})")
-    if not lines:
-        lines = ["(empty)"]
-    return lines, entries
+    return lines or ["(empty)"], entries
 
 
 def cmd_tables(args):
@@ -428,7 +408,7 @@ def cmd_soliton(args):
     lines.append(f"lambda = {d['lambda']}")
     lines.append(f"residual max = {report.residual_max:.6g}"
                  + ("" if report.passed else "  [not a soliton]"))
-    for i, j, e in report.residual_entries():
+    for (i, j), e in report.residual.items():
         if _nonzero(e):
             lines.append(f"  residual(e_{i + 1},e_{j + 1}) = {to_str(e)}")
     payload = ws.header()

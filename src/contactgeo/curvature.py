@@ -392,28 +392,24 @@ class StructureTensors:
                 out[j][k] = v
         return out
 
-    def exact_spectrum(self):
-        """The eigenvalues of h' when every entry is a rational constant
-        and ``integer_spectrum`` finds them, else None."""
-        if all(isinstance(e, Rat) for row in self.h_prime for e in row):
-            # rows are images, so this is the transpose of the operator
-            # matrix: same eigenvalues, same nullities
-            return integer_spectrum([[e.value for e in row] for row in self.h_prime])
-        return None
-
     def spectrum(self):
         """Eigenvalues of h', exactly when they are integers, else sampled.
 
-        Returns ``(values, max_spread)``. When ``exact_spectrum`` finds
-        them, the values are those integers and the spread is exactly 0.0.
-        Otherwise the values come from numpy at the first sample point
-        (snapped to integers when that close), and the spread is the
-        largest eigenvalue movement across sample points; numpy is
-        imported only on that path.
+        Returns ``(values, max_spread, exact)``. When every entry of h' is
+        a rational constant and ``integer_spectrum`` finds its eigenvalues,
+        the values are those integers, the spread is exactly 0.0 and
+        ``exact`` is True. Otherwise the values come from numpy at the
+        first sample point (snapped to integers when that close), the
+        spread is the largest eigenvalue movement across sample points, and
+        ``exact`` is False; numpy is imported only on that path.
         """
-        values = self.exact_spectrum()
-        if values is not None:
-            return values, 0.0
+        if all(isinstance(e, Rat) for row in self.h_prime for e in row):
+            # rows are images, so this is the transpose of the operator
+            # matrix: same eigenvalues, same nullities
+            values = integer_spectrum([[e.value for e in row] for row in self.h_prime])
+            if values is not None:
+                return values, 0.0, True
+
         import numpy as np
 
         M = self.M
@@ -436,7 +432,7 @@ class StructureTensors:
         for x in first:
             r = round(x)
             values.append(int(r) if abs(x - r) < SNAP_TOL else float(x))
-        return values, spread
+        return values, spread, False
 
 
 def integer_spectrum(mat):

@@ -7,8 +7,9 @@ does the floating-point solve; it is imported on that path only, so an
 exact fit never loads it.
 
 Columns whose entries are all zero make the corresponding unknown
-unidentifiable; they are dropped and reported back so callers can mark
-the parameter as unconstrained instead of inventing a zero.
+unidentifiable; they are dropped and their value comes back as None, so
+callers can mark the parameter as unconstrained instead of inventing a
+zero.
 
 A row may carry an integer weight w: it then counts as w copies of
 itself, exactly so in the rational path and by repetition in the float
@@ -26,14 +27,12 @@ from .errors import DegenerateSystem
 
 
 class FitResult:
-    def __init__(self, values, dropped, exact):
+    def __init__(self, values, exact):
         self.values = values          # per requested column: number or None when dropped
-        self.dropped = dropped        # indices of unidentifiable columns
         self.exact = exact            # True when solved in rational arithmetic
 
     def __repr__(self):
-        return (f"FitResult(values={self.values}, dropped={self.dropped}, "
-                f"exact={self.exact})")
+        return f"FitResult(values={self.values}, exact={self.exact})"
 
 
 def _solve_rational(gram, rhs):
@@ -77,7 +76,6 @@ def solve_least_squares(rows, rhs, weights=None):
     ) and all(isinstance(x, (Fraction, int)) for x in rhs)
 
     keep = [j for j in range(ncols) if any(row[j] != 0 for row in rows)]
-    dropped = [j for j in range(ncols) if j not in keep]
     if not keep:
         raise DegenerateSystem("all coefficient columns vanish")
 
@@ -100,7 +98,7 @@ def solve_least_squares(rows, rhs, weights=None):
         values = [None] * ncols
         for a, j in enumerate(keep):
             values[j] = sol[a]
-        return FitResult(values, dropped, True)
+        return FitResult(values, True)
 
     import numpy as np
 
@@ -114,4 +112,4 @@ def solve_least_squares(rows, rhs, weights=None):
     values = [None] * ncols
     for a, j in enumerate(keep):
         values[j] = float(sol[a])
-    return FitResult(values, dropped, False)
+    return FitResult(values, False)

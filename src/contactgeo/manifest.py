@@ -30,33 +30,6 @@ def _expect(cond, message, where):
         raise ParseError(message, where=where)
 
 
-def _parse_expr(text, where, memo):
-    """Parse one entry; ``memo`` maps each text already parsed in this
-    manifest to its expression, so a repeated entry is parsed once."""
-    _expect(isinstance(text, (str, int, float)), "expected an expression string", where)
-    if isinstance(text, (int, float)):
-        text = repr(text)
-    e = memo.get(text)
-    if e is None:
-        try:
-            e = memo[text] = scalar.parse(text)
-        except ParseError as ex:
-            raise ParseError(f"{ex.args[0]}", where=f"{where}: {text!r}")
-    return e
-
-
-def _parse_matrix(raw, dim, where, memo):
-    _expect(isinstance(raw, list) and len(raw) == dim,
-            f"expected {dim} rows", where)
-    out = []
-    for i, row in enumerate(raw):
-        _expect(isinstance(row, list) and len(row) == dim,
-                f"expected {dim} entries", f"{where}[{i}]")
-        out.append([_parse_expr(e, f"{where}[{i}][{j}]", memo)
-                    for j, e in enumerate(row)])
-    return out
-
-
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -119,10 +92,10 @@ class Manifest:
         _expect(isinstance(name, str) and name, "name must be a nonempty string", "name")
         self.name = name
 
-        memo = {}
-        self.frame = _parse_matrix(data["frame"], dim, "frame", memo)
-        self.metric_frame = _parse_matrix(data["metric_frame"], dim, "metric_frame", memo)
-        self.phi_frame = _parse_matrix(data["phi_frame"], dim, "phi_frame", memo)
+        self._parsed = {}  # each expression text parsed so far -> its field
+        self.frame = self._matrix(data["frame"], "frame")
+        self.metric_frame = self._matrix(data["metric_frame"], "metric_frame")
+        self.phi_frame = self._matrix(data["phi_frame"], "phi_frame")
 
         xi = data["xi"]
         if isinstance(xi, bool):
@@ -132,7 +105,7 @@ class Manifest:
             self.xi = xi
         elif isinstance(xi, list):
             _expect(len(xi) == dim, f"xi needs {dim} components", "xi")
-            self.xi = [_parse_expr(e, f"xi[{k}]", memo) for k, e in enumerate(xi)]
+            self.xi = [self._expr(e, f"xi[{k}]") for k, e in enumerate(xi)]
         else:
             raise ParseError("xi must be a frame index or component list", where="xi")
 
@@ -145,7 +118,7 @@ class Manifest:
             _expect(isinstance(entry, dict), "domain entries are objects", where)
             if "nonzero" in entry:
                 _expect(set(entry) == {"nonzero"}, "nonzero entries carry only that key", where)
-                self.nonvanish.append(_parse_expr(entry["nonzero"], f"{where}.nonzero", memo))
+                self.nonvanish.append(self._expr(entry["nonzero"], f"{where}.nonzero"))
             else:
                 _expect(set(entry) == {"coord", "min", "max"},
                         "interval entries need coord/min/max", where)
@@ -167,11 +140,10 @@ class Manifest:
                 comps = pot["vector"]
                 _expect(isinstance(comps, list) and len(comps) == dim,
                         f"potential vector needs {dim} components", "potential.vector")
-                self.potential_vector = [_parse_expr(e, f"potential.vector[{k}]", memo)
+                self.potential_vector = [self._expr(e, f"potential.vector[{k}]")
                                          for k, e in enumerate(comps)]
             else:
-                self.potential_function = _parse_expr(pot["function"], "potential.function",
-                                                      memo)
+                self.potential_function = self._expr(pot["function"], "potential.function")
 
         self.constants = {}
         cons = data.get("constants")
@@ -184,6 +156,38 @@ class Manifest:
         self.seed = _check_seed(data.get("seed", DEFAULT_SEED))
         self.samples = _check_samples(data.get("samples", DEFAULT_SAMPLES))
         self.tol = _check_tol(data.get("tol", DEFAULT_TOL))
+
+    def _expr(self, text, where):
+        """Parse one entry, a repeated text once. Every name in it must be
+        a declared coordinate, or ``exp`` called as a function."""
+        _expect(isinstance(text, (str, int, float)) and not isinstance(text, bool),
+                "expected an expression string", where)
+        if not isinstance(text, str):
+            text = repr(text)
+        e = self._parsed.get(text)
+        if e is None:
+            try:
+                e = scalar.parse(text)
+            except ParseError as ex:
+                raise ParseError(f"{ex.args[0]}", where=f"{where}: {text!r}")
+            tokens = scalar._tokenize(text)
+            for (kind, name, _), (_, following, _) in zip(tokens, tokens[1:]):
+                if kind == "ident" and following != "(" and name not in self.coordinates:
+                    raise ParseError(f"{name!r} is not a declared coordinate",
+                                     where=f"{where}: {text!r}")
+            self._parsed[text] = e
+        return e
+
+    def _matrix(self, raw, where):
+        dim = len(self.coordinates)
+        _expect(isinstance(raw, list) and len(raw) == dim,
+                f"expected {dim} rows", where)
+        out = []
+        for i, row in enumerate(raw):
+            _expect(isinstance(row, list) and len(row) == dim,
+                    f"expected {dim} entries", f"{where}[{i}]")
+            out.append([self._expr(e, f"{where}[{i}][{j}]") for j, e in enumerate(row)])
+        return out
 
     def manifold(self, seed=None, samples=None, tol=None):
         """Build the validated ManifoldSpec; overrides get the manifest's checks."""

@@ -16,8 +16,8 @@ from functools import cached_property
 
 from .curvature import hessian, lie_derivative_metric
 from .errors import DegenerateSystem, MissingPotential
-from .scalar import MINUS_ONE, ONE, PROVED_ZERO, Rat, add_all, to_str
-from .structure import _prod, combine, fit_sampled, snap
+from .scalar import MINUS_ONE, PROVED_ZERO, Rat, to_str
+from .structure import _prod, fit_sampled, settle_fit
 
 
 def _coerce(q):
@@ -59,47 +59,38 @@ class SolitonProblem:
         return "vector" if self.V is not None else "gradient"
 
     @cached_property
-    def base_tensor(self):
-        """The constant-free part of the soliton equation.
+    def labelled(self):
+        """One (label, (a_lt, a_mu, b)) tuple per frame pair i <= j, where
+        the equation reads lambda~ a_lt + mu a_mu = b.
 
-        Vector form: L_V g + 2 S*. Gradient form: Hess f + S*.
+        b is the constant-free part, L_V g + 2 S* (vector form) or
+        Hess f + S* (gradient form); a_lt = -s g and a_mu = -s eta(x)eta,
+        with s = 2 and 1 respectively.
         """
         M, n = self.M, self.M.dim
         star = self.table.star_ricci
         if self.V is not None:
             lie = lie_derivative_metric(M, self.V)
-            out = [[lie[i][j] + _prod(TWO, star[i][j]) for j in range(n)]
-                   for i in range(n)]
+            minus_s = Rat(-2)
+
+            def base(i, j):
+                return lie[i][j] + _prod(TWO, star[i][j])
         else:
             hess = hessian(M, self.table.conn, self.f)
-            out = [[hess[i][j] + star[i][j] for j in range(n)] for i in range(n)]
-        return out
+            minus_s = MINUS_ONE
 
-    @cached_property
-    def coefficient_tensors(self):
-        """Coefficients of (lambda~, mu) in the residual, as matrices."""
-        M = self.M
-        scale = TWO if self.V is not None else ONE
+            def base(i, j):
+                return hess[i][j] + star[i][j]
         eta = M.eta_frame
-        g_part = [[_prod(scale, g) for g in row] for row in M.metric]
-        eta_part = [[_prod(scale, ei, ej) for ej in eta] for ei in eta]
-        return g_part, eta_part
-
-
-def soliton_residual(P, lambda_tilde, mu):
-    """Residual tensor of either form of the equation at given constants,
-    each snapped to a Rat (a ``None`` mu counts as 0)."""
-    n = P.M.dim
-    base = P.base_tensor
-    g_part, eta_part = P.coefficient_tensors
-    lt, m = snap(lambda_tilde), snap(mu)
-    return [[add_all([base[i][j], _prod(lt, g_part[i][j]), _prod(m, eta_part[i][j])])
-             for j in range(n)] for i in range(n)]
+        return [(f"residual(e_{i + 1},e_{j + 1})",
+                 (_prod(minus_s, M.metric[i][j]), _prod(minus_s, eta[i], eta[j]),
+                  base(i, j)))
+                for i in range(n) for j in range(i, n)]
 
 
 class SolitonReport:
-    """Solved or verified constants, the full residual table, and the
-    verdict of ``combine`` over its upper-triangle entries."""
+    """Solved or verified constants, the residual of every frame pair
+    i <= j, and the verdict of ``settle_fit`` over them."""
 
     def __init__(self, form, n, lambda_tilde, mu, residual, verdict,
                  mu_unconstrained=False):
@@ -107,7 +98,7 @@ class SolitonReport:
         self.n = n
         self.lambda_tilde = lambda_tilde
         self.mu = mu
-        self.residual = residual  # frame tensor
+        self.residual = residual  # {(i, j): residual component}, i <= j
         self.verdict = verdict
         self.mu_unconstrained = mu_unconstrained
 
@@ -126,11 +117,6 @@ class SolitonReport:
     def lambda_string(self):
         return lambda_string(self.lambda_tilde, self.n)
 
-    def residual_entries(self):
-        dim = len(self.residual)
-        return [(i, j, self.residual[i][j])
-                for i in range(dim) for j in range(i, dim)]
-
     def to_dict(self):
         return {
             "form": self.form,
@@ -141,7 +127,7 @@ class SolitonReport:
             "residual_max": float(self.residual_max),
             "exact": self.exact,
             "residual": {f"e_{i + 1},e_{j + 1}": to_str(e)
-                         for i, j, e in self.residual_entries()},
+                         for (i, j), e in self.residual.items()},
             "classification": classify(self.lambda_tilde, self.n),
         }
 
@@ -201,28 +187,20 @@ def classify(lambda_tilde, n, p=None):
 
 
 def _report(P, lt, mu, mu_unconstrained=False):
-    """Settle the residual at (lt, mu); float constants, from a float fit
+    """Settle the equation at (lt, mu); float constants, from a float fit
     or a float that no small fraction matches, are held to the tolerance
     even where the residual is constant."""
     M = P.M
-    residual = soliton_residual(P, lt, mu)
-    verdict = combine(M, "soliton_residual",
-                      [(f"residual(e_{i + 1},e_{j + 1})", residual[i][j])
-                       for i in range(M.dim) for j in range(i, M.dim)],
-                      exact=not isinstance(lt, float) and not isinstance(mu, float))
+    verdict, parts = settle_fit(M, "soliton_residual", P.labelled, (lt, mu))
+    pairs = [(i, j) for i in range(M.dim) for j in range(i, M.dim)]
+    residual = dict(zip(pairs, (e for _, e in parts)))
     return SolitonReport(P.form, M.n, lt, mu, residual, verdict,
                          mu_unconstrained)
 
 
 def solve_soliton(P):
     """Least-squares (lambda~, mu) over all components and sample points."""
-    M = P.M
-    n = M.dim
-    base = P.base_tensor
-    g_part, eta_part = P.coefficient_tensors
-    entries = [(g_part[i][j], eta_part[i][j], _prod(MINUS_ONE, base[i][j]))
-               for i in range(n) for j in range(i, n)]
-    fit = fit_sampled(M, entries, skip_singular=True)
+    fit = fit_sampled(P.M, [entry for _, entry in P.labelled], skip_singular=True)
     lt, mu = fit.values
     if lt is None:
         raise DegenerateSystem("soliton fit degenerate: metric column vanished")

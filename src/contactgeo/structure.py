@@ -4,8 +4,9 @@ almost-Kenmotsu conditions, nullity and eta-Einstein fitting.
 Every check reduces tensor identities to componentwise scalar residuals
 and runs them through the zero tester, so a failing identity always
 carries a witness (component label, sample point, value). The nullity
-and eta-Einstein fits are settled the same way: the fitted constants are
-substituted into the residual of every fitted tuple (``settle_fit``).
+and eta-Einstein fits, and the soliton constants, fitted or given, are
+settled the same way: the constants are substituted into the residual of
+every tuple (``settle_fit``).
 Checks run on the frame index tuples only: the identities are tensorial,
 so on a correct connection their frame components decide the verdict.
 That the connection engine is tensorial (torsion-free and
@@ -97,30 +98,24 @@ def _prod(*factors):
     return out
 
 
-def _verdict_of(M, expr, exact=True):
-    v = scalar.is_zero(expr, M.sampler, tol=M.tol)
-    if not exact and v.kind == NON_ZERO and v.max_abs < M.tol:
-        # only a constant residual fails below the tolerance; built from
-        # float constants, it is known no better than that
-        return scalar.Verdict(NUMERICALLY_ZERO, v.max_abs)
-    return v
-
-
-def combine(M, name, parts, note="", exact=True):
+def combine(M, name, parts, exact=True):
     """Aggregate labeled residual expressions into one CheckResult.
 
     parts: iterable of (component label, ScalarField). The worst verdict
     wins; the witness points at the first offending component (and at the
     first sample point where it breaks the tolerance), and max_abs is the
     largest |value| over the components and the sample points.
-    ``exact=False`` says the parts were built from float constants: a
-    constant residual within the tolerance is then numerically zero.
+    ``exact=False`` says the parts were built from float constants, known
+    no better than the tolerance: a residual that fails below it (only a
+    constant one can) is then numerically zero.
     """
     kind = PROVED_ZERO
     max_abs = 0.0
     witness = None
     for label, expr in parts:
-        v = _verdict_of(M, expr, exact)
+        v = scalar.is_zero(expr, M.sampler, tol=M.tol)
+        if not exact and v.kind == NON_ZERO and v.max_abs < M.tol:
+            v = scalar.Verdict(NUMERICALLY_ZERO, v.max_abs)
         if v.max_abs > max_abs:
             max_abs = v.max_abs
         if _KIND_RANK[v.kind] > _KIND_RANK[kind]:
@@ -128,7 +123,7 @@ def combine(M, name, parts, note="", exact=True):
             if v.kind == NON_ZERO and witness is None:
                 env, value = v.witness
                 witness = (label, env, value)
-    return CheckResult(name, kind, max_abs, witness, note)
+    return CheckResult(name, kind, max_abs, witness)
 
 
 def _numeric_result(name, value, tol, note=""):
@@ -155,23 +150,31 @@ def snap(x):
     return Rat(Fraction(x).limit_denominator(10 ** 12))
 
 
-def settle_fit(M, name, labelled, constants, exact):
-    """Settle a fit the way every identity is settled.
+def settle_fit(M, name, labelled, values):
+    """Settle constants, fitted or given, the way every identity is settled.
 
-    ``labelled`` holds (component label, (a_1, ..., a_k, b)) pairs, the
-    tuples the fit was made from, ``constants`` the fitted x_i as Rats,
-    and ``exact`` whether the fit ran in rational arithmetic. The
-    residual b - x_1 a_1 - ... - x_k a_k of every tuple goes through
-    ``combine``, so a fit that holds exactly is proved zero and a failing
-    one carries a component witness; a float fit is held to the
-    tolerance on constant tuples too. A tuple of zero constants has
-    residual 0 and is left out, as it is from the fit.
+    ``labelled`` holds (component label, (a_1, ..., a_k, b)) pairs and
+    ``values`` the constants x_i, as they came (a ``None`` counts as 0).
+    The residual b - x_1 a_1 - ... - x_k a_k of every tuple goes through
+    ``combine``, so constants that hold exactly are proved zero and
+    failing ones carry a component witness. A float constant is known
+    only to the tolerance, so then a constant residual within it is
+    numerically zero. A tuple of zero constants has residual 0 and is not
+    tested. Returns the CheckResult and the (label, residual) pairs of
+    every tuple.
     """
-    return combine(M, name, [
-        (label, add_all([entry[-1]] + [_prod(MINUS_ONE, x, a)
-                                       for x, a in zip(constants, entry)]))
-        for label, entry in labelled if any(e is not ZERO for e in entry)],
-        exact=exact)
+    constants = [snap(x) for x in values]
+    residuals, tested = [], []
+    for label, entry in labelled:
+        if all(e is ZERO for e in entry):
+            residuals.append((label, ZERO))
+            continue
+        part = (label, add_all([entry[-1]] + [_prod(MINUS_ONE, x, a)
+                                              for x, a in zip(constants, entry)]))
+        residuals.append(part)
+        tested.append(part)
+    exact = not any(isinstance(x, float) for x in values)
+    return combine(M, name, tested, exact), residuals
 
 
 def check_almost_contact(M):
@@ -465,7 +468,7 @@ def solve_nullity(M, conn, table, tensors):
     mu_unconstrained = mu is None
     kap, mu_eff = snap(kappa), snap(mu)
 
-    fit_result = settle_fit(M, "nullity_fit", labelled, (kap, mu_eff), fit.exact)
+    fit_result, _ = settle_fit(M, "nullity_fit", labelled, fit.values)
     checks = [fit_result]
     hp2 = tensors.h_prime_squared()
     kap1 = kap + ONE
@@ -518,10 +521,9 @@ def solve_nullity(M, conn, table, tensors):
     checks.append(combine(M, "covariant_eta_shape", parts))
 
     # the numpy fallback of spectrum() also gives ints, snapped at one
-    # point, so only exact_spectrum() settles the value exactly
-    exact = tensors.exact_spectrum()
-    spectrum, spread = (exact, 0.0) if exact is not None else tensors.spectrum()
-    if exact is not None and isinstance(kappa, (int, Fraction)):
+    # point, so only an exact spectrum settles the value exactly
+    spectrum, spread, exact = tensors.spectrum()
+    if exact and isinstance(kappa, (int, Fraction)):
         value = max(x * x for x in spectrum) + kappa + 1
     else:
         alpha = max(abs(float(x)) for x in spectrum)
@@ -564,8 +566,7 @@ def solve_eta_einstein(M, table):
         raise DegenerateSystem("metric column vanished; manifest is degenerate")
     if b is None:
         raise DegenerateSystem("eta(x)eta column vanished; eta is degenerate")
-    result = settle_fit(M, "eta_einstein_fit", labelled, (snap(a), snap(b)),
-                        fit.exact)
+    result, _ = settle_fit(M, "eta_einstein_fit", labelled, fit.values)
     einstein = result.passed and abs(float(b)) < M.tol
 
     # Kenmotsu consistency: with S = a g + b eta(x)eta one must have

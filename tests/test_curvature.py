@@ -142,10 +142,11 @@ def test_structure_tensor_rows(ex3):
     assert comps_are(hp[0], {0: 1})
     assert comps_are(hp[1], {1: -1})
     assert comps_are(hp[2], {})
-    values, spread = ex3.tensors.spectrum()
+    values, spread, exact = ex3.tensors.spectrum()
     assert values == [-1, 0, 1]
     assert all(type(v) is int for v in values)
     assert spread == 0
+    assert exact
 
 
 def test_reeb_flow_of_metric(ex2):

@@ -43,7 +43,7 @@ def reference_fit(M, entries, skip_singular=False):
 
 
 def fields(fit):
-    return fit.values, fit.dropped, fit.exact
+    return fit.values, [j for j, v in enumerate(fit.values) if v is None], fit.exact
 
 
 def spy(monkeypatch, module):
@@ -153,8 +153,7 @@ def test_constant_tuples_draw_no_point(flat, skip_singular):
 
 def settled(M, labelled):
     fit = fit_sampled(M, [entry for _, entry in labelled])
-    return fit, settle_fit(M, "fit", labelled, [snap(v) for v in fit.values],
-                           fit.exact)
+    return fit, settle_fit(M, "fit", labelled, fit.values)[0]
 
 
 def test_polynomial_rows_settle_exactly(flat):
@@ -182,17 +181,19 @@ def test_exp_rows_take_the_float_fit(flat):
 
 def test_float_constants_meet_constant_tuples_within_tolerance(flat):
     # 2 + 3e-11 snaps to a fraction 3e-11 off, so the residual of the
-    # constant tuple is a non-zero constant far below the tolerance
+    # constant tuple is a non-zero constant far below the tolerance: it
+    # passes for the float, known only that well, and fails for the
+    # fraction itself, which is exact
     labelled = [("2 - a", (Rat(1), Rat(2)))]
-    near = [snap(2 + 3e-11)]
-    assert near != [Rat(2)]
-    loose = settle_fit(flat.M, "fit", labelled, near, exact=False)
+    near = 2 + 3e-11
+    assert snap(near) != Rat(2)
+    loose, _ = settle_fit(flat.M, "fit", labelled, [near])
     assert loose.kind == NUMERICALLY_ZERO and loose.passed
     assert 0 < loose.max_abs < flat.M.tol
-    strict = settle_fit(flat.M, "fit", labelled, near, exact=True)
+    strict, _ = settle_fit(flat.M, "fit", labelled, [snap(near).value])
     assert strict.kind == NON_ZERO
     assert strict.witness[0] == "2 - a"
-    far = settle_fit(flat.M, "fit", labelled, [snap(2.5)], exact=False)
+    far, _ = settle_fit(flat.M, "fit", labelled, [2.5])
     assert far.kind == NON_ZERO
 
 
@@ -280,9 +281,9 @@ def test_eta_einstein_messages(flat, metric, eta, message):
 def test_soliton_message(flat):
     P = SimpleNamespace(
         M=SimpleNamespace(dim=2, sampler=flat.M.sampler),
-        base_tensor=[[parse("x"), ZERO], [ZERO, Rat(1)]],
-        coefficient_tensors=([[ZERO, ZERO], [ZERO, ZERO]],
-                             [[Rat(1), ZERO], [ZERO, ZERO]]))
+        labelled=[("residual(e_1,e_1)", (ZERO, Rat(-1), parse("x"))),
+                  ("residual(e_1,e_2)", (ZERO, ZERO, ZERO)),
+                  ("residual(e_2,e_2)", (ZERO, ZERO, Rat(1)))])
     with pytest.raises(DegenerateSystem) as err:
         solve_soliton(P)
     assert str(err.value) == "soliton fit degenerate: metric column vanished"

@@ -161,6 +161,37 @@ def test_bad_expression_reports_path():
         parse_data(frame=[["1", "x +", "0"], ["0", "1", "0"], ["0", "0", "1"]])
 
 
+def test_boolean_entries_rejected_with_path():
+    # JSON true would otherwise parse as a symbol named True
+    with pytest.raises(ParseError,
+                       match=r"^expected an expression string \(phi_frame\[0\]\[1\]\)$"):
+        parse_data(phi_frame=[["0", True, "0"], ["-1", "0", "0"], ["0", "0", "0"]])
+    expect_error(r"expected an expression string \(xi\[1\]\)", xi=["0", False, "1"])
+    expect_error(r"expected an expression string \(potential\.function\)",
+                 potential={"function": True})
+
+
+def test_undeclared_symbols_rejected_with_path():
+    with pytest.raises(ParseError,
+                       match=r"^'w' is not a declared coordinate \(frame\[2\]\[0\]: 'w'\)$"):
+        parse_data(frame=[["1", "0", "0"], ["0", "1", "0"], ["w", "0", "1"]])
+    expect_error(r"'w' is not .*\(domain\[0\]\.nonzero: 'x\*w'\)",
+                 domain=[{"nonzero": "x*w"}])
+    expect_error(r"'t' is not .*\(potential\.vector\[1\]: 'exp\(2\*t\)'\)",
+                 potential={"vector": ["0", "exp(2*t)", "1"]})
+    expect_error(r"'True' is not .*\(xi\[0\]: 'True'\)", xi=["True", "0", "1"])
+    # a name is undeclared even where it cancels
+    expect_error(r"'w' is not .*metric_frame\[0\]\[0\]",
+                 metric_frame=[["1 + w - w", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+
+
+def test_numbers_and_exp_need_no_declaration():
+    m = parse_data(potential={"function": "exp(2*x) + 1.5*y - 3"},
+                   metric_frame=[[1, 0, 0], [0, 2.5, 0], [0, 0, "1"]])
+    assert str(m.metric_frame[1][1]) == "5/2"
+    assert m.potential_function is not None
+
+
 def test_bad_xi():
     expect_error("out of range", xi=3)
     expect_error("out of range", xi=-1)

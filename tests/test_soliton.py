@@ -9,8 +9,7 @@ from contactgeo.errors import MissingPotential
 from contactgeo.lstsq import FitResult
 from contactgeo.scalar import Rat, parse
 from contactgeo.soliton import (
-    SolitonProblem, classify,
-    lambda_string, soliton_residual, solve_soliton, verify_soliton,
+    SolitonProblem, classify, lambda_string, solve_soliton, verify_soliton,
 )
 
 from canonical_ref import simplify
@@ -71,7 +70,7 @@ def test_verify_at_wrong_constants(ex1):
     rep = verify_soliton(vector_problem(ex1), -1, 1)
     assert not rep.passed
     assert rep.residual_max == pytest.approx(2.0)
-    vals = sorted({simplify(e).value for _, _, e in rep.residual_entries()
+    vals = sorted({simplify(e).value for e in rep.residual.values()
                    if isinstance(simplify(e), Rat)})
     assert vals == [Fraction(-2), Fraction(0), Fraction(2)]
 
@@ -81,8 +80,8 @@ def test_verify_nullity_fixture(ex3):
     assert not rep.passed
     assert rep.residual_max == pytest.approx(8.0)
     res = rep.residual
-    assert simplify(res[0][0]).value == Fraction(-8)
-    for i, j, e in rep.residual_entries():
+    assert simplify(res[0, 0]).value == Fraction(-8)
+    for (i, j), e in res.items():
         if (i, j) != (0, 0):
             assert zero(ex3.M, e), (i, j)
 
@@ -90,13 +89,13 @@ def test_verify_nullity_fixture(ex3):
 def test_residual_affine_in_constants(ex2):
     P = vector_problem(ex2)
     M = ex2.M
-    r1 = soliton_residual(P, 3, -2)
-    r2 = soliton_residual(P, 1, 5)
+    r1 = verify_soliton(P, 3, -2).residual
+    r2 = verify_soliton(P, 1, 5).residual
     eta = M.eta_frame
-    for i in range(M.dim):
-        for j in range(M.dim):
-            want = Rat(4) * M.metric[i][j] - Rat(14) * eta[i] * eta[j]
-            assert zero(M, r1[i][j] - r2[i][j] - want)
+    assert list(r1) == list(r2) == [(i, j) for i in range(M.dim) for j in range(i, M.dim)]
+    for i, j in r1:
+        want = Rat(4) * M.metric[i][j] - Rat(14) * eta[i] * eta[j]
+        assert zero(M, r1[i, j] - r2[i, j] - want)
 
 
 def test_verify_accepts_string_constants(ex2):
@@ -116,7 +115,7 @@ def test_float_fit_near_a_soliton_passes(ex2, monkeypatch):
     # a float fit is known only to the tolerance: constants 3e-11 off
     # leave constant residuals below it, which pass as numerically zero
     monkeypatch.setattr(soliton, "fit_sampled",
-                        lambda M, entries, skip_singular: FitResult([3e-11, -3e-11], [], False))
+                        lambda M, entries, skip_singular: FitResult([3e-11, -3e-11], False))
     rep = solve_soliton(vector_problem(ex2))
     assert rep.verdict.kind == "numerically_zero" and rep.passed
     assert 0 < rep.residual_max < ex2.M.tol
@@ -129,8 +128,8 @@ def test_gradient_residual(ex2):
     f = parse("x^2 + y^2 + z^2 + u^2 + v^2/2")
     P = SolitonProblem(ex2.M, ex2.table, f=f)
     assert P.form == "gradient"
-    res = soliton_residual(P, 0, 0)
-    assert zero(ex2.M, res[0][0] - parse("v^2 - 1"))
+    res = verify_soliton(P, 0, 0).residual
+    assert zero(ex2.M, res[0, 0] - parse("v^2 - 1"))
 
 
 def test_gradient_base_is_half_vector_base(ex3):
@@ -139,11 +138,9 @@ def test_gradient_base_is_half_vector_base(ex3):
     f = parse("x^2 - 3*y*z + 2*z")
     Pg = SolitonProblem(M, ex3.table, f=f)
     Pv = SolitonProblem(M, ex3.table, V=M.gradient_field(f))
-    bg = Pg.base_tensor
-    bv = Pv.base_tensor
-    for i in range(M.dim):
-        for j in range(M.dim):
-            assert zero(M, bv[i][j] - Rat(2) * bg[i][j])
+    assert len(Pg.labelled) == len(Pv.labelled) == M.dim * (M.dim + 1) // 2
+    for (_, (*_, bg)), (_, (*_, bv)) in zip(Pg.labelled, Pv.labelled):
+        assert zero(M, bv - Rat(2) * bg)
 
 
 def test_gradient_solve_runs(ex2):

@@ -10,8 +10,10 @@ earlier loop, kept as it was) gives.
 import copy
 from fractions import Fraction
 
+from contactgeo import curvature
 from contactgeo.curvature import integer_spectrum
 from contactgeo.scalar import ONE, ZERO, parse
+from contactgeo.structure import solve_nullity
 
 from canonical_ref import ref_spectrum
 
@@ -95,8 +97,9 @@ def test_fallback_non_constant_matches_reference(ex3):
     tensors = _with_h_prime(ex3, [[x, ONE, ZERO],
                                   [ZERO, -ONE, ZERO],
                                   [ZERO, parse("2*x"), ZERO]])
-    got = tensors.spectrum()
-    assert got == ref_spectrum(tensors)
+    *got, exact = tensors.spectrum()
+    assert tuple(got) == ref_spectrum(tensors)
+    assert not exact
     assert got[1] > 0.0
 
 
@@ -107,8 +110,28 @@ def test_fallback_constant_non_integer_matches_reference(ex3):
                                   [ONE, ZERO, ZERO],
                                   [ZERO, ZERO, ZERO]])
     assert integer_spectrum([[e.value for e in row] for row in tensors.h_prime]) is None
-    got = tensors.spectrum()
-    assert got == ref_spectrum(tensors)
+    *got, exact = tensors.spectrum()
+    assert tuple(got) == ref_spectrum(tensors)
+    assert not exact
     assert any(isinstance(v, float) for v in got[0])
     assert got[1] == 0.0
 
+
+
+def test_nullity_seeks_a_constant_spectrum_once(ex3, monkeypatch):
+    # spectrum() says whether it is exact, so the nullity fit does not
+    # seek the integer spectrum of a constant h' a second time
+    tensors = _with_h_prime(ex3, [[ONE, ONE, ZERO],
+                                  [ONE, ZERO, ZERO],
+                                  [ZERO, ZERO, ZERO]])
+    calls = []
+
+    def counting(mat):
+        calls.append(mat)
+        return integer_spectrum(mat)
+
+    monkeypatch.setattr(curvature, "integer_spectrum", counting)
+    rep = solve_nullity(ex3.M, ex3.conn, ex3.table, tensors)
+    assert len(calls) == 1
+    assert rep.data["spectrum"] == [str(v) for v in ref_spectrum(tensors)[0]]
+    assert rep.result("spectrum_consistency").kind != "proved_zero"
