@@ -17,9 +17,9 @@ from . import __version__
 from . import manifest as manifest_mod
 from . import soliton as soliton_mod
 from . import structure
-from .curvature import CurvatureTable, StructureTensors, frame_brackets, koszul
+from .curvature import CurvatureTable, StructureTensors, koszul
 from .errors import ContactGeoError, MissingPotential
-from .scalar import ZERO, clear_caches, to_str
+from .scalar import Add, ZERO, clear_caches, to_str
 
 CHECK_NAMES = ("almost_contact", "kenmotsu", "almost_kenmotsu",
                "nullity", "eta_einstein")
@@ -197,9 +197,7 @@ def frame_comb(comps):
         elif s == "-1":
             term = f"-e_{k + 1}"
         else:
-            if ("+" in s[1:]) or ("-" in s[1:]):
-                s = f"({s})"
-            term = f"{s} e_{k + 1}"
+            term = f"({s}) e_{k + 1}" if isinstance(c, Add) else f"{s} e_{k + 1}"
         terms.append(term)
     if not terms:
         return "0"
@@ -295,10 +293,6 @@ def cmd_check(args):
 # --- tables ------------------------------------------------------------------
 
 
-def _nonzero(e):
-    return e is not ZERO
-
-
 def collect_table(ws, what):
     """(human lines, json entries) for one table kind: a line
     ``key = value`` per entry, and for h a line for the h' spectrum."""
@@ -306,11 +300,10 @@ def collect_table(ws, what):
     n = M.dim
     entries = {}
     if what == "brackets":
-        brackets = frame_brackets(M)
         for i in range(n):
             for j in range(i + 1, n):
-                comps = brackets[i][j]
-                if any(_nonzero(c) for c in comps):
+                comps = M.brackets[i][j]
+                if any(c is not ZERO for c in comps):
                     entries[f"[e_{i + 1},e_{j + 1}]"] = frame_comb(comps)
     elif what == "conn":
         # the full grid, zeros included: the classical display
@@ -322,31 +315,31 @@ def collect_table(ws, what):
             for j in range(i + 1, n):
                 for k in range(n):
                     comps = ws.table.R[i][j][k]
-                    if any(_nonzero(c) for c in comps):
+                    if any(c is not ZERO for c in comps):
                         entries[f"R(e_{i + 1},e_{j + 1})e_{k + 1}"] = frame_comb(comps)
     elif what == "ricci":
         for i in range(n):
             for j in range(i, n):
                 e = ws.table.ricci[i][j]
-                if _nonzero(e):
+                if e is not ZERO:
                     entries[f"S(e_{i + 1},e_{j + 1})"] = to_str(e)
         for i in range(n):
             comps = ws.table.ricci_operator[i]
-            if any(_nonzero(c) for c in comps):
+            if any(c is not ZERO for c in comps):
                 entries[f"Q e_{i + 1}"] = frame_comb(comps)
         entries["r"] = to_str(ws.table.scalar_curvature)
     elif what == "star":
         for i in range(n):
             for j in range(i, n):
                 e = ws.table.star_ricci[i][j]
-                if _nonzero(e):
+                if e is not ZERO:
                     entries[f"S*(e_{i + 1},e_{j + 1})"] = to_str(e)
         entries["r*"] = to_str(ws.table.star_scalar)
     elif what == "h":
         ten = ws.tensors
         for label, rows in (("h", ten.h), ("h'", ten.h_prime)):
             for j in range(n):
-                if any(_nonzero(c) for c in rows[j]):
+                if any(c is not ZERO for c in rows[j]):
                     entries[f"{label} e_{j + 1}"] = frame_comb(rows[j])
     lines = [f"{key} = {val}" for key, val in entries.items()]
     if what == "h":
@@ -409,7 +402,7 @@ def cmd_soliton(args):
     lines.append(f"residual max = {report.residual_max:.6g}"
                  + ("" if report.passed else "  [not a soliton]"))
     for (i, j), e in report.residual.items():
-        if _nonzero(e):
+        if e is not ZERO:
             lines.append(f"  residual(e_{i + 1},e_{j + 1}) = {to_str(e)}")
     payload = ws.header()
     payload["command"] = "soliton"

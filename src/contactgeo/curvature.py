@@ -15,6 +15,9 @@ Conventions (fixed, and pinned by golden tests):
   - W([X,Y],Z) + W([X,Z],Y) - W([Y,Z],X)``;
   wedge: ``(eta ^ Phi)(X,Y,Z) = eta(X)Phi(Y,Z) + eta(Y)Phi(Z,X)
   + eta(Z)Phi(X,Y)``.
+* Lie derivatives, from the bracket table ``M.brackets``:
+  ``(L_V g)(X,Y) = V(g(X,Y)) - g([V,X],Y) - g(X,[V,Y])``;
+  ``h = (1/2) L_xi phi`` and ``h' = h o phi``.
 
 All tensors produced here are frame-indexed arrays of scalar fields.
 """
@@ -25,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import isqrt
 
-from .geometry import _mat_vec, lie_bracket
+from .geometry import _mat_vec
 from .scalar import Rat, ZERO, ONE, add_all, evaluate
 
 HALF = Rat(Fraction(1, 2))
@@ -112,18 +115,6 @@ class ConnectionTable:
         return out
 
 
-def frame_brackets(M):
-    """Frame components of ``[e_i, e_j]`` for every frame pair."""
-    n = M.dim
-    brackets = [[None] * n for _ in range(n)]
-    for i in range(n):
-        brackets[i][i] = [ZERO] * n
-        for j in range(i + 1, n):
-            brackets[i][j] = M.to_frame(lie_bracket(M.frame[i], M.frame[j]))
-            brackets[j][i] = [c if c is ZERO else -c for c in brackets[i][j]]
-    return brackets
-
-
 def koszul(M):
     """Levi-Civita connection of the declared (symmetric) frame metric.
 
@@ -137,7 +128,7 @@ def koszul(M):
     n = M.dim
     G = M.metric
     Ginv = M.metric_inverse
-    brackets = frame_brackets(M)
+    brackets = M.brackets
     slots = {}
     for a in range(n):
         for b in range(a + 1, n):
@@ -196,7 +187,7 @@ class CurvatureTable:
         for i in range(n):
             R[i][i] = [[ZERO] * n for _ in range(n)]
             for j in range(i + 1, n):
-                ji = [(p, x) for p, x in enumerate(conn.brackets[j][i]) if x is not ZERO]
+                ji = [(p, x) for p, x in enumerate(self.M.brackets[j][i]) if x is not ZERO]
                 R[i][j] = []
                 for k in range(n):
                     terms = {}
@@ -331,17 +322,23 @@ def _trace(Ginv, T):
                     if Ginv[i][j] is not ZERO and T[i][j] is not ZERO])
 
 
-def lie_derivative_metric(M, V):
-    """``(L_V g)(e_i, e_j) = V(g_ij) - g([V,e_i], e_j) - g(e_i, [V,e_j])``."""
+def lie_derivative_metric(M, v):
+    """``(L_V g)(e_i, e_j) = V(g_ij) - low[i][j] - low[j][i]`` for V with frame
+    components v, where ``low[i][j] = g([V,e_i], e_j)`` lowers ``M.ad(v)``;
+    ``V(g_ij) = sum_a v^a e_a(g_ij)`` is taken of non-constant entries only."""
     n = M.dim
-    br = [M.to_frame(lie_bracket(V, M.frame[i])) for i in range(n)]
-    basis = frame_basis(n)
+    low = [_mat_vec(M.metric, row) for row in M.ad(v)]
+    vs = [(a, va) for a, va in enumerate(v) if va is not ZERO]
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            lowered = (M.metric_apply(br[i], basis[j]), M.metric_apply(basis[i], br[j]))
-            out[i][j] = out[j][i] = add_all([V.apply(M.metric[i][j])]
-                                            + [-e for e in lowered if e is not ZERO])
+            terms = [-e for e in (low[i][j], low[j][i]) if e is not ZERO]
+            if not isinstance(M.metric[i][j], Rat):
+                for a, va in vs:
+                    d = M.frame[a].apply(M.metric[i][j])
+                    if d is not ZERO:
+                        terms.append(va * d)
+            out[i][j] = out[j][i] = add_all(terms)
     return out
 
 
@@ -366,21 +363,19 @@ class StructureTensors:
 
     def __init__(self, M):
         self.M = M
-        n = M.dim
-        xi = M.xi
-        phi_fields = [M.from_frame(M.phi[j]) for j in range(n)]
+        ad = M.ad(M.xi_frame)  # rows [xi, e_k]
 
-        def half_lie_phi(Y, phiY):
-            # (L_xi phi)(Y) = [xi, phi Y] - phi([xi, Y])
-            a = M.to_frame(lie_bracket(xi, phiY))
-            b = M.phi_frame_apply(M.to_frame(lie_bracket(xi, Y)))
-            diff = [p if q is ZERO else add_all([p, -q]) for p, q in zip(a, b)]
-            return [d if d is ZERO else HALF * d for d in diff]
+        def half(parts):
+            s = add_all(parts)
+            return s if s is ZERO else HALF * s
 
-        self.h = [half_lie_phi(M.frame[j], phi_fields[j]) for j in range(n)]
-        # h'(e_j) = h(phi e_j), computed directly from the bracket definition
-        phi2 = [M.from_frame(M.phi_frame_apply(M.phi[j])) for j in range(n)]
-        self.h_prime = [half_lie_phi(phi_fields[j], phi2[j]) for j in range(n)]
+        # 2 h e_j = (L_xi phi) e_j = [xi, phi_jk e_k] - phi [xi, e_j]
+        #         = xi(phi_jk) e_k + phi_jk [xi, e_k] - phi [xi, e_j]
+        self.h = [[half((ZERO if isinstance(p, Rat) else M.xi.apply(p), a, -b))
+                   for p, a, b in zip(row, _mat_vec(ad, row), M.phi_frame_apply(ad[j]))]
+                  for j, row in enumerate(M.phi)]
+        # h is a tensor, so h' e_j = h(phi e_j) = phi_jk h e_k
+        self.h_prime = [_mat_vec(self.h, row) for row in M.phi]
 
     def h_prime_squared(self):
         """``h'^2`` as a frame matrix; each component merged in one ``add_all``."""
@@ -485,11 +480,11 @@ def _rank(rows):
 class ExteriorData:
     """``d eta``, the fundamental 2-form ``Phi``, ``d Phi``, ``eta ^ Phi``."""
 
-    def __init__(self, M, conn):
+    def __init__(self, M):
         self.M = M
         n = M.dim
         basis = frame_basis(n)
-        brackets = conn.brackets
+        brackets = M.brackets
 
         eta = M.eta_frame
         # d eta (e_i, e_j)

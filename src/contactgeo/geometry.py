@@ -11,18 +11,22 @@ Conventions used throughout:
 * ``frame`` rows are vectors: ``E[k][j]`` is the j-th coordinate
   component of ``e_k``;
 * ``phi`` rows are images: ``phi(e_j) = sum_k P[j][k] e_k``;
-* a vector's frame components ``c`` satisfy ``X = sum_k c[k] e_k``.
+* a vector's frame components ``c`` satisfy ``X = sum_k c[k] e_k``;
+* ``brackets[i][j]`` holds the frame components of ``[e_i, e_j]``; every
+  Lie derivative on the frame is taken from them (``ManifoldSpec.ad``).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 from . import scalar
 from .errors import DivisionByZero, ExpressionError, SingularFrame, ValidationError
 from .scalar import (
-    Add, Exp, Mul, Pow, Rat, Sampler, Sym, ZERO, ONE, add_all, is_zero, evaluate,
+    DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_TOL, Add, Exp, Mul, Pow, Rat, Sampler, Sym,
+    ZERO, ONE, add_all, is_zero, evaluate,
 )
 
 
@@ -220,7 +224,7 @@ class ManifoldSpec:
     """Validated manifold data plus cached derived quantities."""
 
     def __init__(self, name, coords, frame, metric, phi, xi, box=None,
-                 nonvanish=(), seed=1729, samples=50, tol=1e-9):
+                 nonvanish=(), seed=DEFAULT_SEED, samples=DEFAULT_SAMPLES, tol=DEFAULT_TOL):
         self.name = name
         self.coords = tuple(coords)
         self.dim = len(self.coords)
@@ -262,9 +266,7 @@ class ManifoldSpec:
         self.seed = seed
         self.samples = samples
 
-        E = [list(v.comps) for v in self.frame]
-        self.frame_matrix = E
-        self.frame_inverse, self.frame_det = sym_inverse(E)
+        self.frame_inverse, self.frame_det = sym_inverse([list(v.comps) for v in self.frame])
         self.metric_inverse, self.metric_det = sym_inverse(self.metric)
 
         if self.xi_frame is None:
@@ -310,26 +312,43 @@ class ManifoldSpec:
 
     def to_frame(self, X):
         """Frame components of a coordinate vector field."""
-        if isinstance(X, VectorField):
-            comps = X.comps
-        else:
-            comps = tuple(X)
-        return _mat_vec(self.frame_inverse, list(comps))
+        return _mat_vec(self.frame_inverse, list(X.comps))
 
-    def from_frame(self, c):
-        """Coordinate vector field with the given frame components."""
-        c = [ck if isinstance(ck, scalar.ScalarField) else Rat(ck) for ck in c]
-        return VectorField(self.coords, _mat_vec(self.frame_matrix, c))
+    @cached_property
+    def brackets(self):
+        """The structure constants: frame components of every ``[e_i, e_j]``."""
+        n = self.dim
+        brackets = [[None] * n for _ in range(n)]
+        for i in range(n):
+            brackets[i][i] = [ZERO] * n
+            for j in range(i + 1, n):
+                brackets[i][j] = self.to_frame(lie_bracket(self.frame[i], self.frame[j]))
+                brackets[j][i] = [c if c is ZERO else -c for c in brackets[i][j]]
+        return brackets
 
-    def _frame_comps(self, X):
-        if isinstance(X, VectorField):
-            return self.to_frame(X)
-        return list(X)
+    def ad(self, v):
+        """Rows ``[V, e_k] = sum_a v^a [e_a, e_k] - e_k(v^a) e_a`` in frame
+        components, for V with frame components v; only non-zero v^a and
+        structure constants are visited, and only non-constant v^a derived."""
+        n = self.dim
+        vs = [(a, va) for a, va in enumerate(v) if va is not ZERO]
+        rows = []
+        for k, e_k in enumerate(self.frame):
+            terms = [[] for _ in range(n)]
+            for a, va in vs:
+                for m, c in enumerate(self.brackets[a][k]):
+                    if c is not ZERO:
+                        terms[m].append(va * c)
+                if not isinstance(va, Rat):
+                    d = e_k.apply(va)
+                    if d is not ZERO:
+                        terms[a].append(-d)
+            rows.append([add_all(t) for t in terms])
+        return rows
 
-    def metric_apply(self, X, Y):
-        """``g(X, Y)`` for coordinate fields or frame-component lists."""
-        c = self._frame_comps(X)
-        d = [(j, dj) for j, dj in enumerate(self._frame_comps(Y)) if dj is not ZERO]
+    def metric_apply(self, c, d):
+        """``g(X, Y)`` from the frame components of X and Y."""
+        d = [(j, dj) for j, dj in enumerate(d) if dj is not ZERO]
         parts = []
         for i in range(self.dim):
             if c[i] is ZERO:
@@ -345,22 +364,9 @@ class ManifoldSpec:
         """phi acting on frame components."""
         return _mat_vec(self.phi, list(c))
 
-    def frame_apply(self, f):
-        """List of derivations ``e_k(f)``."""
-        return [v.apply(f) for v in self.frame]
-
-    def sharp(self, omega_frame):
-        """Raise a covector given by its frame values ``omega_k = omega(e_k)``."""
-        return [add_all([g * w for g, w in zip(row, omega_frame)
-                         if g is not ZERO and w is not ZERO])
-                for row in self.metric_inverse]
-
     def gradient(self, f):
         """Frame components of ``grad f``: ``g(grad f, X) = X(f)``."""
-        return self.sharp(self.frame_apply(f))
-
-    def gradient_field(self, f):
-        return self.from_frame(self.gradient(f))
+        return _mat_vec(self.metric_inverse, [v.apply(f) for v in self.frame])
 
     def is_zero_field(self, e, tol=None):
         return is_zero(e, self.sampler, self.tol if tol is None else tol)

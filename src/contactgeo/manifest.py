@@ -20,10 +20,6 @@ REQUIRED_FIELDS = ("coordinates", "frame", "metric_frame", "phi_frame", "xi")
 OPTIONAL_FIELDS = ("name", "domain", "potential", "constants",
                    "seed", "samples", "tol")
 
-DEFAULT_SEED = 1729
-DEFAULT_SAMPLES = 50
-DEFAULT_TOL = 1e-9
-
 
 def _expect(cond, message, where):
     if not cond:
@@ -153,9 +149,9 @@ class Manifest:
             for key, val in cons.items():
                 self.constants[key] = _parse_number(val, f"constants.{key}")
 
-        self.seed = _check_seed(data.get("seed", DEFAULT_SEED))
-        self.samples = _check_samples(data.get("samples", DEFAULT_SAMPLES))
-        self.tol = _check_tol(data.get("tol", DEFAULT_TOL))
+        self.seed = _check_seed(data.get("seed", scalar.DEFAULT_SEED))
+        self.samples = _check_samples(data.get("samples", scalar.DEFAULT_SAMPLES))
+        self.tol = _check_tol(data.get("tol", scalar.DEFAULT_TOL))
 
     def _expr(self, text, where):
         """Parse one entry, a repeated text once. Every name in it must be

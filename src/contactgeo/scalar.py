@@ -660,6 +660,12 @@ def evaluate(e, env):
 # --- zero testing -----------------------------------------------------------
 
 
+# the sampling defaults: the seed and number of the sample points, and the
+# absolute tolerance of a zero test
+DEFAULT_SEED = 1729
+DEFAULT_SAMPLES = 50
+DEFAULT_TOL = 1e-9
+
 PROVED_ZERO = "proved_zero"
 NUMERICALLY_ZERO = "numerically_zero"
 NON_ZERO = "non_zero"
@@ -688,7 +694,7 @@ class Verdict:
 _PROVED = Verdict(PROVED_ZERO)
 
 
-def is_zero(e, sampler=None, tol=1e-9):
+def is_zero(e, sampler=None, tol=DEFAULT_TOL):
     """Decide whether a field vanishes identically on the sampling domain.
 
     ``e`` must be canonical, as every node built by this module is: terms
@@ -739,7 +745,8 @@ class Sampler:
     constraint by less than the margin are rejected.
     """
 
-    def __init__(self, names, box, nonvanish=(), seed=1729, count=50, margin=1e-3):
+    def __init__(self, names, box, nonvanish=(), seed=DEFAULT_SEED, count=DEFAULT_SAMPLES,
+                 margin=1e-3):
         self.names = tuple(names)
         self.box = {n: (Fraction(str(lo)) if not isinstance(lo, (int, Fraction)) else Fraction(lo),
                         Fraction(str(hi)) if not isinstance(hi, (int, Fraction)) else Fraction(hi))

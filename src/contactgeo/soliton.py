@@ -70,7 +70,7 @@ class SolitonProblem:
         M, n = self.M, self.M.dim
         star = self.table.star_ricci
         if self.V is not None:
-            lie = lie_derivative_metric(M, self.V)
+            lie = lie_derivative_metric(M, M.to_frame(self.V))
             minus_s = Rat(-2)
 
             def base(i, j):

@@ -281,7 +281,7 @@ def check_kenmotsu(M, conn, table):
                     + [_prod(two_n, eta[i])])
         parts_b12.append((f"S(e_{i + 1}, xi) + 2n eta(e_{i + 1})", s))
 
-    lg = lie_derivative_metric(M, M.xi)
+    lg = lie_derivative_metric(M, xi)
     parts_b13 = []
     for i in range(n):
         for j in range(i, n):
@@ -334,7 +334,7 @@ def check_almost_kenmotsu(M, conn, table, tensors):
     basis = frame_basis(n)
     eta = M.eta_frame
     xi = M.xi_frame
-    ext = ExteriorData(M, conn)
+    ext = ExteriorData(M)
 
     parts_eta = [(f"d eta(e_{i + 1}, e_{j + 1})", ext.d_eta[i][j])
                  for i in range(n) for j in range(i + 1, n)]

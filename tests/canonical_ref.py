@@ -22,8 +22,9 @@ The dense frame contractions (``ref_apply``, ``ref_lie_bracket``,
 ``ref_mat_vec``, ``ref_sym_inverse``, ``ref_from_frame``,
 ``ref_frame_brackets``, ``ref_koszul``, ``ref_nabla_comps`` and
 ``RefCurvatureTable``) are the earlier versions of ``VectorField.apply``,
-``lie_bracket``, ``_mat_vec``, ``sym_inverse``, ``ManifoldSpec.from_frame``,
-``frame_brackets``, ``koszul``, ``ConnectionTable.nabla_comps`` and the
+``lie_bracket``, ``_mat_vec``, ``sym_inverse``, the since deleted
+``ManifoldSpec.from_frame``, ``ManifoldSpec.brackets`` (once
+``frame_brackets``), ``koszul``, ``ConnectionTable.nabla_comps`` and the
 ``R``, ``ricci``, ``ricci_operator`` and ``star_ricci`` of
 ``CurvatureTable``, kept verbatim except that they call each other and
 that ``ref_nabla_comps`` reads the Christoffel symbols from
@@ -33,6 +34,16 @@ entries, with them. ``ref_koszul`` and ``RefCurvatureTable.R`` are the
 dense references for the scatter loops of ``koszul`` and
 ``CurvatureTable.R``, which visit only the non-zero structure constants,
 metric derivatives and Christoffel symbols.
+
+``ref_structure_tensors`` and ``ref_lie_derivative_metric`` are the
+earlier ``StructureTensors`` constructor and ``lie_derivative_metric``,
+kept as they were except that ``ref_from_frame`` stands in for
+``ManifoldSpec.from_frame``: they take coordinate brackets with xi and V
+and convert them to the frame, and h' is built from its own brackets,
+``h'(e_j) = (1/2)([xi, phi^2 e_j] - phi [xi, phi e_j])``, not from h. The
+engine reads the bracket table (``ManifoldSpec.ad``) instead; the two
+constructions need not give the same tree, so tests compare them by a
+zero test of each difference.
 
 ``ref_parser`` is the earlier argparse command line, ``build_parser`` of
 ``contactgeo.cli`` kept verbatim. Tests compare the namespaces that
@@ -48,7 +59,7 @@ from contactgeo import __version__, scalar
 from contactgeo.cli import CHECK_NAMES, TABLE_NAMES
 from contactgeo.curvature import HALF, ConnectionTable, frame_basis
 from contactgeo.errors import DivisionByZero, ExpressionError, SingularFrame
-from contactgeo.geometry import VectorField
+from contactgeo.geometry import VectorField, lie_bracket
 from contactgeo.scalar import (
     _EXPAND_LIMIT, ONE, ZERO, Add, Exp, Mul, Pow, Rat, Sym, add, add_all,
     evaluate, exp_of, mul, pow_int, sort_key,
@@ -472,6 +483,45 @@ class RefCurvatureTable:
                             terms.append(Ginv[a][b] * inner)
                 Sstar[i][j] = HALF * add_all(terms)
         return Sstar
+
+
+# --- the earlier coordinate-bracket h, h' and L_V g -------------------------------
+
+
+def ref_structure_tensors(M):
+    """``(h, h')`` as rows of frame images: ``h = (1/2) L_xi phi`` and
+    ``h'(e_j) = h(phi e_j)``, each from coordinate brackets with xi."""
+    n = M.dim
+    xi = M.xi
+    phi_fields = [ref_from_frame(M, M.phi[j]) for j in range(n)]
+
+    def half_lie_phi(Y, phiY):
+        # (L_xi phi)(Y) = [xi, phi Y] - phi([xi, Y])
+        a = M.to_frame(lie_bracket(xi, phiY))
+        b = M.phi_frame_apply(M.to_frame(lie_bracket(xi, Y)))
+        diff = [p if q is ZERO else add_all([p, -q]) for p, q in zip(a, b)]
+        return [d if d is ZERO else HALF * d for d in diff]
+
+    h = [half_lie_phi(M.frame[j], phi_fields[j]) for j in range(n)]
+    # h'(e_j) = h(phi e_j), computed directly from the bracket definition
+    phi2 = [ref_from_frame(M, M.phi_frame_apply(M.phi[j])) for j in range(n)]
+    h_prime = [half_lie_phi(phi_fields[j], phi2[j]) for j in range(n)]
+    return h, h_prime
+
+
+def ref_lie_derivative_metric(M, V):
+    """``(L_V g)(e_i, e_j) = V(g_ij) - g([V,e_i], e_j) - g(e_i, [V,e_j])``
+    for a coordinate vector field V."""
+    n = M.dim
+    br = [M.to_frame(lie_bracket(V, M.frame[i])) for i in range(n)]
+    basis = frame_basis(n)
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            lowered = (M.metric_apply(br[i], basis[j]), M.metric_apply(basis[i], br[j]))
+            out[i][j] = out[j][i] = add_all([V.apply(M.metric[i][j])]
+                                            + [-e for e in lowered if e is not ZERO])
+    return out
 
 
 # --- the argparse command line ---------------------------------------------------

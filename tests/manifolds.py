@@ -1,6 +1,6 @@
 """Hand-built test manifolds shared by several test modules."""
 
-from contactgeo.geometry import ManifoldSpec
+from contactgeo.geometry import ManifoldSpec, VectorField
 from contactgeo.scalar import parse
 
 
@@ -18,6 +18,27 @@ def warped():
         phi=[[P("0"), P("1"), P("0")], [P("-1"), P("0"), P("0")],
              [P("0"), P("0"), P("0")]],
         xi=2,
+        box={"x": (-1, 1), "y": (-1, 1), "z": (-1, 1)},
+        samples=5,
+    )
+
+
+def twisted():
+    """A Reeb field given by coordinate components whose frame components are
+    not constant, and a phi with non-constant entries, under a non-constant
+    metric, so the terms ``xi(phi_jk)`` of h and ``e_k(v^a)`` of
+    ``[V, e_k]`` do not vanish."""
+    P = parse
+    return ManifoldSpec(
+        name="twisted",
+        coords=("x", "y", "z"),
+        frame=[[P("1"), P("0"), P("0")], [P("0"), P("exp(x)"), P("0")],
+               [P("0"), P("x"), P("1")]],
+        metric=[[P("2"), P("x"), P("0")], [P("x"), P("2"), P("0")],
+                [P("0"), P("0"), P("1")]],
+        phi=[[P("0"), P("x"), P("0")], [P("-1"), P("0"), P("y")],
+             [P("z"), P("0"), P("0")]],
+        xi=VectorField(("x", "y", "z"), [P("1"), P("y"), P("1")]),
         box={"x": (-1, 1), "y": (-1, 1), "z": (-1, 1)},
         samples=5,
     )

@@ -290,12 +290,12 @@ def test_acceptance_06b_gradient_form_audit(capsys, ex2):
         verdict = M.is_zero_field(res[0, 0])
         assert verdict.kind == "non_zero"
 
-        # grad_g f = v^2 . V componentwise
-        grad = M.gradient_field(f)
-        V = ex2.manifest.potential_field()
+        # grad_g f = v^2 . V in frame components
+        grad = M.gradient(f)
+        V = M.to_frame(ex2.manifest.potential_field())
         vsq = parse("v^2")
         for a in range(5):
-            assert M.is_zero_field(grad.comps[a] - vsq * V.comps[a]).is_zero
+            assert M.is_zero_field(grad[a] - vsq * V[a]).is_zero
 
         chart = Chart(fixture_data("example2"))
         fsrc = "x^2 + y^2 + z^2 + u^2 + v^2/2"
@@ -439,7 +439,7 @@ def test_acceptance_07d_gradient_flow_identity(capsys, pool):
         rng = random.Random(90210)
         for M, conn in pool:
             f = _pool_poly(rng, deg=2)
-            lg = lie_derivative_metric(M, M.gradient_field(f))
+            lg = lie_derivative_metric(M, M.gradient(f))
             H = hessian(M, conn, f)
             for i in range(3):
                 for j in range(i, 3):

@@ -57,3 +57,16 @@ def test_traced_command_reports_its_layers(argv, code, expected):
     assert counts["scalar.is_zero.proved_zero"] > 0
     if code:
         assert counts["scalar.is_zero.non_zero"] > 0
+
+
+@pytest.mark.parametrize("what", ("h", "brackets"))
+def test_traced_tables_read_the_bracket_table(what):
+    # h and the brackets table come from ManifoldSpec.brackets, under the
+    # StructureTensors span for h, and neither builds the connection
+    record = traced(["tables", os.path.join("tests", "golden", "kenmotsu_poly_9.json"),
+                     "--what", what])
+    assert record["code"] == 0
+    assert record["raised"] is None
+    names = span_names(record["trace"])
+    assert ("curvature.tensors" in names) == (what == "h")
+    assert "curvature.koszul" not in names

@@ -11,6 +11,7 @@ import pytest
 
 from contactgeo import cli
 from contactgeo.cli import main
+from contactgeo.scalar import parse
 
 
 def run(capsys, *argv):
@@ -164,6 +165,25 @@ def test_tables_brackets_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["entries"]["[e_1,e_3]"] == "2 e_1"
+
+
+def test_tables_negative_coefficient_joins_with_minus(capsys, tmp_path):
+    # a coefficient that is not a sum is printed bare, so its sign joins
+    # the terms; only a sum is parenthesised
+    data = {
+        "coordinates": ["x", "y", "z"],
+        "frame": [["1", "0", "0"], ["0", "exp(x)", "0"], ["0", "x", "1"]],
+        "metric_frame": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "phi_frame": [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "0"]],
+        "xi": 2,
+    }
+    p = tmp_path / "twist.json"
+    p.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "tables", str(p), "--what", "conn")
+    assert code == 0
+    assert "nabla_e2 e_1 = -e_2 - 1/2*exp(-x) e_3\n" in out
+    assert "nabla_e1 e_2 = -1/2*exp(-x) e_3\n" in out
+    assert cli.frame_comb([parse("x - y"), parse("-x - y")]) == "(x - y) e_1 + (-x - y) e_2"
 
 
 # --- soliton -----------------------------------------------------------------

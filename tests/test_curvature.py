@@ -151,7 +151,7 @@ def test_structure_tensor_rows(ex3):
 
 def test_reeb_flow_of_metric(ex2):
     M = ex2.M
-    lg = lie_derivative_metric(M, M.xi)
+    lg = lie_derivative_metric(M, M.xi_frame)
     for i in range(5):
         for j in range(5):
             want = 2 if (i == j and i < 4) else 0
@@ -172,7 +172,7 @@ def test_hessian_values(ex2):
 
 def test_exterior_data(ex2, ex3):
     for b in (ex2, ex3):
-        ext = ExteriorData(b.M, b.conn)
+        ext = ExteriorData(b.M)
         n = b.M.dim
         for i in range(n):
             for j in range(i + 1, n):

@@ -20,6 +20,7 @@ from contactgeo.curvature import HALF, koszul
 from contactgeo.geometry import VectorField, lie_bracket
 from contactgeo.scalar import ONE, Rat, ZERO
 
+from canonical_ref import ref_from_frame
 from fields import random_polynomial, random_vector_fields
 from manifolds import warped
 
@@ -113,7 +114,7 @@ def manifolds(request):
 
 def _fields(M):
     """Frame vectors, phi images and random polynomial fields."""
-    fields = list(M.frame) + [M.from_frame(row) for row in M.phi]
+    fields = list(M.frame) + [ref_from_frame(M, row) for row in M.phi]
     fields += random_vector_fields(M, 3, seed=11, degree=2)
     return fields
 

@@ -7,10 +7,8 @@ import pytest
 
 from contactgeo import manifest
 from contactgeo.errors import ParseError
-from contactgeo.manifest import (
-    DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_TOL, Manifest, fixture_names,
-    load, loads, resolve,
-)
+from contactgeo.manifest import Manifest, fixture_names, load, loads, resolve
+from contactgeo.scalar import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_TOL
 
 
 def base_data(**over):
@@ -47,6 +45,9 @@ def test_bundled_fixtures_all_parse():
 
 
 def test_defaults():
+    # one set of sampling defaults, shared by the manifest, ManifoldSpec,
+    # Sampler and is_zero
+    assert (DEFAULT_SEED, DEFAULT_SAMPLES, DEFAULT_TOL) == (1729, 50, 1e-9)
     m = parse_data()
     assert m.name == "manifold"
     assert m.seed == DEFAULT_SEED

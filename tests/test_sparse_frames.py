@@ -7,13 +7,18 @@ for node, to the dense references in ``canonical_ref``. The manifolds
 are the five fixtures, the golden manifests, one frame under a constant
 metric that is not diagonal, with a phi that has several entries per
 row, so the skips on g, g^{-1} and phi run where those are not the
-identity or a signed permutation, and one frame under a metric that is
+identity or a signed permutation, one frame under a metric that is
 neither constant nor diagonal, so the metric derivatives that ``koszul``
-scatters are not all zero.
+scatters are not all zero, and one with a Reeb field whose frame
+components are not constant and a phi whose entries are not, so the
+derivative terms of ``ManifoldSpec.ad`` and of h do not vanish. On
+these, h, h' and L_V g from the bracket table must agree, by a zero
+test of each difference, with the earlier coordinate-bracket versions.
 
 The guards at the end count the derivations of a constant while
-``koszul`` and R are built, on each golden manifest and on the skew
-frame, and products with a ``ZERO`` operand on each
+``koszul``, R, h, h' and L_V g (for xi and each golden potential) are
+built, on each golden manifest and on two hand-built frames, and
+products with a ``ZERO`` operand on each
 golden manifest, while the connection and R, S, S* are built, and while
 h, h' and both forms of the soliton solve are, and on the manifests the
 full ``check`` runs on (the fixtures and the dim-3 golden ones), from the
@@ -28,7 +33,7 @@ import pytest
 from contactgeo import manifest, scalar
 from contactgeo.cli import CHECK_NAMES, Workspace, parse_args, run_checks
 from contactgeo.curvature import (
-    CurvatureTable, StructureTensors, frame_basis, frame_brackets, koszul,
+    CurvatureTable, StructureTensors, frame_basis, koszul, lie_derivative_metric,
 )
 from contactgeo.geometry import ManifoldSpec, VectorField, lie_bracket
 from contactgeo.scalar import ZERO, Rat, Sym, add_all, parse
@@ -36,14 +41,17 @@ from contactgeo.soliton import SolitonProblem, solve_soliton
 
 from canonical_ref import (
     RefCurvatureTable, ref_apply, ref_from_frame, ref_frame_brackets, ref_koszul,
-    ref_lie_bracket, ref_mat_vec, ref_sym_inverse, ref_to_frame,
+    ref_lie_bracket, ref_lie_derivative_metric, ref_mat_vec, ref_structure_tensors,
+    ref_sym_inverse, ref_to_frame,
 )
-from manifolds import warped
+from fields import random_vector_fields
+from manifolds import twisted, warped
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_NAMES = ("kenmotsu_exp_3", "kenmotsu_poly_3", "kenmotsu_exp_7", "kenmotsu_poly_9")
 FIXTURES = ("ex1", "ex2", "ex3", "flat", "heis")
-MANIFOLDS = FIXTURES + GOLDEN_NAMES + ("skew", "warped")
+HAND_BUILT = ("skew", "warped", "twisted")
+MANIFOLDS = FIXTURES + GOLDEN_NAMES + HAND_BUILT
 
 
 def _rows(text):
@@ -70,13 +78,15 @@ def _load(name):
         return _skew()
     if name == "warped":
         return warped()
+    if name == "twisted":
+        return twisted()
     return manifest.load(GOLDEN / f"{name}.json").manifold()
 
 
 @pytest.fixture(scope="module")
 def manifolds(request):
     out = {name: request.getfixturevalue(name).M for name in FIXTURES}
-    for name in GOLDEN_NAMES + ("skew", "warped"):
+    for name in GOLDEN_NAMES + HAND_BUILT:
         out[name] = _load(name)
     return out
 
@@ -84,7 +94,8 @@ def manifolds(request):
 @pytest.mark.parametrize("name", MANIFOLDS)
 def test_inverses_match_dense(manifolds, name):
     M = manifolds[name]
-    assert ref_sym_inverse(M.frame_matrix) == (M.frame_inverse, M.frame_det)
+    frame = [list(v.comps) for v in M.frame]
+    assert ref_sym_inverse(frame) == (M.frame_inverse, M.frame_det)
     assert ref_sym_inverse(M.metric) == (M.metric_inverse, M.metric_det)
 
 
@@ -92,8 +103,7 @@ def test_inverses_match_dense(manifolds, name):
 def test_vectors_match_dense(manifolds, name):
     M = manifolds[name]
     n = M.dim
-    phi_fields = [M.from_frame(row) for row in M.phi]
-    assert phi_fields == [ref_from_frame(M, row) for row in M.phi]
+    phi_fields = [ref_from_frame(M, row) for row in M.phi]
     assert M.eta_frame == [add_all([M.xi_frame[k] * M.metric[j][k] for k in range(n)])
                            for j in range(n)]
     fields = list(M.frame) + phi_fields
@@ -103,10 +113,10 @@ def test_vectors_match_dense(manifolds, name):
             assert lie_bracket(X, Y) == ref_lie_bracket(X, Y)
         for f in X.comps + tuple(M.eta_frame):
             assert X.apply(f) == ref_apply(X, f)
+    for f in [c for e in M.frame for c in e.comps] + M.eta_frame:
+        assert M.gradient(f) == ref_mat_vec(M.metric_inverse, [ref_apply(e, f) for e in M.frame])
     for row in M.phi + frame_basis(n):
         assert M.phi_frame_apply(row) == ref_mat_vec(M.phi, row)
-        assert M.sharp(row) == [add_all([M.metric_inverse[m][k] * row[k] for k in range(n)])
-                                for m in range(n)]
 
 
 @pytest.mark.parametrize("name", MANIFOLDS)
@@ -114,11 +124,26 @@ def test_connection_and_curvature_match_dense(manifolds, name):
     M = manifolds[name]
     conn = koszul(M)
     ref = ref_koszul(M)
-    assert frame_brackets(M) == ref_frame_brackets(M) == ref.brackets == conn.brackets
+    assert M.brackets == ref_frame_brackets(M) == ref.brackets == conn.brackets
     assert conn.gamma == ref.gamma
     table, dense = CurvatureTable(M, conn), RefCurvatureTable(M, conn)
     for quantity in ("R", "ricci", "ricci_operator", "star_ricci"):
         assert getattr(table, quantity) == getattr(dense, quantity), quantity
+
+
+@pytest.mark.parametrize("name", MANIFOLDS)
+def test_h_and_metric_flow_match_coordinate_brackets(manifolds, name):
+    # h, h' and L_V g from the bracket table against the coordinate brackets,
+    # for V = xi and a non-constant polynomial field
+    M = manifolds[name]
+    tensors = StructureTensors(M)
+    h, h_prime = ref_structure_tensors(M)
+    rows = list(zip(tensors.h + tensors.h_prime, h + h_prime))
+    for V in [M.xi] + random_vector_fields(M, 1, seed=3, degree=2):
+        rows += zip(lie_derivative_metric(M, M.to_frame(V)), ref_lie_derivative_metric(M, V))
+    for got, want in rows:
+        for a, b in zip(got, want):
+            assert M.is_zero_field(a - b).is_zero, (name, str(a), str(b))
 
 
 def test_skew_manifold_exercises_the_skips(manifolds):
@@ -143,12 +168,25 @@ def test_warped_manifold_exercises_the_metric_derivatives(manifolds):
     assert any(c is not ZERO for Ri in table.R for Rij in Ri for comps in Rij for c in comps)
 
 
+def test_twisted_manifold_exercises_the_reeb_derivatives(manifolds):
+    # xi has frame components that are not constant and phi has entries that
+    # are not, so h has xi(phi_jk) terms and [xi, e_k] has e_k(xi^a) terms
+    M = manifolds["twisted"]
+    assert any(M.xi.apply(p) is not ZERO for row in M.phi for p in row)
+    assert any(e_k.apply(c) is not ZERO for e_k in M.frame for c in M.xi_frame)
+    assert any(e is not ZERO for row in StructureTensors(M).h_prime for e in row)
+
+
 # --- the zero-work guards -----------------------------------------------------
 
 
-@pytest.mark.parametrize("name", GOLDEN_NAMES + ("skew",))
+@pytest.mark.parametrize("name", GOLDEN_NAMES + ("skew", "twisted"))
 def test_no_derivation_of_a_constant_in_koszul_or_r(monkeypatch, name):
+    # nor in h and h', nor in L_V g for xi and each golden potential
     M = _load(name)
+    fields = [M.xi_frame]
+    if name in GOLDEN_NAMES:
+        fields.append(M.to_frame(manifest.load(GOLDEN / f"{name}.json").potential_field()))
     counts = {"calls": 0, "constant": 0}
     apply = VectorField.apply
 
@@ -160,6 +198,9 @@ def test_no_derivation_of_a_constant_in_koszul_or_r(monkeypatch, name):
 
     monkeypatch.setattr(VectorField, "apply", counting_apply)
     CurvatureTable(M, koszul(M)).R
+    StructureTensors(M)
+    for v in fields:
+        lie_derivative_metric(M, v)
     assert counts["calls"] > 0
     assert counts["constant"] == 0
 
