@@ -329,11 +329,10 @@ def collect_table(ws, what):
                 entries[f"Q e_{i + 1}"] = frame_comb(comps)
         entries["r"] = to_str(ws.table.scalar_curvature)
     elif what == "star":
-        for i in range(n):
-            for j in range(i, n):
-                e = ws.table.star_ricci[i][j]
-                if e is not ZERO:
-                    entries[f"S*(e_{i + 1},e_{j + 1})"] = to_str(e)
+        for i, j in ws.table.star_pairs:
+            e = ws.table.star_ricci[i][j]
+            if e is not ZERO:
+                entries[f"S*(e_{i + 1},e_{j + 1})"] = to_str(e)
         entries["r*"] = to_str(ws.table.star_scalar)
     elif what == "h":
         ten = ws.tensors

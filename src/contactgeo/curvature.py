@@ -6,10 +6,12 @@ Conventions (fixed, and pinned by golden tests):
   - g(X,[Y,Z]) - g(Y,[X,Z]) + g(Z,[X,Y])``
 * Curvature: ``R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
   - nabla_[X,Y] Z``
-* Ricci: ``S(X,Y) = sum g^{ij} g(R(e_i, X) Y, e_j)``; scalar curvature
+* Ricci, a trace: ``S(X,Y) = tr(Z -> R(Z, X) Y)``, on the frame
+  ``S_ij = sum_a (R(e_a, e_i) e_j)^a``; scalar curvature
   ``r = sum g^{ij} S_ij``.
-* Star-Ricci: ``S*(X,Y) = (1/2) sum g^{ij} g(phi(R(X, phi Y) e_i), e_j)``
-  with ``r* = sum g^{ij} S*_ij``.
+* Star-Ricci, a trace: ``S*(X,Y) = (1/2) tr(Z -> phi R(X, phi Y) Z)``, on
+  the frame ``S*_ij = (1/2) sum_{l,a,m} phi_jl (R(e_i, e_l) e_a)^m phi_ma``;
+  ``r* = sum g^{ij} S*_ij``. Neither trace reads the metric.
 * Exterior derivative (1-form): ``dw(X,Y) = X(w(Y)) - Y(w(X)) - w([X,Y])``;
   (2-form): ``dW(X,Y,Z) = X(W(Y,Z)) - Y(W(X,Z)) + Z(W(X,Y))
   - W([X,Y],Z) + W([X,Z],Y) - W([Y,Z],X)``;
@@ -47,10 +49,9 @@ class ConnectionTable:
     ``gamma[i][j][k]`` is the ``e_k`` component of ``nabla_{e_i} e_j``.
     """
 
-    def __init__(self, M, gamma, brackets):
+    def __init__(self, M, gamma):
         self.M = M
         self.gamma = gamma
-        self.brackets = brackets  # frame components of [e_i, e_j]
         # _nabla_nz[i][j]: the non-zero (k, gamma[i][j][k]) of nabla_{e_i} e_j
         self._nabla_nz = [[[(k, g) for k, g in enumerate(row) if g is not ZERO] for row in rows]
                           for rows in gamma]
@@ -157,7 +158,7 @@ def koszul(M):
     for (i, j), nz in rhs.items():
         gamma[i][j] = [add_all([Ginv[m][k] * r for k, r in nz if Ginv[m][k] is not ZERO])
                        for m in range(n)]
-    return ConnectionTable(M, gamma, brackets)
+    return ConnectionTable(M, gamma)
 
 
 class CurvatureTable:
@@ -209,36 +210,18 @@ class CurvatureTable:
 
     @cached_property
     def ricci(self):
-        """``S_ij = sum g^{ab} g(R(e_a, e_i) e_j, e_b)``, lowering only the
-        ``(a, b)`` entries with ``g^{ab}`` non-zero."""
+        """``S_ij = sum_a (R(e_a, e_i) e_j)^a``, the trace of
+        ``Z -> R(Z, e_i) e_j``, over the non-zero entries of R only."""
         R = self.R
         n = self.M.dim
-        G = self.M.metric
-        Ginv = self.M.metric_inverse
-        pairs = [(a, b) for a in range(n) for b in range(n) if Ginv[a][b] is not ZERO]
-        S = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                terms = []
-                for a, b in pairs:
-                    # g(R(e_a, e_i) e_j, e_b)
-                    low = add_all([c * G[m][b] for m, c in enumerate(R[a][i][j])
-                                   if c is not ZERO and G[m][b] is not ZERO])
-                    if low is not ZERO:
-                        terms.append(Ginv[a][b] * low)
-                S[i][j] = add_all(terms)
-        return S
+        return [[add_all([R[a][i][j][a] for a in range(n) if R[a][i][j][a] is not ZERO])
+                 for j in range(n)] for i in range(n)]
 
     @cached_property
     def ricci_operator(self):
         """Rows: ``Q e_i = sum_k Q[i][k] e_k`` with ``g(Q e_i, .) = S(e_i, .)``."""
         S = self.ricci
-        n = self.M.dim
-        Ginv = self.M.metric_inverse
-        return [[add_all([Ginv[k][j] * S[j][i] for j in range(n)
-                          if Ginv[k][j] is not ZERO and S[j][i] is not ZERO])
-                 for k in range(n)]
-                for i in range(n)]
+        return [_mat_vec(self.M.metric_inverse, [row[i] for row in S]) for i in range(self.M.dim)]
 
     @cached_property
     def scalar_curvature(self):
@@ -246,35 +229,26 @@ class CurvatureTable:
 
     @cached_property
     def star_ricci(self):
-        """``S*_ij = 1/2 sum g^{ab} g(phi(R(e_i, phi e_j) e_a), e_b)``, over
-        the non-zero entries of R, phi, g and g^{-1} only, and only the a
-        with some ``R(e_i, e_m) e_a`` non-zero, m in phi(e_j)."""
+        """``S*_ij = 1/2 sum_l phi_jl t_il``, the trace of
+        ``Z -> phi R(e_i, phi e_j) Z`` by linearity in the middle slot, where
+        ``t_il = sum_{a,m} (R(e_i, e_l) e_a)^m phi_ma``; only the non-zero
+        entries of R and phi are visited, and only the l of some non-zero
+        ``phi_jl``."""
         M = self.M
         n = M.dim
-        G = M.metric
-        # the non-zero (k, R^k) of R(e_i, e_m) e_a, phi(e_j) and row a of g^{-1}
-        R = [[[[(k, c) for k, c in enumerate(comps) if c is not ZERO] for comps in Rim]
-              for Rim in Ri] for Ri in self.R]
-        phis = [[(m, c) for m, c in enumerate(row) if c is not ZERO] for row in M.phi]
-        ginv = [[(b, g) for b, g in enumerate(row) if g is not ZERO] for row in M.metric_inverse]
+        phi = M.phi
+        R = self.R
+        phis = [[(l, c) for l, c in enumerate(row) if c is not ZERO] for row in phi]
+        cols = {l for row in phis for l, _ in row}
+        # t[i][l] = tr(Z -> phi R(e_i, e_l) Z)
+        t = [{l: add_all([r * phi[m][a] for a, comps in enumerate(R[i][l])
+                          for m, r in enumerate(comps)
+                          if r is not ZERO and phi[m][a] is not ZERO])
+              for l in cols} for i in range(n)]
         Sstar = [[None] * n for _ in range(n)]
         for i in range(n):
             for j, phj in enumerate(phis):
-                # R(e_i, phi e_j) e_a, by linearity in the middle slot
-                by_a = {}
-                for m, c in phj:
-                    for a, row in enumerate(R[i][m]):
-                        if row:
-                            by_a.setdefault(a, []).append((c, row))
-                terms = []
-                for a, pairs in by_a.items():
-                    # apply phi, and contract with sum_b g^{ab} g(., e_b)
-                    phi_comps = _lincomb([(c, phis[m]) for m, c in _lincomb(pairs)])
-                    for b, g in ginv[a]:
-                        inner = add_all([c * G[m][b] for m, c in phi_comps if G[m][b] is not ZERO])
-                        if inner is not ZERO:
-                            terms.append(g * inner)
-                s = add_all(terms)
+                s = add_all([c * t[i][l] for l, c in phj if t[i][l] is not ZERO])
                 Sstar[i][j] = s if s is ZERO else HALF * s
         return Sstar
 
@@ -282,37 +256,21 @@ class CurvatureTable:
     def star_scalar(self):
         return _trace(self.M.metric_inverse, self.star_ricci)
 
-    def riemann_apply(self, x_frame, y_frame, z_frame):
-        """``R(X, Y) Z`` by multilinearity over the non-zero frame components."""
-        x, y, z = ([(i, c) for i, c in enumerate(f) if c is not ZERO]
-                   for f in (x_frame, y_frame, z_frame))
-        terms = [[] for _ in range(self.M.dim)]
-        for i, u in x:
-            for j, v in y:
-                coeff = u * v
-                for k, w in z:
-                    c = coeff * w
-                    for m, r in enumerate(self.R[i][j][k]):
-                        if r is not ZERO:
-                            terms[m].append(c * r)
-        return [add_all(t) for t in terms]
-
-
-def _lincomb(pairs):
-    """The non-zero components of ``sum_r coeff_r row_r`` as (k, value)
-    pairs, from (coeff_r, row_r) pairs of a non-zero coefficient and the
-    non-zero (k, entry) pairs of a row; each product is ``coeff * entry``,
-    and each component is merged in one ``add_all``."""
-    terms = {}
-    for coeff, row in pairs:
-        for k, e in row:
-            terms.setdefault(k, []).append(coeff * e)
-    out = []
-    for k in sorted(terms):
-        v = add_all(terms[k])
-        if v is not ZERO:
-            out.append((k, v))
-    return out
+    @cached_property
+    def star_pairs(self):
+        """The frame pairs a symmetric equation in S* holds on: every
+        ``(i, j)`` with i <= j, each followed by ``(j, i)`` where
+        ``S*_ji`` is not ``S*_ij`` (S* need not be symmetric off the
+        Kenmotsu class)."""
+        star = self.star_ricci
+        n = self.M.dim
+        pairs = []
+        for i in range(n):
+            for j in range(i, n):
+                pairs.append((i, j))
+                if star[j][i] != star[i][j]:
+                    pairs.append((j, i))
+        return pairs
 
 
 def _trace(Ginv, T):
@@ -378,14 +336,8 @@ class StructureTensors:
         self.h_prime = [_mat_vec(self.h, row) for row in M.phi]
 
     def h_prime_squared(self):
-        """``h'^2`` as a frame matrix; each component merged in one ``add_all``."""
-        n = self.M.dim
-        nz = [[(k, e) for k, e in enumerate(row) if e is not ZERO] for row in self.h_prime]
-        out = [[ZERO] * n for _ in range(n)]
-        for j, row in enumerate(nz):
-            for k, v in _lincomb([(a, nz[m]) for m, a in row]):
-                out[j][k] = v
-        return out
+        """``h'^2`` as a frame matrix: ``h'^2 e_j = h'(h' e_j)``."""
+        return [_mat_vec(self.h_prime, row) for row in self.h_prime]
 
     def spectrum(self):
         """Eigenvalues of h', exactly when they are integers, else sampled.

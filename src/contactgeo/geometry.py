@@ -364,10 +364,6 @@ class ManifoldSpec:
         """phi acting on frame components."""
         return _mat_vec(self.phi, list(c))
 
-    def gradient(self, f):
-        """Frame components of ``grad f``: ``g(grad f, X) = X(f)``."""
-        return _mat_vec(self.metric_inverse, [v.apply(f) for v in self.frame])
-
     def is_zero_field(self, e, tol=None):
         return is_zero(e, self.sampler, self.tol if tol is None else tol)
 

@@ -60,14 +60,14 @@ class SolitonProblem:
 
     @cached_property
     def labelled(self):
-        """One (label, (a_lt, a_mu, b)) tuple per frame pair i <= j, where
-        the equation reads lambda~ a_lt + mu a_mu = b.
+        """One (label, (a_lt, a_mu, b)) tuple per frame pair of
+        ``star_pairs``, where the equation reads lambda~ a_lt + mu a_mu = b.
 
         b is the constant-free part, L_V g + 2 S* (vector form) or
         Hess f + S* (gradient form); a_lt = -s g and a_mu = -s eta(x)eta,
         with s = 2 and 1 respectively.
         """
-        M, n = self.M, self.M.dim
+        M = self.M
         star = self.table.star_ricci
         if self.V is not None:
             lie = lie_derivative_metric(M, M.to_frame(self.V))
@@ -85,12 +85,12 @@ class SolitonProblem:
         return [(f"residual(e_{i + 1},e_{j + 1})",
                  (_prod(minus_s, M.metric[i][j]), _prod(minus_s, eta[i], eta[j]),
                   base(i, j)))
-                for i in range(n) for j in range(i, n)]
+                for i, j in self.table.star_pairs]
 
 
 class SolitonReport:
-    """Solved or verified constants, the residual of every frame pair
-    i <= j, and the verdict of ``settle_fit`` over them."""
+    """Solved or verified constants, the residual of every frame pair of
+    ``star_pairs``, and the verdict of ``settle_fit`` over them."""
 
     def __init__(self, form, n, lambda_tilde, mu, residual, verdict,
                  mu_unconstrained=False):
@@ -98,7 +98,7 @@ class SolitonReport:
         self.n = n
         self.lambda_tilde = lambda_tilde
         self.mu = mu
-        self.residual = residual  # {(i, j): residual component}, i <= j
+        self.residual = residual  # {(i, j): residual component}
         self.verdict = verdict
         self.mu_unconstrained = mu_unconstrained
 
@@ -192,8 +192,7 @@ def _report(P, lt, mu, mu_unconstrained=False):
     even where the residual is constant."""
     M = P.M
     verdict, parts = settle_fit(M, "soliton_residual", P.labelled, (lt, mu))
-    pairs = [(i, j) for i in range(M.dim) for j in range(i, M.dim)]
-    residual = dict(zip(pairs, (e for _, e in parts)))
+    residual = dict(zip(P.table.star_pairs, (e for _, e in parts)))
     return SolitonReport(P.form, M.n, lt, mu, residual, verdict,
                          mu_unconstrained)
 

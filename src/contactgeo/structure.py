@@ -269,7 +269,7 @@ def check_kenmotsu(M, conn, table):
     parts_b11 = []
     for i in range(n):
         for j in range(i + 1, n):
-            rv = table.riemann_apply(basis[i], basis[j], xi)
+            rv = _mat_vec(table.R[i][j], xi)
             for k in range(n):
                 e = add_all([rv[k], _prod(MINUS_ONE, eta[i]) if j == k else ZERO,
                              eta[j] if i == k else ZERO])
@@ -308,11 +308,10 @@ def check_kenmotsu(M, conn, table):
 
     coef = Rat(1 - 2 * M.n)
     parts_c3 = []
-    for i in range(n):
-        for j in range(i, n):
-            e = add_all([table.star_ricci[i][j], _prod(MINUS_ONE, table.ricci[i][j]),
-                         _prod(coef, G[i][j]), _prod(MINUS_ONE, eta[i], eta[j])])
-            parts_c3.append((f"(S* - S - (2n-1)g - eta(x)eta)(e_{i + 1}, e_{j + 1})", e))
+    for i, j in table.star_pairs:
+        e = add_all([table.star_ricci[i][j], _prod(MINUS_ONE, table.ricci[i][j]),
+                     _prod(coef, G[i][j]), _prod(MINUS_ONE, eta[i], eta[j])])
+        parts_c3.append((f"(S* - S - (2n-1)g - eta(x)eta)(e_{i + 1}, e_{j + 1})", e))
 
     results = [
         combine(M, "covariant_phi", parts_b8),
@@ -374,7 +373,7 @@ def check_almost_kenmotsu(M, conn, table, tensors):
     dhp = [conn.nabla_operator(hp, basis[i]) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            rv = table.riemann_apply(basis[i], basis[j], xi)
+            rv = _mat_vec(table.R[i][j], xi)
             for k in range(n):
                 shape_j = add_all([ONE if j == k else ZERO, hp[j][k]])
                 shape_i = add_all([ONE if i == k else ZERO, hp[i][k]])
@@ -454,7 +453,7 @@ def solve_nullity(M, conn, table, tensors):
     labelled = []
     for i in range(n):
         for j in range(i + 1, n):
-            rv = table.riemann_apply(basis[i], basis[j], xi)
+            rv = _mat_vec(table.R[i][j], xi)
             for k in range(n):
                 a_k = add_all([eta[j] if i == k else ZERO,
                                _prod(MINUS_ONE, eta[i]) if j == k else ZERO])
@@ -484,7 +483,7 @@ def solve_nullity(M, conn, table, tensors):
     parts = []
     for i in range(n):
         for j in range(n):
-            rv = table.riemann_apply(xi, basis[i], basis[j])
+            rv = _mat_vec([table.R[a][i][j] for a in range(n)], xi)
             hpi = [hp[i][k] for k in range(n)]
             ghij = M.metric_apply(hpi, basis[j])
             for k in range(n):
@@ -532,12 +531,10 @@ def solve_nullity(M, conn, table, tensors):
                                   note=f"spectrum {spectrum}, spread {spread:.3g}"))
 
     parts = []
-    for i in range(n):
-        for j in range(i, n):
-            e = add_all([table.star_ricci[i][j],
-                         _prod(kap + Rat(2),
-                               add_all([G[i][j], _prod(MINUS_ONE, eta[i], eta[j])]))])
-            parts.append((f"(S* + (k+2)(g - eta(x)eta))(e_{i + 1}, e_{j + 1})", e))
+    for i, j in table.star_pairs:
+        e = add_all([table.star_ricci[i][j],
+                     _prod(kap + Rat(2), add_all([G[i][j], _prod(MINUS_ONE, eta[i], eta[j])]))])
+        parts.append((f"(S* + (k+2)(g - eta(x)eta))(e_{i + 1}, e_{j + 1})", e))
     checks.append(combine(M, "star_ricci_form", parts))
 
     data = {

@@ -25,15 +25,25 @@ The dense frame contractions (``ref_apply``, ``ref_lie_bracket``,
 ``lie_bracket``, ``_mat_vec``, ``sym_inverse``, the since deleted
 ``ManifoldSpec.from_frame``, ``ManifoldSpec.brackets`` (once
 ``frame_brackets``), ``koszul``, ``ConnectionTable.nabla_comps`` and the
-``R``, ``ricci``, ``ricci_operator`` and ``star_ricci`` of
-``CurvatureTable``, kept verbatim except that they call each other and
-that ``ref_nabla_comps`` reads the Christoffel symbols from
-``conn.gamma``. They multiply, negate and sum every entry, zeros
-included; tests compare the sparse loops, which visit only non-zero
-entries, with them. ``ref_koszul`` and ``RefCurvatureTable.R`` are the
-dense references for the scatter loops of ``koszul`` and
-``CurvatureTable.R``, which visit only the non-zero structure constants,
-metric derivatives and Christoffel symbols.
+``R`` and ``ricci_operator`` of ``CurvatureTable``, kept verbatim except
+that they call each other, that ``ref_nabla_comps`` reads the
+Christoffel symbols from ``conn.gamma`` and that ``RefCurvatureTable.R``
+reads the structure constants from ``M.brackets``. They multiply, negate
+and sum every entry, zeros included; tests compare the sparse loops,
+which visit only non-zero entries, with them. ``ref_koszul`` and
+``RefCurvatureTable.R`` are the dense references for the scatter loops
+of ``koszul`` and ``CurvatureTable.R``, which visit only the non-zero
+structure constants, metric derivatives and Christoffel symbols.
+``RefCurvatureTable.ricci`` and ``star_ricci`` are dense loops of the
+trace definitions, ``S_ij = sum_a (R(e_a, e_i) e_j)^a`` and
+``S*_ij = 1/2 sum_a (phi R(e_i, phi e_j) e_a)^a``, grouped unlike the
+engine's sparse traces. ``ref_ricci_lowered`` and
+``ref_star_ricci_lowered`` are the earlier contractions with
+``g^{ab} g(., e_b)``, which the engine used before the traces; they
+agree with the traces in value on every metric but not in tree on a
+metric that is not constant, so tests compare them by a zero test of
+each difference. ``ref_gradient`` is the since deleted
+``ManifoldSpec.gradient``.
 
 ``ref_structure_tensors`` and ``ref_lie_derivative_metric`` are the
 earlier ``StructureTensors`` constructor and ``lie_derivative_metric``,
@@ -372,7 +382,7 @@ def ref_koszul(M):
             ]
             row_i.append(entry)
         gamma.append(row_i)
-    return ConnectionTable(M, gamma, brackets)
+    return ConnectionTable(M, gamma)
 
 
 def ref_nabla_comps(conn, x_frame, c_frame):
@@ -416,31 +426,18 @@ class RefCurvatureTable:
                 for k in range(n):
                     a = ref_nabla_comps(conn, basis[i], conn.gamma[j][k])
                     b = ref_nabla_comps(conn, basis[j], conn.gamma[i][k])
-                    c = ref_nabla_comps(conn, conn.brackets[i][j], basis[k])
+                    c = ref_nabla_comps(conn, self.M.brackets[i][j], basis[k])
                     R[i][j].append([add_all([p, -q, -s]) for p, q, s in zip(a, b, c)])
                 R[j][i] = [[-c for c in comps] for comps in R[i][j]]
         return R
 
     @cached_property
     def ricci(self):
-        """``S_ij = sum g^{ab} g(R(e_a, e_i) e_j, e_b)``, lowering only the
-        ``(a, b)`` entries with ``g^{ab}`` non-zero."""
+        """``S_ij = tr(Z -> R(Z, e_i) e_j) = sum_a (R(e_a, e_i) e_j)^a``."""
         R = self.R
         n = self.M.dim
-        G = self.M.metric
-        Ginv = self.M.metric_inverse
-        pairs = [(a, b) for a in range(n) for b in range(n) if Ginv[a][b] is not ZERO]
-        S = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                terms = []
-                for a, b in pairs:
-                    # g(R(e_a, e_i) e_j, e_b)
-                    low = add_all([c * G[m][b] for m, c in enumerate(R[a][i][j])
-                                   if c is not ZERO])
-                    terms.append(Ginv[a][b] * low)
-                S[i][j] = add_all(terms)
-        return S
+        return [[add_all([R[a][i][j][a] for a in range(n)]) for j in range(n)]
+                for i in range(n)]
 
     @cached_property
     def ricci_operator(self):
@@ -453,36 +450,80 @@ class RefCurvatureTable:
 
     @cached_property
     def star_ricci(self):
-        """``S*_ij = 1/2 sum g^{ab} g(phi(R(e_i, phi e_j) e_a), e_b)``."""
+        """``S*_ij = 1/2 tr(Z -> phi R(e_i, phi e_j) Z)
+        = 1/2 sum_a (phi R(e_i, phi e_j) e_a)^a``."""
         R = self.R
-        M = self.M
-        n = M.dim
-        G = M.metric
-        Ginv = M.metric_inverse
-        P = M.phi
-        # non-zero frame components of phi(e_j)
-        phis = [[(m, c) for m, c in enumerate(row) if c is not ZERO] for row in P]
+        n = self.M.dim
+        P = self.M.phi
         Sstar = [[None] * n for _ in range(n)]
         for i in range(n):
-            for j, phj in enumerate(phis):
+            for j in range(n):
                 terms = []
                 for a in range(n):
                     # R(e_i, phi e_j) e_a, by linearity in the middle slot
-                    comps = [add_all([c * R[i][m][a][k] for m, c in phj
-                                      if R[i][m][a][k] is not ZERO])
-                             for k in range(n)]
-                    # apply phi
-                    phi_comps = [add_all([comps[m] * P[m][k] for m in range(n)
-                                          if comps[m] is not ZERO and P[m][k] is not ZERO])
-                                 for k in range(n)]
-                    # contract with sum_b g^{ab} g(., e_b)
-                    for b in range(n):
-                        if Ginv[a][b] is not ZERO:
-                            inner = add_all([phi_comps[m] * G[m][b] for m in range(n)
-                                             if phi_comps[m] is not ZERO])
-                            terms.append(Ginv[a][b] * inner)
+                    comps = [add_all([P[j][l] * R[i][l][a][m] for l in range(n)])
+                             for m in range(n)]
+                    # the e_a component of phi of it
+                    terms.append(add_all([comps[m] * P[m][a] for m in range(n)]))
                 Sstar[i][j] = HALF * add_all(terms)
         return Sstar
+
+
+def ref_ricci_lowered(M, R):
+    """The earlier Ricci contraction ``S_ij = sum g^{ab} g(R(e_a, e_i) e_j, e_b)``,
+    which equals the trace only because ``g^{ab} g_mb`` sums to ``delta_am``."""
+    n = M.dim
+    G = M.metric
+    Ginv = M.metric_inverse
+    pairs = [(a, b) for a in range(n) for b in range(n) if Ginv[a][b] is not ZERO]
+    S = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            terms = []
+            for a, b in pairs:
+                # g(R(e_a, e_i) e_j, e_b)
+                low = add_all([c * G[m][b] for m, c in enumerate(R[a][i][j])
+                               if c is not ZERO])
+                terms.append(Ginv[a][b] * low)
+            S[i][j] = add_all(terms)
+    return S
+
+
+def ref_star_ricci_lowered(M, R):
+    """The earlier star-Ricci contraction
+    ``S*_ij = 1/2 sum g^{ab} g(phi(R(e_i, phi e_j) e_a), e_b)``."""
+    n = M.dim
+    G = M.metric
+    Ginv = M.metric_inverse
+    P = M.phi
+    # non-zero frame components of phi(e_j)
+    phis = [[(m, c) for m, c in enumerate(row) if c is not ZERO] for row in P]
+    Sstar = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j, phj in enumerate(phis):
+            terms = []
+            for a in range(n):
+                # R(e_i, phi e_j) e_a, by linearity in the middle slot
+                comps = [add_all([c * R[i][m][a][k] for m, c in phj
+                                  if R[i][m][a][k] is not ZERO])
+                         for k in range(n)]
+                # apply phi
+                phi_comps = [add_all([comps[m] * P[m][k] for m in range(n)
+                                      if comps[m] is not ZERO and P[m][k] is not ZERO])
+                             for k in range(n)]
+                # contract with sum_b g^{ab} g(., e_b)
+                for b in range(n):
+                    if Ginv[a][b] is not ZERO:
+                        inner = add_all([phi_comps[m] * G[m][b] for m in range(n)
+                                         if phi_comps[m] is not ZERO])
+                        terms.append(Ginv[a][b] * inner)
+            Sstar[i][j] = HALF * add_all(terms)
+    return Sstar
+
+
+def ref_gradient(M, f):
+    """Frame components of ``grad f``: ``g(grad f, X) = X(f)``."""
+    return ref_mat_vec(M.metric_inverse, [ref_apply(e, f) for e in M.frame])
 
 
 # --- the earlier coordinate-bracket h, h' and L_V g -------------------------------

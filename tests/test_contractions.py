@@ -136,7 +136,7 @@ def test_frame_operands_match_reference(request, fixture):
             for k in range(n):
                 assert_nabla_equal(conn, basis[i], conn.gamma[j][k])
         assert_nabla_equal(conn, basis[i], xi)
-        assert_nabla_equal(conn, conn.brackets[i][(i + 1) % n], basis[i])
+        assert_nabla_equal(conn, M.brackets[i][(i + 1) % n], basis[i])
 
 
 @pytest.mark.parametrize("seed", (1729, 7, 101))

@@ -59,7 +59,7 @@ def test_torsion_free_on_fixtures(ex2, ex3):
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    t = conn.gamma[i][j][k] - conn.gamma[j][i][k] - conn.brackets[i][j][k]
+                    t = conn.gamma[i][j][k] - conn.gamma[j][i][k] - b.M.brackets[i][j][k]
                     assert is_const(t, 0)
 
 
