@@ -383,7 +383,7 @@ class StructureTensors:
 
 
 def integer_spectrum(mat):
-    """Eigenvalues of a square ``Fraction`` matrix, ascending with
+    """Eigenvalues of a square matrix of ints and Fractions, ascending with
     multiplicity, if it is diagonalizable with integer eigenvalues; else
     None.
 
@@ -409,8 +409,8 @@ def integer_spectrum(mat):
 
 
 def _rank(rows):
-    """Rank of a square ``Fraction`` matrix by exact elimination; consumes
-    ``rows``."""
+    """Rank of a square matrix of ints and Fractions by exact elimination;
+    consumes ``rows``."""
     rank = 0
     for col in range(len(rows)):
         piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
@@ -420,7 +420,7 @@ def _rank(rows):
         p = rows[rank]
         for r in range(rank + 1, len(rows)):
             if rows[r][col]:
-                f = rows[r][col] / p[col]
+                f = Fraction(rows[r][col], p[col])  # int / int would be a float
                 rows[r] = [a - f * b for a, b in zip(rows[r], p)]
         rank += 1
     return rank

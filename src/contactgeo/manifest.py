@@ -163,14 +163,9 @@ class Manifest:
         e = self._parsed.get(text)
         if e is None:
             try:
-                e = scalar.parse(text)
+                e = scalar.parse(text, self.coordinates)
             except ParseError as ex:
                 raise ParseError(f"{ex.args[0]}", where=f"{where}: {text!r}")
-            tokens = scalar._tokenize(text)
-            for (kind, name, _), (_, following, _) in zip(tokens, tokens[1:]):
-                if kind == "ident" and following != "(" and name not in self.coordinates:
-                    raise ParseError(f"{name!r} is not a declared coordinate",
-                                     where=f"{where}: {text!r}")
             self._parsed[text] = e
         return e
 

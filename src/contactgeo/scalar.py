@@ -13,15 +13,16 @@ arithmetic operation returns a tree in a canonical sum-of-products form:
 
 Sums of any length go through ``add_all``, which merges all their terms
 in one pass.  Because canonical forms are closed under the arithmetic,
-callers never need to re-canonicalize a result.  The zero constant is
-interned: every zero-valued ``Rat`` is the module singleton ``ZERO``, so
-a zero test is the identity check ``e is ZERO``.  Differentiation is
-exact, and evaluation is exact over the rationals whenever the
-expression contains no exp node.
+callers never need to re-canonicalize a result.  Every constant is
+interned: there is one ``Rat`` per value, so the zero constant is the
+module singleton ``ZERO`` and a zero test is the identity check
+``e is ZERO``.  Integral values are ints, and only the others are
+Fractions.  Differentiation is exact, and evaluation is exact over the
+rationals whenever the expression contains no exp node.
 
 Products of coefficient-free monomials and derivatives are memoized in
 two module dicts; ``clear_caches`` empties both, and the CLI does so at
-the start of every command.
+the start of every command.  The table of constants is never emptied.
 """
 
 from __future__ import annotations
@@ -36,16 +37,15 @@ _EXPAND_LIMIT = 6  # largest positive power of a sum that gets multiplied out
 
 
 def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+    """The exact value of an int, Fraction or literal string: an int when
+    it is integral, else a Fraction."""
     if isinstance(x, str):
-        return Fraction(x)
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
     raise ExpressionError(f"cannot interpret {x!r} as an exact rational")
-
-
-ZERO = None  # the interned zero constant, created right after Rat
 
 
 class ScalarField:
@@ -57,7 +57,7 @@ class ScalarField:
         if isinstance(other, ScalarField):
             return other
         if isinstance(other, (int, Fraction)):
-            return Rat(_as_fraction(other))
+            return Rat(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -115,24 +115,27 @@ class ScalarField:
         return to_str(self)
 
 
+_RATS = {}  # value -> its one Rat; never emptied
+
+
 class Rat(ScalarField):
-    """Rational constant; a zero value is always the singleton ``ZERO``."""
+    """Rational constant, interned: one instance per value, so equality is
+    identity and a zero value is always the singleton ``ZERO``. ``value``
+    is an int when integral, else a Fraction."""
 
     __slots__ = ("value",)
 
     def __new__(cls, value):
-        value = _as_fraction(value)
-        if not value and ZERO is not None:
-            return ZERO
-        self = object.__new__(cls)
-        object.__setattr__(self, "value", value)
+        if type(value) is not int:
+            value = _as_fraction(value)
+        self = _RATS.get(value)
+        if self is None:
+            self = _RATS[value] = object.__new__(cls)
+            object.__setattr__(self, "value", value)
         return self
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
-
-    def __eq__(self, other):
-        return type(other) is Rat and self.value == other.value
 
     def __hash__(self):
         try:
@@ -255,8 +258,8 @@ class Add(ScalarField):
             return h
 
 
-ZERO = Rat(0)  # the only zero-valued Rat: Rat() returns it from now on
-_Q1 = Fraction(1)  # the coefficient of a coefficient-free term
+ZERO = Rat(0)
+_Q1 = 1  # the coefficient of a coefficient-free term
 ONE = Rat(_Q1)
 MINUS_ONE = Rat(-1)
 
@@ -268,9 +271,7 @@ def sort_key(e):
     except AttributeError:
         pass
     if isinstance(e, Rat):
-        # an int orders like the equal Fraction but compares at C speed
-        v = e.value
-        k = (0, v.numerator if v.denominator == 1 else v)
+        k = (0, e.value)
     elif isinstance(e, Sym):
         k = (1, e.name)
     elif isinstance(e, Exp):
@@ -488,13 +489,13 @@ def mul(a, b):
     if a is ZERO or b is ZERO:
         return ZERO
     if isinstance(a, Rat):
-        if a.value == 1:
+        if a is ONE:
             return b
         if isinstance(b, Rat):
-            return a if b.value == 1 else Rat(a.value * b.value)
+            return a if b is ONE else Rat(a.value * b.value)
         return _scale(a.value, b)
     if isinstance(b, Rat):
-        return a if b.value == 1 else _scale(b.value, a)
+        return a if b is ONE else _scale(b.value, a)
     acc = {}
     right = [_strip_coeff(t) for t in _terms_of(b)]
     for t1 in _terms_of(a):
@@ -519,7 +520,7 @@ def pow_int(a, n):
     if isinstance(a, Rat):
         if a is ZERO and n < 0:
             raise DivisionByZero("0 raised to a negative power")
-        return Rat(a.value**n)
+        return Rat(a.value**n if n > 0 else Fraction(1, a.value**-n))
     if isinstance(a, Sym):
         return Pow(a, n)
     if isinstance(a, Exp):
@@ -554,7 +555,7 @@ def exp_of(a):
 
 def const(x):
     """Exact rational constant from an int, Fraction, or literal string."""
-    return Rat(_as_fraction(x))
+    return Rat(x)
 
 
 def sym(name):
@@ -629,13 +630,15 @@ def _eval(e, env, memo):
         b = _eval(e.base, env, memo)
         if b == 0 and e.exponent < 0:
             raise DivisionByZero(f"{to_str(e.base)} vanishes at the evaluation point")
-        v = b**e.exponent
+        n = e.exponent
+        # an int to a negative power would be a float
+        v = b**n if n > 0 or isinstance(b, float) else Fraction(1, b**-n)
     elif isinstance(e, Mul):
-        v = Fraction(1)
+        v = 1
         for f in e.factors:
             v = v * _eval(f, env, memo)
     elif isinstance(e, Add):
-        v = Fraction(0)
+        v = 0
         for t in e.terms:
             v = v + _eval(t, env, memo)
     else:
@@ -648,8 +651,8 @@ def evaluate(e, env):
     """Evaluate at a point.
 
     ``env`` maps coordinate names to numbers.  The result is an exact
-    Fraction when neither the expression nor the supplied values involve
-    floats or exp; otherwise a float.
+    rational, int or Fraction, when neither the expression nor the
+    supplied values involve floats or exp; otherwise a float.
     """
     clean = {}
     for k, v in env.items():
@@ -897,15 +900,15 @@ class _Parser:
         if kind == "op" and val == "^":
             tok = self._next()
             exponent = self._unary()
-            if not isinstance(exponent, Rat) or exponent.value.denominator != 1:
+            if not isinstance(exponent, Rat) or not isinstance(exponent.value, int):
                 self._fail("exponent must be an integer constant", tok)
-            return pow_int(base, int(exponent.value))
+            return pow_int(base, exponent.value)
         return base
 
     def _primary(self):
         kind, val, tok_pos = self._next()
         if kind == "num":
-            return Rat(Fraction(val) if "." not in val else Fraction(val))
+            return Rat(Fraction(val) if "." in val else int(val))
         if kind == "ident":
             nk, nv, _ = self._peek()
             if nk == "op" and nv == "(":
@@ -932,13 +935,21 @@ class _Parser:
         raise ParseError("expected a number, coordinate, or '('", f"column {tok_pos + 1}")
 
 
-def parse(text):
-    """Parse expression text into a canonical ScalarField."""
+def parse(text, names=None):
+    """Parse expression text into a canonical ScalarField. With ``names``,
+    every name in it must be one of them, or ``exp`` called as a function."""
     if not isinstance(text, str):
         raise ParseError(f"expression must be a string, got {type(text).__name__}")
     if not text.strip():
         raise ParseError("empty expression")
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    e = parser.parse()
+    if names is not None:
+        tokens = parser.tokens
+        for (kind, name, _), (_, following, _) in zip(tokens, tokens[1:]):
+            if kind == "ident" and following != "(" and name not in names:
+                raise ParseError(f"{name!r} is not a declared coordinate")
+    return e
 
 
 # --- rendering ---------------------------------------------------------------
@@ -961,10 +972,7 @@ def _render_factor(f):
 
 def _render(e):
     if isinstance(e, Rat):
-        v = e.value
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
+        return str(e.value)
     if isinstance(e, Sym):
         return e.name
     if isinstance(e, Exp):
@@ -972,7 +980,7 @@ def _render(e):
     if isinstance(e, Pow):
         return _render_factor(e)
     if isinstance(e, Mul):
-        coeff = Fraction(1)
+        coeff = 1
         rest = list(e.factors)
         if isinstance(rest[0], Rat):
             coeff = rest[0].value
@@ -982,8 +990,7 @@ def _render(e):
             return body
         if coeff == -1:
             return f"-{body}"
-        cnum = f"{coeff.numerator}" if coeff.denominator == 1 else f"{coeff.numerator}/{coeff.denominator}"
-        return f"{cnum}*{body}"
+        return f"{coeff}*{body}"
     if isinstance(e, Add):
         parts = []
         for i, t in enumerate(e.terms):

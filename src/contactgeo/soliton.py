@@ -23,7 +23,7 @@ from .structure import _prod, fit_sampled, settle_fit
 def _coerce(q):
     """Constants arrive as int, Fraction, float or numeric string."""
     if isinstance(q, Rat):
-        return q.value
+        q = q.value
     if isinstance(q, (int, Fraction)):
         return Fraction(q)
     if isinstance(q, str):

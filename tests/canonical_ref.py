@@ -211,7 +211,7 @@ def ref_pow_int(a, n):
     if isinstance(a, Rat):
         if a is ZERO and n < 0:
             raise DivisionByZero("0 raised to a negative power")
-        return Rat(a.value**n)
+        return Rat(Fraction(a.value) ** n)
     if isinstance(a, Sym):
         return Pow(a, n)
     if isinstance(a, Exp):

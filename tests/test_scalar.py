@@ -61,6 +61,17 @@ def test_evaluate_exact_rationals():
     assert isinstance(v, Fraction)
 
 
+def test_negative_powers_stay_exact():
+    # an int to a negative power is a float; constants and values stay exact
+    assert scalar.pow_int(Rat(2), -1) is Rat(Fraction(1, 2))
+    assert scalar.pow_int(Rat(-2), -3) is Rat(Fraction(-1, 8))
+    assert parse("2^(-2)") is Rat(Fraction(1, 4))
+    v = evaluate(parse("x^(-2)"), {"x": 2})
+    assert v == Fraction(1, 4) and isinstance(v, Fraction)
+    v = evaluate(parse("x^(-1) + y^(-1)"), {"x": 2, "y": -2})
+    assert v == 0 and not isinstance(v, float)
+
+
 def test_evaluate_exp_goes_float():
     v = evaluate(parse("exp(2*x)"), {"x": Fraction(1, 2)})
     assert v == pytest.approx(math.e)
@@ -257,3 +268,55 @@ def test_derived_tables_hold_no_other_zero(ex1, ex2, ex3, flat, heis):
         entries += [e for row in t.ricci + t.star_ricci for e in row]
         entries += [e for row in b.tensors.h + b.tensors.h_prime for e in row]
         assert [z for e in entries for z in zero_copies(e)] == [], b.manifest.name
+
+
+# --- the interned constants ---------------------------------------------------
+
+
+def _parent_render(v):
+    """A constant as the Fraction-valued kernel rendered it."""
+    v = Fraction(v)
+    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+
+
+def _parent_render_term(c, body):
+    if c == 1:
+        return body
+    if c == -1:
+        return f"-{body}"
+    return f"{_parent_render(c)}*{body}"
+
+
+@given(st.fractions(max_denominator=12), st.fractions(max_denominator=12),
+       st.integers(min_value=-30, max_value=30))
+@settings(max_examples=100, deadline=None)
+def test_one_rat_per_value_and_ints_when_integral(p, q, k):
+    # a value has one Rat, whatever it is built from, and its value is an
+    # int exactly when it is integral
+    assert Rat(Fraction(4, 2)) is Rat(2) and type(Rat(Fraction(4, 2)).value) is int
+    for v in (p, q, p + q, p * q, Fraction(k)):
+        r = Rat(v)
+        assert r is Rat(v) is Rat(str(v)) is const(v)
+        assert r.value == v and hash(r) == hash(Rat(v))
+        assert type(r.value) is (int if v.denominator == 1 else Fraction)
+    assert Rat(k) is Rat(Fraction(k)) and type(Rat(k).value) is int
+    assert -Rat(p) is Rat(-p) and -(-Rat(p)) is Rat(p)
+    # sums and products of constants, and constant coefficients, render as
+    # the Fraction-valued kernel rendered them
+    x = parse("x")
+    assert to_str(Rat(p) + Rat(q)) == _parent_render(p + q)
+    assert to_str(Rat(p) * Rat(q)) == _parent_render(p * q)
+    assert to_str(Rat(p) - Rat(q)) == _parent_render(p - q)
+    if p:
+        assert to_str(Rat(p) * x) == _parent_render_term(p, "x")
+        assert to_str(x / Rat(p)) == _parent_render_term(1 / p, "x")
+        assert to_str(Rat(p) * x + Rat(q) * x) == (
+            "0" if p + q == 0 else _parent_render_term(p + q, "x"))
+
+
+def test_clear_caches_keeps_the_interned_constants():
+    half = Rat(Fraction(1, 2))
+    scalar.clear_caches()
+    assert Rat(0) is ZERO and Rat(1) is scalar.ONE and Rat(-1) is scalar.MINUS_ONE
+    assert Rat(Fraction(2, 4)) is half
+    assert ZERO.value == 0 and type(scalar.ONE.value) is int

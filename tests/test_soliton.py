@@ -163,6 +163,13 @@ def test_lambda_string_rendering():
     assert lambda_string(2, 1) == "p/2 + 7/3"
 
 
+def test_rendering_of_a_constant_given_as_rat():
+    # lambda~ = -2 arrives as an int-valued Rat; the shift 1/3 keeps it exact
+    assert lambda_string(Rat(-2), 1) == "p/2 - 5/3"
+    assert "10/3" in classify(Rat(-2), 1)
+    assert classify(Rat(-2), 1, p=Rat(4)) == "expanding (lambda = 1/3 at p = 4)"
+
+
 def test_classify_threshold_statement():
     assert classify(0, 2) == ("shrinking for p < -2/5, steady at p = -2/5, "
                               "expanding for p > -2/5")

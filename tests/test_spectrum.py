@@ -74,6 +74,14 @@ def test_kappa_mu_prime_shape_repeated_roots():
     assert integer_spectrum(mat) == [-1, -1, 0, 1, 1]
 
 
+def test_asymmetric_spectrum_of_an_int_matrix():
+    # entries as ints, as a constant h' hands them over; elimination must
+    # stay exact, and the spectrum is not symmetric about 0
+    mat = [[5, 9, -5], [-3, -5, 3], [1, 3, -1]]
+    assert integer_spectrum(mat) == [-2, 0, 1]
+    assert integer_spectrum(_q(mat)) == [-2, 0, 1]
+
+
 def test_jordan_block_falls_back():
     assert integer_spectrum(_q([[0, 1], [0, 0]])) is None
 
