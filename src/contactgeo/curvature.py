@@ -22,6 +22,10 @@ Conventions (fixed, and pinned by golden tests):
   ``h = (1/2) L_xi phi`` and ``h' = h o phi``.
 
 All tensors produced here are frame-indexed arrays of scalar fields.
+Koszul and R are scattered from the non-zero data only (structure
+constants, metric derivatives, Christoffel symbols) into slots that are
+each summed once; the traces visit only the non-zero entries of R and
+phi.
 """
 
 from __future__ import annotations
@@ -175,37 +179,53 @@ class CurvatureTable:
 
     @cached_property
     def R(self):
-        """``R[i][j][k]``: frame components of ``R(e_i, e_j) e_k``, for i < j
-        scattered per component from the non-zero Christoffel symbols:
-        ``e_i(Gamma^m_jk)`` where not constant, ``Gamma^l_jk Gamma^m_il``,
-        both with i, j swapped and negated, and ``[e_j, e_i]^p Gamma^m_pk``;
-        R[j][i] is -R[i][j]."""
-        conn = self.conn
-        n = self.M.dim
-        frame = self.M.frame
-        nz = conn._nabla_nz
-        R = [[None] * n for _ in range(n)]
-        for i in range(n):
-            R[i][i] = [[ZERO] * n for _ in range(n)]
-            for j in range(i + 1, n):
-                ji = [(p, x) for p, x in enumerate(self.M.brackets[j][i]) if x is not ZERO]
-                R[i][j] = []
-                for k in range(n):
-                    terms = {}
-                    for s, t, x in ((i, j, ONE), (j, i, -ONE)):
-                        for l, c in nz[t][k]:
-                            if not isinstance(c, Rat):
-                                d = frame[s].apply(c)
+        """``R[i][j][k]``: frame components of ``R(e_i, e_j) e_k``, scattered
+        into slots (i, j, k, m), i < j, from the non-zero data only: each
+        ``Gamma^l_tk Gamma^m_sl`` and, of a symbol that is not constant,
+        each ``e_s(Gamma^l_tk)`` (to m = l), with s != t, to the slot of
+        (s, t) when s < t and negated to that of (t, s) when s > t; and
+        ``[e_j, e_i]^p Gamma^m_pk`` of each non-zero structure constant.
+        Each slot is summed once; a non-zero sum is written to R[i][j] and
+        negated to R[j][i], and every other entry is ``ZERO``."""
+        M = self.M
+        n = M.dim
+        nz = self.conn._nabla_nz
+        # by_l[l]: every non-zero (s, m, Gamma^m_sl) of some nabla_{e_s} e_l
+        by_l = [[(s, m, g) for s in range(n) for m, g in nz[s][l]] for l in range(n)]
+        slots = {}
+
+        def put(s, t, k, m, e):
+            # a term of R(e_s, e_t) e_k, filed under the pair with s < t
+            if s < t:
+                slots.setdefault((s, t, k, m), []).append(e)
+            else:
+                slots.setdefault((t, s, k, m), []).append(-e)
+
+        for t in range(n):
+            for k in range(n):
+                for l, c in nz[t][k]:
+                    for s, m, g in by_l[l]:
+                        if s != t:
+                            put(s, t, k, m, c * g)
+                    if not isinstance(c, Rat):
+                        for s, e_s in enumerate(M.frame):
+                            if s != t:
+                                d = e_s.apply(c)
                                 if d is not ZERO:
-                                    terms.setdefault(l, []).append(x * d)
-                            for m, g in nz[s][l]:
-                                terms.setdefault(m, []).append(x * (c * g))
-                    for p, x in ji:
-                        for m, g in nz[p][k]:
-                            terms.setdefault(m, []).append(x * g)
-                    R[i][j].append([add_all(terms[m]) if m in terms else ZERO
-                                    for m in range(n)])
-                R[j][i] = [[c if c is ZERO else -c for c in comps] for comps in R[i][j]]
+                                    put(s, t, k, l, d)
+        for i in range(n):
+            for j in range(i + 1, n):
+                for p, x in enumerate(M.brackets[j][i]):
+                    if x is not ZERO:
+                        for k in range(n):
+                            for m, g in nz[p][k]:
+                                put(i, j, k, m, x * g)
+        R = [[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        for (i, j, k, m), parts in slots.items():
+            s = add_all(parts)
+            if s is not ZERO:
+                R[i][j][k][m] = s
+                R[j][i][k][m] = -s
         return R
 
     @cached_property
@@ -231,19 +251,17 @@ class CurvatureTable:
     def star_ricci(self):
         """``S*_ij = 1/2 sum_l phi_jl t_il``, the trace of
         ``Z -> phi R(e_i, phi e_j) Z`` by linearity in the middle slot, where
-        ``t_il = sum_{a,m} (R(e_i, e_l) e_a)^m phi_ma``; only the non-zero
-        entries of R and phi are visited, and only the l of some non-zero
-        ``phi_jl``."""
-        M = self.M
-        n = M.dim
-        phi = M.phi
+        ``t_il = sum_{a,m} (R(e_i, e_l) e_a)^m phi_ma`` runs over the
+        non-zero ``phi_ma`` only, and skips the ``ZERO`` entries of R there;
+        t is built only for the l of some non-zero ``phi_jl``."""
+        n = self.M.dim
         R = self.R
-        phis = [[(l, c) for l, c in enumerate(row) if c is not ZERO] for row in phi]
+        phis = [[(l, c) for l, c in enumerate(row) if c is not ZERO] for row in self.M.phi]
         cols = {l for row in phis for l, _ in row}
+        phi_nz = [(m, a, c) for m, row in enumerate(phis) for a, c in row]
         # t[i][l] = tr(Z -> phi R(e_i, e_l) Z)
-        t = [{l: add_all([r * phi[m][a] for a, comps in enumerate(R[i][l])
-                          for m, r in enumerate(comps)
-                          if r is not ZERO and phi[m][a] is not ZERO])
+        t = [{l: add_all([R[i][l][a][m] * c for m, a, c in phi_nz
+                          if R[i][l][a][m] is not ZERO])
               for l in cols} for i in range(n)]
         Sstar = [[None] * n for _ in range(n)]
         for i in range(n):

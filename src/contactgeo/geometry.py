@@ -132,8 +132,11 @@ def _scalar_matrix(mat):
 
 def _mat_vec(mat, vec):
     """Row-vector times matrix: ``out[k] = sum_j vec[j] mat[j][k]``, visiting
-    only the pairs where neither factor is zero."""
+    only the pairs where neither factor is zero; all ``ZERO`` for a zero
+    vector."""
     rows = [(vj, mat[j]) for j, vj in enumerate(vec) if vj is not ZERO]
+    if not rows:
+        return [ZERO] * len(mat)
     return [add_all([vj * row[k] for vj, row in rows if row[k] is not ZERO])
             for k in range(len(mat))]
 

@@ -170,14 +170,19 @@ class Manifest:
         return e
 
     def _matrix(self, raw, where):
+        """Parse a dim x dim matrix; a text parsed before is read from the
+        load's dict, and an entry's path is built only for ``_expr``."""
         dim = len(self.coordinates)
         _expect(isinstance(raw, list) and len(raw) == dim,
                 f"expected {dim} rows", where)
+        parsed = self._parsed
         out = []
         for i, row in enumerate(raw):
             _expect(isinstance(row, list) and len(row) == dim,
                     f"expected {dim} entries", f"{where}[{i}]")
-            out.append([self._expr(e, f"{where}[{i}][{j}]") for j, e in enumerate(row)])
+            out.append([parsed[e] if isinstance(e, str) and e in parsed
+                        else self._expr(e, f"{where}[{i}][{j}]")
+                        for j, e in enumerate(row)])
         return out
 
     def manifold(self, seed=None, samples=None, tol=None):

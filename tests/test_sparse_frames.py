@@ -11,11 +11,14 @@ identity or a signed permutation, one frame under a metric that is
 neither constant nor diagonal, so the metric derivatives that ``koszul``
 scatters are not all zero, and one with a Reeb field whose frame
 components are not constant and a phi whose entries are not, so the
-derivative terms of ``ManifoldSpec.ad`` and of h do not vanish. On
-these, h, h' and L_V g from the bracket table must agree, by a zero
-test of each difference, with the earlier coordinate-bracket versions,
-and on the three hand-built frames S and S*, as traces, with the
-earlier contractions through ``g^{ab} g(., e_b)``.
+derivative terms of ``ManifoldSpec.ad`` and of h do not vanish. A
+hypothesis property draws further frames at random (monomial and exp
+entries, a constant metric off the diagonal, a sparse phi) and compares
+R, S, Q and S* on each. On the fixed manifolds, h, h' and L_V g from
+the bracket table must agree, by a zero test of each difference, with
+the earlier coordinate-bracket versions, and on the three hand-built
+frames S and S*, as traces, with the earlier contractions through
+``g^{ab} g(., e_b)``.
 
 The guards at the end count the derivations of a constant while
 ``koszul``, R, h, h' and L_V g (for xi and each golden potential) are
@@ -32,6 +35,7 @@ dense loop cannot come back unnoticed.
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contactgeo import manifest, scalar
 from contactgeo.cli import CHECK_NAMES, Workspace, parse_args, run_checks
@@ -128,6 +132,53 @@ def test_connection_and_curvature_match_dense(manifolds, name):
     assert M.brackets == ref_frame_brackets(M)
     assert conn.gamma == ref.gamma
     table, dense = CurvatureTable(M, conn), RefCurvatureTable(M, conn)
+    for quantity in ("R", "ricci", "ricci_operator", "star_ricci"):
+        assert getattr(table, quantity) == getattr(dense, quantity), quantity
+
+
+COORDS = ("x", "y", "z", "u", "v")
+
+
+@st.composite
+def sparse_frames(draw):
+    """A random frame of dimension 3 or 5: lower triangular, with three
+    entries or fewer that are not constant, ``exp(+-x_a)`` on the diagonal
+    (1 elsewhere on it) and a monomial or an exp below it, so its brackets
+    are random and its determinant never vanishes; a constant, strictly
+    diagonally dominant metric with one to three entries off the diagonal;
+    and a sparse phi of constants and monomials."""
+    n = draw(st.sampled_from((3, 5)))
+    coords = COORDS[:n]
+    var = st.sampled_from(coords)
+    exps = st.builds("exp({}{})".format, st.sampled_from(("", "-")), var)
+    monomials = st.builds("{}*{}^{}".format, st.sampled_from((1, -1, 2)), var,
+                          st.integers(1, 2))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    frame = [["1" if j == k else "0" for j in range(n)] for k in range(n)]
+    for k, j in draw(st.lists(pairs.filter(lambda p: p[0] >= p[1]), max_size=3, unique=True)):
+        frame[k][j] = draw(exps if j == k else monomials | exps)
+    metric = [[draw(st.sampled_from((5, 6, -5))) if j == k else 0 for j in range(n)]
+              for k in range(n)]
+    for i, j in draw(st.lists(pairs.filter(lambda p: p[0] < p[1]), min_size=1, max_size=3)):
+        metric[i][j] = metric[j][i] = draw(st.sampled_from((1, -1)))
+    phi_entries = st.one_of(st.just("0"), st.just("0"), st.sampled_from(("1", "-1", "2")),
+                            monomials)
+    phi = [[draw(phi_entries) for _ in range(n)] for _ in range(n)]
+    return ManifoldSpec(
+        name="random", coords=coords,
+        frame=[[parse(e) for e in row] for row in frame],
+        metric=[[Rat(e) for e in row] for row in metric],
+        phi=[[parse(e) for e in row] for row in phi],
+        xi=draw(st.integers(0, n - 1)),
+        box={c: (-1, 1) for c in coords}, samples=5,
+    )
+
+
+@given(sparse_frames())
+@settings(max_examples=30, deadline=None)
+def test_random_sparse_frames_match_dense(M):
+    table = CurvatureTable(M, koszul(M))
+    dense = RefCurvatureTable(M, table.conn)
     for quantity in ("R", "ricci", "ricci_operator", "star_ricci"):
         assert getattr(table, quantity) == getattr(dense, quantity), quantity
 
