@@ -262,8 +262,6 @@ class ManifoldSpec:
             self.xi_frame = None  # resolved after the frame inverse exists
 
         self.tol = tol
-        nonvanish = tuple(scalar.parse(e) if isinstance(e, str) else e
-                          for e in nonvanish)
         self.sampler = Sampler(self.coords, box or {}, nonvanish=nonvanish,
                                seed=seed, count=samples)
         self.seed = seed

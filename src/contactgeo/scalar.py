@@ -13,16 +13,19 @@ arithmetic operation returns a tree in a canonical sum-of-products form:
 
 Sums of any length go through ``add_all``, which merges all their terms
 in one pass.  Because canonical forms are closed under the arithmetic,
-callers never need to re-canonicalize a result.  Every constant is
-interned: there is one ``Rat`` per value, so the zero constant is the
-module singleton ``ZERO`` and a zero test is the identity check
-``e is ZERO``.  Integral values are ints, and only the others are
-Fractions.  Differentiation is exact, and evaluation is exact over the
-rationals whenever the expression contains no exp node.
+callers never need to re-canonicalize a result.  Both leaves are
+interned: there is one ``Rat`` per value and one ``Sym`` per name, so
+leaves compare by identity, the zero constant is the module singleton
+``ZERO`` and a zero test is the identity check ``e is ZERO``.  Integral
+values are ints, and only the others are Fractions.  The base class
+``ScalarField`` owns immutability and the cached hash; each node class
+supplies only its hash key, and a compound one its ``__eq__``.
+Differentiation is exact, and evaluation is exact over the rationals
+whenever the expression contains no exp node.
 
 Products of coefficient-free monomials and derivatives are memoized in
 two module dicts; ``clear_caches`` empties both, and the CLI does so at
-the start of every command.  The table of constants is never emptied.
+the start of every command.  The tables of leaves are never emptied.
 """
 
 from __future__ import annotations
@@ -49,9 +52,21 @@ def _as_fraction(x):
 
 
 class ScalarField:
-    """Base node; all instances are immutable and canonical."""
+    """Base node; all instances are immutable and canonical. A subclass
+    supplies ``_hash_key``, and a compound one its structural ``__eq__``."""
 
     __slots__ = ("_hash", "_key")
+
+    def __setattr__(self, *a):
+        raise AttributeError("immutable")
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._hash_key())
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def _coerce(self, other):
         if isinstance(other, ScalarField):
@@ -104,8 +119,6 @@ class ScalarField:
         return neg(self)
 
     def __pow__(self, n):
-        if not isinstance(n, int):
-            raise ExpressionError("only integer powers are supported")
         return pow_int(self, n)
 
     def __repr__(self):
@@ -116,6 +129,7 @@ class ScalarField:
 
 
 _RATS = {}  # value -> its one Rat; never emptied
+_SYMS = {}  # name -> its one Sym; never emptied
 
 
 class Rat(ScalarField):
@@ -134,37 +148,25 @@ class Rat(ScalarField):
             object.__setattr__(self, "value", value)
         return self
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(("Rat", self.value))
-            object.__setattr__(self, "_hash", h)
-            return h
+    def _hash_key(self):
+        return ("Rat", self.value)
 
 
 class Sym(ScalarField):
+    """Coordinate symbol, interned like ``Rat``: one instance per name, so
+    equality is identity."""
+
     __slots__ = ("name",)
 
-    def __init__(self, name):
-        object.__setattr__(self, "name", name)
+    def __new__(cls, name):
+        self = _SYMS.get(name)
+        if self is None:
+            self = _SYMS[name] = object.__new__(cls)
+            object.__setattr__(self, "name", name)
+        return self
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def __eq__(self, other):
-        return type(other) is Sym and self.name == other.name
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(("Sym", self.name))
-            object.__setattr__(self, "_hash", h)
-            return h
+    def _hash_key(self):
+        return ("Sym", self.name)
 
 
 class Exp(ScalarField):
@@ -173,19 +175,13 @@ class Exp(ScalarField):
     def __init__(self, arg):
         object.__setattr__(self, "arg", arg)
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
     def __eq__(self, other):
         return type(other) is Exp and self.arg == other.arg
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(("Exp", self.arg))
-            object.__setattr__(self, "_hash", h)
-            return h
+    __hash__ = ScalarField.__hash__
+
+    def _hash_key(self):
+        return ("Exp", self.arg)
 
 
 class Pow(ScalarField):
@@ -197,9 +193,6 @@ class Pow(ScalarField):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
     def __eq__(self, other):
         return (
             type(other) is Pow
@@ -207,13 +200,10 @@ class Pow(ScalarField):
             and self.base == other.base
         )
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(("Pow", self.base, self.exponent))
-            object.__setattr__(self, "_hash", h)
-            return h
+    __hash__ = ScalarField.__hash__
+
+    def _hash_key(self):
+        return ("Pow", self.base, self.exponent)
 
 
 class Mul(ScalarField):
@@ -222,19 +212,13 @@ class Mul(ScalarField):
     def __init__(self, factors):
         object.__setattr__(self, "factors", tuple(factors))
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
     def __eq__(self, other):
         return type(other) is Mul and self.factors == other.factors
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(("Mul",) + self.factors)
-            object.__setattr__(self, "_hash", h)
-            return h
+    __hash__ = ScalarField.__hash__
+
+    def _hash_key(self):
+        return ("Mul",) + self.factors
 
 
 class Add(ScalarField):
@@ -243,19 +227,13 @@ class Add(ScalarField):
     def __init__(self, terms):
         object.__setattr__(self, "terms", tuple(terms))
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
     def __eq__(self, other):
         return type(other) is Add and self.terms == other.terms
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(("Add",) + self.terms)
-            object.__setattr__(self, "_hash", h)
-            return h
+    __hash__ = ScalarField.__hash__
+
+    def _hash_key(self):
+        return ("Add",) + self.terms
 
 
 ZERO = Rat(0)
@@ -551,15 +529,6 @@ def exp_of(a):
     if a is ZERO:
         return ONE
     return Exp(a)
-
-
-def const(x):
-    """Exact rational constant from an int, Fraction, or literal string."""
-    return Rat(x)
-
-
-def sym(name):
-    return Sym(name)
 
 
 # --- differentiation -------------------------------------------------------

@@ -133,26 +133,16 @@ class SolitonReport:
 
 
 def _render_shift(c):
-    """Render p/2 + c with exact signs, collapsing c = 0."""
-    if isinstance(c, Fraction):
-        if c == 0:
-            return "p/2"
-        sign = "+" if c > 0 else "-"
-        mag = abs(c)
-        body = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-        return f"p/2 {sign} {body}"
-    if c == 0.0:
+    """Render p/2 + c with exact signs, collapsing c = 0: a Fraction as
+    ``n/d`` (``n`` when integral), a float as its repr."""
+    if c == 0:
         return "p/2"
-    return f"p/2 {'+' if c > 0 else '-'} {abs(c)!r}"
+    return f"p/2 {'+' if c > 0 else '-'} {abs(c)}"
 
 
 def lambda_string(lambda_tilde, n):
     """lambda = p/2 + 1/(2n+1) + lambda~, rendered symbolically."""
-    lt = _coerce(lambda_tilde)
-    shift = Fraction(1, 2 * n + 1)
-    if isinstance(lt, Fraction):
-        return _render_shift(lt + shift)
-    return _render_shift(float(lt) + float(shift))
+    return _render_shift(_coerce(lambda_tilde) + Fraction(1, 2 * n + 1))
 
 
 def classify(lambda_tilde, n, p=None):
@@ -165,11 +155,7 @@ def classify(lambda_tilde, n, p=None):
     lt = _coerce(lambda_tilde)
     shift = Fraction(1, 2 * n + 1)
     if p is None:
-        if isinstance(lt, Fraction):
-            p_star = -2 * lt - 2 * shift
-        else:
-            p_star = float(-2 * lt - 2 * float(shift))
-        s = str(p_star)
+        s = str(-2 * lt - 2 * shift)
         return (f"shrinking for p < {s}, steady at p = {s}, "
                 f"expanding for p > {s}")
     pv = _coerce(p)

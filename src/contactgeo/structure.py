@@ -235,16 +235,11 @@ def check_kenmotsu(M, conn, table):
     xi = M.xi_frame
     G = M.metric
 
-    def nabla_phi(x_frame, y_frame):
-        # (nabla_X phi)Y = nabla_X(phi Y) - phi(nabla_X Y)
-        a = conn.nabla_comps(x_frame, M.phi_frame_apply(y_frame))
-        b = M.phi_frame_apply(conn.nabla_comps(x_frame, y_frame))
-        return [add_all([p, _prod(MINUS_ONE, q)]) for p, q in zip(a, b)]
-
     parts_b8 = []
     for i in range(n):
+        nabla_phi = conn.nabla_operator(M.phi, basis[i])
         for j in range(n):
-            lhs = nabla_phi(basis[i], basis[j])
+            lhs = nabla_phi[j]
             coeff = M.metric_apply(M.phi[i], basis[j])
             for k in range(n):
                 e = add_all([lhs[k], _prod(MINUS_ONE, coeff, xi[k]),

@@ -18,13 +18,13 @@ def random_polynomial(rng, coords, degree=1):
     for name in coords:
         c = rng.randint(-2, 2)
         if c:
-            terms.append(Rat(c) * scalar.sym(name))
+            terms.append(Rat(c) * scalar.Sym(name))
     if degree >= 2:
         a = rng.choice(coords)
         b = rng.choice(coords)
         c = rng.randint(-1, 1)
         if c:
-            terms.append(Rat(c) * scalar.sym(a) * scalar.sym(b))
+            terms.append(Rat(c) * scalar.Sym(a) * scalar.Sym(b))
     return add_all(terms)
 
 

@@ -12,11 +12,11 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from contactgeo import cli, scalar
-from contactgeo.scalar import Add, Rat, ZERO, add_all, diff, mul, parse, sym, to_str
+from contactgeo.scalar import Add, Rat, Sym, ZERO, add_all, diff, mul, parse, to_str
 
 from canonical_ref import ref_mul, ref_pow_int
 
-X, Y = sym("x"), sym("y")
+X, Y = Sym("x"), Sym("y")
 # opaque sums: a merged exponent in 1..6 multiplies them out again
 BASES = (parse("1 + x"), parse("x - y"), parse("1 + exp(y)"))
 EXPONENTS = (-7, -2, -1, 0, 7, 8)

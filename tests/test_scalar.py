@@ -11,7 +11,7 @@ from contactgeo import scalar
 from contactgeo.errors import DivisionByZero, ExpressionError, ParseError
 from contactgeo.geometry import VectorField
 from contactgeo.scalar import (
-    Add, Exp, Mul, Pow, Rat, Sampler, Sym, ZERO, add, add_all, const, diff,
+    Add, Exp, Mul, Pow, Rat, Sampler, Sym, ZERO, add, add_all, diff,
     evaluate, is_zero, mul, parse, sort_key, to_str,
 )
 
@@ -242,7 +242,7 @@ def test_every_zero_constant_is_the_interned_zero(p, q, d):
     # zero tests are identity checks, so no second zero-valued Rat may exist
     assert Rat(Fraction(0, d)) is ZERO
     assert Rat("0") is ZERO and Rat(f"0/{d}") is ZERO and Rat(0) is ZERO
-    assert const(0) is ZERO and const(Fraction(0, d)) is ZERO
+    assert Rat(0) is ZERO and Rat(Fraction(0, d)) is ZERO
     assert Rat(q) - Rat(q) is ZERO
     assert add_all([p, -p]) is ZERO
     assert add_all([p, Rat(q), -p, Rat(-q)]) is ZERO
@@ -296,7 +296,7 @@ def test_one_rat_per_value_and_ints_when_integral(p, q, k):
     assert Rat(Fraction(4, 2)) is Rat(2) and type(Rat(Fraction(4, 2)).value) is int
     for v in (p, q, p + q, p * q, Fraction(k)):
         r = Rat(v)
-        assert r is Rat(v) is Rat(str(v)) is const(v)
+        assert r is Rat(v) is Rat(str(v))
         assert r.value == v and hash(r) == hash(Rat(v))
         assert type(r.value) is (int if v.denominator == 1 else Fraction)
     assert Rat(k) is Rat(Fraction(k)) and type(Rat(k).value) is int
@@ -320,3 +320,48 @@ def test_clear_caches_keeps_the_interned_constants():
     assert Rat(0) is ZERO and Rat(1) is scalar.ONE and Rat(-1) is scalar.MINUS_ONE
     assert Rat(Fraction(2, 4)) is half
     assert ZERO.value == 0 and type(scalar.ONE.value) is int
+
+
+# --- one node protocol --------------------------------------------------------
+
+
+def test_one_sym_per_name():
+    # symbols are interned like constants: a parse and an operator product
+    # share one Sym per name, and equality of symbols is identity
+    x, y = Sym("x"), Sym("y")
+    assert x is Sym("x") and x is not y and x != y and x != Rat(1)
+    a, b = parse("x*y"), y * x
+    assert a == b and a.factors[0] is b.factors[0] is x
+    assert a.factors[1] is b.factors[1] is y
+    assert parse("x^2").base is x and diff(parse("x*y"), "y") is x
+    scalar.clear_caches()
+    assert Sym("x") is x and hash(Sym("x")) == hash(x)
+
+
+def test_every_node_class_is_immutable():
+    x = Sym("x")
+    nodes = (Rat(3), x, scalar.exp_of(x), x ** 2, 2 * x, x + 1)
+    assert [type(e) for e in nodes] == [Rat, Sym, Exp, Pow, Mul, Add]
+    for e in nodes:
+        with pytest.raises(AttributeError, match="immutable"):
+            e.value = 0
+        with pytest.raises(AttributeError, match="immutable"):
+            e._hash = 0
+    assert nodes[0].value == 3
+
+
+def test_compound_nodes_from_parse_and_operators_hash_alike():
+    x, y = Sym("x"), Sym("y")
+    pairs = [
+        (parse("exp(x - y)"), scalar.exp_of(x - y)),
+        (parse("(x + y)^(-3)"), (x + y) ** -3),
+        (parse("2*x*y"), 2 * x * y),
+        (parse("x*y + exp(x) - 1/2"), y * x + scalar.exp_of(x) - Rat(Fraction(1, 2))),
+    ]
+    for (a, b), kind in zip(pairs, (Exp, Pow, Mul, Add)):
+        assert type(a) is type(b) is kind and a is not b
+        assert a == b and not a != b and hash(a) == hash(b)
+        slots = {a: "parsed"}
+        assert slots[b] == "parsed" and len({a, b}) == 1
+    with pytest.raises(ExpressionError, match="only integer powers are supported"):
+        x ** Fraction(1, 2)

@@ -163,6 +163,16 @@ def test_lambda_string_rendering():
     assert lambda_string(2, 1) == "p/2 + 7/3"
 
 
+def test_float_constant_renderings():
+    # no fraction with denominator <= 10^12 is within 1e-15 of these, so
+    # they stay floats, and lambda and the threshold render as float reprs
+    assert lambda_string(0.1 + 1e-14, 2) == "p/2 + 0.30000000000001004"
+    assert lambda_string(-1 - 1e-14, 2) == "p/2 - 0.80000000000001"
+    assert classify(0.1 + 1e-14, 2) == (
+        "shrinking for p < -0.6000000000000201, steady at p = -0.6000000000000201, "
+        "expanding for p > -0.6000000000000201")
+
+
 def test_rendering_of_a_constant_given_as_rat():
     # lambda~ = -2 arrives as an int-valued Rat; the shift 1/3 keeps it exact
     assert lambda_string(Rat(-2), 1) == "p/2 - 5/3"
