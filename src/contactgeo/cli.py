@@ -19,7 +19,7 @@ from . import soliton as soliton_mod
 from . import structure
 from .curvature import CurvatureTable, StructureTensors, koszul
 from .errors import ContactGeoError, MissingPotential
-from .scalar import Add, ZERO, clear_caches, to_str
+from .scalar import Add, ZERO, clear_caches, join_signed, to_str
 
 CHECK_NAMES = ("almost_contact", "kenmotsu", "almost_kenmotsu",
                "nullity", "eta_einstein")
@@ -199,12 +199,7 @@ def frame_comb(comps):
         else:
             term = f"({s}) e_{k + 1}" if isinstance(c, Add) else f"{s} e_{k + 1}"
         terms.append(term)
-    if not terms:
-        return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-    return out
+    return join_signed(terms) if terms else "0"
 
 
 def _emit(lines, payload, args, code):

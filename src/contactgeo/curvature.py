@@ -473,11 +473,9 @@ class ExteriorData:
             for j in range(n):
                 self.Phi[i][j] = M.metric_apply(basis[i], M.phi[j])
 
-        def phi_form(c, d):
-            return add_all([c[a] * d[b] * self.Phi[a][b]
-                            for a in range(n) if c[a] is not ZERO
-                            for b in range(n)
-                            if d[b] is not ZERO and self.Phi[a][b] is not ZERO])
+        # Phi([e_i, e_j], e_k) = bracket_Phi[(i, j)][k], for i < j
+        bracket_Phi = {(i, j): _mat_vec(self.Phi, brackets[i][j])
+                       for i in range(n) for j in range(i + 1, n)}
 
         # d Phi (e_i, e_j, e_k) and (eta ^ Phi)(e_i, e_j, e_k)
         self.d_Phi = {}
@@ -486,12 +484,11 @@ class ExteriorData:
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
                     minus = (M.frame[j].apply(self.Phi[i][k]),
-                             phi_form(brackets[i][j], basis[k]),
-                             phi_form(brackets[j][k], basis[i]))
+                             bracket_Phi[(i, j)][k], bracket_Phi[(j, k)][i])
                     self.d_Phi[(i, j, k)] = add_all([
                         M.frame[i].apply(self.Phi[j][k]),
                         M.frame[k].apply(self.Phi[i][j]),
-                        phi_form(brackets[i][k], basis[j])]
+                        bracket_Phi[(i, k)][j]]
                         + [-e for e in minus if e is not ZERO])
                     wedge = ((eta[i], self.Phi[j][k]), (eta[j], self.Phi[k][i]),
                              (eta[k], self.Phi[i][j]))

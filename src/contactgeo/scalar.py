@@ -18,8 +18,9 @@ interned: there is one ``Rat`` per value and one ``Sym`` per name, so
 leaves compare by identity, the zero constant is the module singleton
 ``ZERO`` and a zero test is the identity check ``e is ZERO``.  Integral
 values are ints, and only the others are Fractions.  The base class
-``ScalarField`` owns immutability and the cached hash; each node class
-supplies only its hash key, and a compound one its ``__eq__``.
+``ScalarField`` owns immutability, the cached hash and the operators, the
+last made by one factory, ``_operator``; each node class supplies only its
+hash key, and a compound one its ``__eq__``.
 Differentiation is exact, and evaluation is exact over the rationals
 whenever the expression contains no exp node.
 
@@ -53,7 +54,8 @@ def _as_fraction(x):
 
 class ScalarField:
     """Base node; all instances are immutable and canonical. A subclass
-    supplies ``_hash_key``, and a compound one its structural ``__eq__``."""
+    supplies ``_hash_key``, and a compound one its structural ``__eq__``;
+    ``+ - * /`` and their reflections come from the one factory ``_operator``."""
 
     __slots__ = ("_hash", "_key")
 
@@ -67,53 +69,6 @@ class ScalarField:
             h = hash(self._hash_key())
             object.__setattr__(self, "_hash", h)
             return h
-
-    def _coerce(self, other):
-        if isinstance(other, ScalarField):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Rat(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return add(self, neg(other))
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return add(other, neg(self))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return div(other, self)
 
     def __neg__(self):
         return neg(self)
@@ -531,6 +486,26 @@ def exp_of(a):
     return Exp(a)
 
 
+def _operator(op, swap):
+    """The method ``op(self, other)``, or ``op(other, self)`` when swapped; an
+    int or Fraction becomes a ``Rat``, and any other non-node ``NotImplemented``."""
+
+    def method(self, other):
+        if not isinstance(other, ScalarField):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Rat(other)
+        return op(other, self) if swap else op(self, other)
+
+    return method
+
+
+for _name, _op in (("add", add), ("sub", sub), ("mul", mul), ("truediv", div)):
+    setattr(ScalarField, f"__{_name}__", _operator(_op, False))
+    setattr(ScalarField, f"__r{_name}__", _operator(_op, True))
+del _name, _op
+
+
 # --- differentiation -------------------------------------------------------
 
 _diff_cache = {}
@@ -924,8 +899,14 @@ def parse(text, names=None):
 # --- rendering ---------------------------------------------------------------
 
 
+def join_signed(parts):
+    """Join rendered terms into a sum, a leading ``-`` folded into ``" - "``."""
+    return parts[0] + "".join(f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+                              for t in parts[1:])
+
+
 def _render_factor(f):
-    if isinstance(f, (Sym, Exp)):
+    if isinstance(f, (Rat, Sym, Exp)):
         return _render(f)
     if isinstance(f, Pow):
         base = _render(f.base)
@@ -934,8 +915,6 @@ def _render_factor(f):
         if f.exponent < 0:
             return f"{base}^(-{-f.exponent})"
         return f"{base}^{f.exponent}"
-    if isinstance(f, Rat):
-        return _render(f)
     return f"({_render(f)})"
 
 
@@ -961,16 +940,7 @@ def _render(e):
             return f"-{body}"
         return f"{coeff}*{body}"
     if isinstance(e, Add):
-        parts = []
-        for i, t in enumerate(e.terms):
-            s = _render(t)
-            if i == 0:
-                parts.append(s)
-            elif s.startswith("-"):
-                parts.append(f" - {s[1:]}")
-            else:
-                parts.append(f" + {s}")
-        return "".join(parts)
+        return join_signed([_render(t) for t in e.terms])
     raise ExpressionError(f"not a scalar expression: {e!r}")
 
 

@@ -217,10 +217,6 @@ def check_almost_contact(M):
         combine(M, "eta_phi",
                 [(f"eta(phi e_{j + 1})", M.metric_apply(M.phi[j], xi))
                  for j in range(n)]),
-        combine(M, "eta_metric_duality",
-                [(f"g(e_{j + 1}, xi) - eta(e_{j + 1})",
-                  add_all([M.metric_apply(basis[j], xi), _prod(MINUS_ONE, eta[j])]))
-                 for j in range(n)]),
         combine(M, "phi_antisymmetry", parts_anti),
     ]
     return CheckReport("almost_contact", results)

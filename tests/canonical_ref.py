@@ -43,7 +43,8 @@ engine's sparse traces. ``ref_ricci_lowered`` and
 agree with the traces in value on every metric but not in tree on a
 metric that is not constant, so tests compare them by a zero test of
 each difference. ``ref_gradient`` is the since deleted
-``ManifoldSpec.gradient``.
+``ManifoldSpec.gradient``. ``ref_d_Phi`` is the earlier ``d Phi`` of
+``ExteriorData``, each ``Phi`` of a bracket a dense double sum.
 
 ``ref_structure_tensors`` and ``ref_lie_derivative_metric`` are the
 earlier ``StructureTensors`` constructor and ``lie_derivative_metric``,
@@ -562,6 +563,29 @@ def ref_lie_derivative_metric(M, V):
             lowered = (M.metric_apply(br[i], basis[j]), M.metric_apply(basis[i], br[j]))
             out[i][j] = out[j][i] = add_all([V.apply(M.metric[i][j])]
                                             + [-e for e in lowered if e is not ZERO])
+    return out
+
+
+def ref_d_Phi(M):
+    """``d Phi(e_i, e_j, e_k)``, i < j < k, as ``ExteriorData`` built it with
+    its dense ``phi_form(c, d) = sum_{a,b} c_a d_b Phi_ab`` for each
+    ``Phi([e_i, e_j], e_k)``; ``Phi_ab = g(e_a, phi e_b)``."""
+    n = M.dim
+    basis = frame_basis(n)
+    Phi = [[M.metric_apply(basis[a], M.phi[b]) for b in range(n)] for a in range(n)]
+    brackets = ref_frame_brackets(M)
+
+    def phi_form(c, d):
+        return add_all([c[a] * d[b] * Phi[a][b] for a in range(n) for b in range(n)])
+
+    out = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                out[(i, j, k)] = add_all([
+                    ref_apply(M.frame[i], Phi[j][k]), -ref_apply(M.frame[j], Phi[i][k]),
+                    ref_apply(M.frame[k], Phi[i][j]), -phi_form(brackets[i][j], basis[k]),
+                    phi_form(brackets[i][k], basis[j]), -phi_form(brackets[j][k], basis[i])])
     return out
 
 

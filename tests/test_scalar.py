@@ -365,3 +365,37 @@ def test_compound_nodes_from_parse_and_operators_hash_alike():
         assert slots[b] == "parsed" and len({a, b}) == 1
     with pytest.raises(ExpressionError, match="only integer powers are supported"):
         x ** Fraction(1, 2)
+
+
+# --- one operator protocol ----------------------------------------------------
+
+
+def test_reflected_operators_match_their_rat_forms():
+    # an int or Fraction on either side becomes a Rat, and a reflected
+    # operator keeps the operand order: 1 - x is Rat(1) - x, not x - 1
+    x = Sym("x") + Sym("y") ** 2
+    third = Fraction(1, 3)
+    pairs = [
+        (1 - x, Rat(1) - x),
+        (2 / x, Rat(2) / x),
+        (1 + x, Rat(1) + x),
+        (3 * x, Rat(3) * x),
+        (third * x, Rat(third) * x),
+        (x - third, x - Rat(third)),
+        (x / 2, x * Rat(Fraction(1, 2))),
+    ]
+    for got, want in pairs:
+        assert got is want or (got == want and hash(got) == hash(want)), (got, want)
+    assert str(1 - x) == "1 - x - y^2" and str(2 / x) == "2*(x + y^2)^(-1)"
+    assert 1 - Rat(3) is Rat(-2) and Fraction(1, 2) / Rat(2) is Rat(Fraction(1, 4))
+
+
+def test_operators_reject_other_operands():
+    x = Sym("x")
+    for op in (lambda: x + 1.5, lambda: 1.5 + x, lambda: x - 1.5, lambda: 1.5 - x,
+               lambda: x * "a", lambda: "a" * x, lambda: x / 1.5, lambda: 1.5 / x):
+        with pytest.raises(TypeError):
+            op()
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                 "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        assert getattr(x, name)(1.5) is NotImplemented, name

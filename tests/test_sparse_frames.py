@@ -14,7 +14,8 @@ components are not constant and a phi whose entries are not, so the
 derivative terms of ``ManifoldSpec.ad`` and of h do not vanish. A
 hypothesis property draws further frames at random (monomial and exp
 entries, a constant metric off the diagonal, a sparse phi) and compares
-R, S, Q and S* on each. On the fixed manifolds, h, h' and L_V g from
+R, S, Q and S* on each. On the fixed manifolds, d Phi must equal the
+dense double sums it was once built from, and h, h' and L_V g from
 the bracket table must agree, by a zero test of each difference, with
 the earlier coordinate-bracket versions, and on the three hand-built
 frames S and S*, as traces, with the earlier contractions through
@@ -40,14 +41,14 @@ from hypothesis import given, settings, strategies as st
 from contactgeo import manifest, scalar
 from contactgeo.cli import CHECK_NAMES, Workspace, parse_args, run_checks
 from contactgeo.curvature import (
-    CurvatureTable, StructureTensors, frame_basis, koszul, lie_derivative_metric,
+    CurvatureTable, ExteriorData, StructureTensors, frame_basis, koszul, lie_derivative_metric,
 )
 from contactgeo.geometry import ManifoldSpec, VectorField, lie_bracket
 from contactgeo.scalar import ZERO, Rat, Sym, add_all, parse, to_str
 from contactgeo.soliton import SolitonProblem, solve_soliton
 
 from canonical_ref import (
-    RefCurvatureTable, ref_apply, ref_from_frame, ref_frame_brackets, ref_koszul,
+    RefCurvatureTable, ref_apply, ref_d_Phi, ref_from_frame, ref_frame_brackets, ref_koszul,
     ref_lie_bracket, ref_lie_derivative_metric, ref_mat_vec, ref_ricci_lowered,
     ref_star_ricci_lowered, ref_structure_tensors, ref_sym_inverse, ref_to_frame,
 )
@@ -134,6 +135,14 @@ def test_connection_and_curvature_match_dense(manifolds, name):
     table, dense = CurvatureTable(M, conn), RefCurvatureTable(M, conn)
     for quantity in ("R", "ricci", "ricci_operator", "star_ricci"):
         assert getattr(table, quantity) == getattr(dense, quantity), quantity
+
+
+@pytest.mark.parametrize("name", MANIFOLDS)
+def test_d_Phi_matches_dense(manifolds, name):
+    # Phi([e_i, e_j], e_k) read through the sparse _mat_vec builds the same
+    # trees as the dense double sums
+    M = manifolds[name]
+    assert ExteriorData(M).d_Phi == ref_d_Phi(M)
 
 
 COORDS = ("x", "y", "z", "u", "v")

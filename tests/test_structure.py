@@ -11,11 +11,15 @@ from types import SimpleNamespace
 
 import pytest
 
+from contactgeo.cli import CHECK_NAMES
+from contactgeo.curvature import CurvatureTable, StructureTensors, koszul
 from contactgeo.errors import DegenerateSystem
-from contactgeo.scalar import Rat, parse
+from contactgeo.scalar import PROVED_ZERO, Rat, parse
 from contactgeo.structure import (
     check_almost_contact, check_almost_kenmotsu, check_kenmotsu, solve_eta_einstein, solve_nullity,
 )
+
+from manifolds import twisted
 
 
 SEEDS = (1729, 7, 101)
@@ -255,3 +259,29 @@ def test_result_witness_round_trip(ex1):
     w = {c["name"]: c for c in d["checks"]}["metric_compatibility"]["witness"]
     assert w["component"] == rep.result("metric_compatibility").witness[0]
     assert w["value"] == pytest.approx(-2.0)
+
+
+# --- every reported check can fail ---------------------------------------------
+
+
+def test_every_check_is_decided_otherwise_somewhere(ex1, ex2, ex3, flat, heis):
+    # a check that reads proved_zero on every manifold holds by construction
+    # and reports nothing: each must read otherwise on a fixture or on the
+    # hand-built twisted frame, whose metric, phi and Reeb field vary
+    M = twisted()
+    conn = koszul(M)
+    table = CurvatureTable(M, conn)
+    bundles = [(b.M, b.conn, b.table, b.tensors) for b in (ex1, ex2, ex3, flat, heis)]
+    bundles.append((M, conn, table, StructureTensors(M)))
+    always_proved = {}
+    for M, conn, table, tensors in bundles:
+        reports = (check_almost_contact(M), check_kenmotsu(M, conn, table),
+                   check_almost_kenmotsu(M, conn, table, tensors),
+                   solve_nullity(M, conn, table, tensors), solve_eta_einstein(M, table))
+        assert tuple(rep.name for rep in reports) == CHECK_NAMES
+        for rep in reports:
+            for r in rep.results:
+                key = (rep.name, r.name)
+                always_proved[key] = always_proved.get(key, True) and r.kind == PROVED_ZERO
+    assert [key for key, proved in always_proved.items() if proved] == []
+    assert len(always_proved) == 31
