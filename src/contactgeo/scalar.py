@@ -486,24 +486,26 @@ def exp_of(a):
     return Exp(a)
 
 
-def _operator(op, swap):
-    """The method ``op(self, other)``, or ``op(other, self)`` when swapped; an
-    int or Fraction becomes a ``Rat``, and any other non-node ``NotImplemented``."""
+def _operator(name, swap):
+    """The method ``op(self, other)``, or ``op(other, self)`` when swapped, with ``op``
+    the module function ``name`` looked up per call (so a replaced ``mul`` is what
+    ``a * b`` reaches); an int or Fraction becomes a ``Rat``, other non-nodes ``NotImplemented``."""
+    namespace = globals()
 
     def method(self, other):
         if not isinstance(other, ScalarField):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Rat(other)
-        return op(other, self) if swap else op(self, other)
+        return namespace[name](other, self) if swap else namespace[name](self, other)
 
     return method
 
 
-for _name, _op in (("add", add), ("sub", sub), ("mul", mul), ("truediv", div)):
-    setattr(ScalarField, f"__{_name}__", _operator(_op, False))
-    setattr(ScalarField, f"__r{_name}__", _operator(_op, True))
-del _name, _op
+for _dunder, _name in (("add", "add"), ("sub", "sub"), ("mul", "mul"), ("truediv", "div")):
+    setattr(ScalarField, f"__{_dunder}__", _operator(_name, False))
+    setattr(ScalarField, f"__r{_dunder}__", _operator(_name, True))
+del _dunder, _name
 
 
 # --- differentiation -------------------------------------------------------

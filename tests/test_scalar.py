@@ -396,6 +396,3 @@ def test_operators_reject_other_operands():
                lambda: x * "a", lambda: "a" * x, lambda: x / 1.5, lambda: 1.5 / x):
         with pytest.raises(TypeError):
             op()
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__",
-                 "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
-        assert getattr(x, name)(1.5) is NotImplemented, name
