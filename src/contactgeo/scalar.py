@@ -908,16 +908,15 @@ def join_signed(parts):
 
 
 def _render_factor(f):
+    """A factor of a canonical ``Mul``: a ``Rat``, ``Sym``, ``Exp`` or ``Pow``."""
     if isinstance(f, (Rat, Sym, Exp)):
         return _render(f)
-    if isinstance(f, Pow):
-        base = _render(f.base)
-        if isinstance(f.base, Add):
-            base = f"({base})"
-        if f.exponent < 0:
-            return f"{base}^(-{-f.exponent})"
-        return f"{base}^{f.exponent}"
-    return f"({_render(f)})"
+    base = _render(f.base)
+    if isinstance(f.base, Add):
+        base = f"({base})"
+    if f.exponent < 0:
+        return f"{base}^(-{-f.exponent})"
+    return f"{base}^{f.exponent}"
 
 
 def _render(e):

@@ -7,6 +7,9 @@ carries a witness (component label, sample point, value). The nullity
 and eta-Einstein fits, and the soliton constants, fitted or given, are
 settled the same way: the constants are substituted into the residual of
 every tuple (``settle_fit``).
+Each residual is assembled sparsely: the terms are filed into the slot
+of their frame component from the non-zero operand entries only, and a
+slot that no term reaches, or whose terms cancel, is never tested.
 Checks run on the frame index tuples only: the identities are tensorial,
 so on a correct connection their frame components decide the verdict.
 That the connection engine is tensorial (torsion-free and
@@ -98,6 +101,74 @@ def _prod(*factors):
     return out
 
 
+def _nz(vec):
+    """The (index, entry) pairs of a vector's non-zero entries."""
+    return [(k, e) for k, e in enumerate(vec) if e is not ZERO]
+
+
+def _put(slots, key, term):
+    """File a term of the frame component ``key`` into its slot."""
+    if term is not ZERO:
+        slots.setdefault(key, []).append(term)
+
+
+def _file(slots, prefix, vec, scale=ONE, start=0):
+    """File ``scale`` times each non-zero entry k >= ``start`` of ``vec``
+    into the slot ``prefix + (k,)``; returns ``slots``."""
+    if scale is not ZERO:
+        for k in range(start, len(vec)):
+            e = vec[k]
+            if e is not ZERO:
+                slots.setdefault(prefix + (k,), []).append(e if scale is ONE else scale * e)
+    return slots
+
+
+def _file_reeb_curvature(slots, R, xi):
+    """File the terms ``xi^a R[i][j][a][k]`` of ``R(e_i, e_j)xi``, i < j,
+    into the slots (i, j, k)."""
+    xi_nz = _nz(xi)
+    for i in range(len(R)):
+        for j in range(i + 1, len(R)):
+            for a, x in xi_nz:
+                _file(slots, (i, j), R[i][j][a], x)
+
+
+def _file_eta_wedge(slots, eta, rows):
+    """File ``eta(e_j) A e_i - eta(e_i) A e_j``, i < j, into the slots
+    (i, j, k), for the operator A with images ``rows``."""
+    for m, em in _nz(eta):
+        for p, row in enumerate(rows):
+            if p != m:
+                _file(slots, (p, m) if p < m else (m, p), row, em if p < m else -em)
+
+
+def _labelled(template, slots, keys=None):
+    """(label, residual) of every slot whose terms do not sum to ``ZERO``,
+    in the order of ``keys`` (by default the sorted keys, the order of the
+    nested index loops). A component that no term reaches, or whose terms
+    cancel, would be proved zero with |residual| 0 and no witness, so
+    leaving it out of ``combine`` keeps every verdict. The label is
+    ``template`` formatted with the 1-based indices of the key."""
+    parts = []
+    for key in sorted(slots) if keys is None else keys:
+        s = add_all(slots.get(key, ()))
+        if s is not ZERO:
+            parts.append((template.format(*(i + 1 for i in key)), s))
+    return parts
+
+
+def _fit_entries(template, columns):
+    """The (label, (a_1, ..., a_k, b)) tuples of a fit, one slot dict per
+    column, in component order; a tuple whose columns are all ``ZERO``
+    adds nothing to the fit and has residual 0, so it is left out."""
+    labelled = []
+    for key in sorted(set().union(*columns)):
+        entry = tuple(add_all(c.get(key, ())) for c in columns)
+        if any(e is not ZERO for e in entry):
+            labelled.append((template.format(*(i + 1 for i in key)), entry))
+    return labelled
+
+
 def combine(M, name, parts, exact=True):
     """Aggregate labeled residual expressions into one CheckResult.
 
@@ -177,47 +248,51 @@ def settle_fit(M, name, labelled, values):
     return combine(M, name, tested, exact), residuals
 
 
+def _covariant_eta(M, conn):
+    """Slots (i, j) of ``(nabla eta - g + eta(x)eta)(e_i, e_j)``, with
+    ``(nabla_{e_i} eta)(e_j) = e_i(eta_j) - g(nabla_{e_i} e_j, xi)``."""
+    eta = M.eta_frame
+    xi_low = _mat_vec(M.metric, M.xi_frame)  # g(e_m, xi)
+    slots = {}
+    for i in range(M.dim):
+        _file(slots, (i,), [M.frame[i].apply(e) for e in eta])
+        for j in range(M.dim):
+            for m, g in _nz(conn.gamma[i][j]):
+                _put(slots, (i, j), _prod(MINUS_ONE, g, xi_low[m]))
+        _file(slots, (i,), M.metric[i], MINUS_ONE)
+    for i, ei in _nz(eta):
+        _file(slots, (i,), eta, ei)
+    return slots
+
+
 def check_almost_contact(M):
     """The defining axioms and their standard consequences."""
-    n = M.dim
-    basis = frame_basis(n)
-    eta = M.eta_frame
-    xi = M.xi_frame
-    G = M.metric
-    phi2 = [M.phi_frame_apply(M.phi[j]) for j in range(n)]
-
-    parts_sq = []
-    for j in range(n):
-        for k in range(n):
-            delta = ONE if j == k else ZERO
-            e = add_all([phi2[j][k], delta, _prod(MINUS_ONE, eta[j], xi[k])])
-            parts_sq.append((f"(phi^2 + Id - eta(x)xi)(e_{j + 1})[{k + 1}]", e))
-
-    parts_comp = []
-    for i in range(n):
-        for j in range(i, n):
-            e = add_all([M.metric_apply(M.phi[i], M.phi[j]), _prod(MINUS_ONE, G[i][j]),
-                         _prod(eta[i], eta[j])])
-            parts_comp.append((f"compat(e_{i + 1}, e_{j + 1})", e))
-
-    phi_xi = M.phi_frame_apply(xi)
-    parts_anti = []
-    for i in range(n):
-        for j in range(i, n):
-            e = M.metric_apply(M.phi[i], basis[j]) + M.metric_apply(basis[i], M.phi[j])
-            parts_anti.append((f"antisym(e_{i + 1}, e_{j + 1})", e))
-
+    eta, xi, G, phi = M.eta_frame, M.xi_frame, M.metric, M.phi
+    low = [_mat_vec(G, row) for row in phi]  # low[i][b] = g(phi e_i, e_b)
+    phi_cols = [_nz(col) for col in zip(*phi)]
+    sq, comp, anti = {}, {}, {}
+    for j in range(M.dim):
+        _put(sq, (j, j), ONE)
+        _file(sq, (j,), M.phi_frame_apply(phi[j]))
+        _file(comp, (j,), G[j], MINUS_ONE, j)
+        _file(anti, (j,), low[j], ONE, j)  # g(phi e_j, e_k), k >= j
+        _file(anti, (j,), [row[j] for row in low], ONE, j)  # g(e_j, phi e_k)
+        for b, lb in _nz(low[j]):
+            for i, p in phi_cols[b]:  # g(phi e_j, phi e_i)
+                if i >= j:
+                    _put(comp, (j, i), lb * p)
+    for j, ej in _nz(eta):
+        _file(sq, (j,), xi, -ej)
+        _file(comp, (j,), eta, ej, j)
     results = [
-        combine(M, "phi_square", parts_sq),
+        combine(M, "phi_square", _labelled("(phi^2 + Id - eta(x)xi)(e_{})[{}]", sq)),
         combine(M, "reeb_normalization",
-                [("eta(xi) - 1", M.metric_apply(xi, xi) - ONE)]),
-        combine(M, "metric_compatibility", parts_comp),
-        combine(M, "phi_reeb",
-                [(f"(phi xi)[{k + 1}]", phi_xi[k]) for k in range(n)]),
-        combine(M, "eta_phi",
-                [(f"eta(phi e_{j + 1})", M.metric_apply(M.phi[j], xi))
-                 for j in range(n)]),
-        combine(M, "phi_antisymmetry", parts_anti),
+                _labelled("eta(xi) - 1", {(): [M.metric_apply(xi, xi), MINUS_ONE]})),
+        combine(M, "metric_compatibility", _labelled("compat(e_{}, e_{})", comp)),
+        combine(M, "phi_reeb", _labelled("(phi xi)[{}]", _file({}, (), M.phi_frame_apply(xi)))),
+        combine(M, "eta_phi", _labelled("eta(phi e_{})", _file(
+            {}, (), [M.metric_apply(row, xi) for row in phi]))),
+        combine(M, "phi_antisymmetry", _labelled("antisym(e_{}, e_{})", anti)),
     ]
     return CheckReport("almost_contact", results)
 
@@ -225,95 +300,58 @@ def check_almost_contact(M):
 def check_kenmotsu(M, conn, table):
     """The covariant characterization plus its derived identities."""
     n = M.dim
-    two_n = Rat(2 * M.n)
+    two, two_n = Rat(2), Rat(2 * M.n)
     basis = frame_basis(n)
-    eta = M.eta_frame
-    xi = M.xi_frame
-    G = M.metric
-
-    parts_b8 = []
-    for i in range(n):
-        nabla_phi = conn.nabla_operator(M.phi, basis[i])
-        for j in range(n):
-            lhs = nabla_phi[j]
-            coeff = M.metric_apply(M.phi[i], basis[j])
-            for k in range(n):
-                e = add_all([lhs[k], _prod(MINUS_ONE, coeff, xi[k]),
-                             _prod(eta[j], M.phi[i][k])])
-                parts_b8.append((f"(nabla_e{i + 1} phi)e_{j + 1}[{k + 1}]", e))
-
-    parts_b9 = []
-    for i in range(n):
-        nx = conn.nabla_comps(basis[i], xi)
-        for k in range(n):
-            e = add_all([nx[k], MINUS_ONE if i == k else ZERO, _prod(eta[i], xi[k])])
-            parts_b9.append((f"(nabla_e{i + 1} xi - e_{i + 1} + eta xi)[{k + 1}]", e))
-
-    parts_b10 = []
-    for i in range(n):
-        for j in range(n):
-            e = add_all([M.frame[i].apply(eta[j]),
-                         _prod(MINUS_ONE, M.metric_apply(conn.gamma[i][j], xi)),
-                         _prod(MINUS_ONE, G[i][j]), _prod(eta[i], eta[j])])
-            parts_b10.append((f"(nabla eta - g + eta(x)eta)(e_{i + 1}, e_{j + 1})", e))
-
-    parts_b11 = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            rv = _mat_vec(table.R[i][j], xi)
-            for k in range(n):
-                e = add_all([rv[k], _prod(MINUS_ONE, eta[i]) if j == k else ZERO,
-                             eta[j] if i == k else ZERO])
-                parts_b11.append((f"R(e_{i + 1}, e_{j + 1})xi[{k + 1}]", e))
-
-    parts_b12 = []
-    for i in range(n):
-        s = add_all([_prod(table.ricci[i][j], xi[j]) for j in range(n)]
-                    + [_prod(two_n, eta[i])])
-        parts_b12.append((f"S(e_{i + 1}, xi) + 2n eta(e_{i + 1})", s))
-
+    eta, xi, G, phi = M.eta_frame, M.xi_frame, M.metric, M.phi
+    S, Q = table.ricci, table.ricci_operator
+    b8, b9, b11, b12, b13, c1, c2, c3 = {}, {}, {}, {}, {}, {}, {}, {}
     lg = lie_derivative_metric(M, xi)
-    parts_b13 = []
-    for i in range(n):
-        for j in range(i, n):
-            e = add_all([lg[i][j], _prod(Rat(-2), G[i][j]), _prod(Rat(2), eta[i], eta[j])])
-            parts_b13.append((f"(L_xi g - 2g + 2eta(x)eta)(e_{i + 1}, e_{j + 1})", e))
-
-    Q = table.ricci_operator
-    parts_c1 = []
-    for i in range(n):
-        dQ = conn.nabla_operator(Q, basis[i])
-        # (nabla_X Q)(xi) by linearity over the frame images
-        img = _mat_vec(dQ, xi)
-        for k in range(n):
-            e = add_all([img[k], Q[i][k], two_n if i == k else ZERO])
-            parts_c1.append((f"((nabla_e{i + 1} Q)xi + Q e_{i + 1} + 2n e_{i + 1})[{k + 1}]", e))
-
     dQxi = conn.nabla_operator(Q, xi)
-    parts_c2 = []
     for i in range(n):
-        for k in range(n):
-            e = add_all([dQxi[i][k], _prod(Rat(2), Q[i][k]),
-                         Rat(4 * M.n) if i == k else ZERO])
-            parts_c2.append((f"((nabla_xi Q)e_{i + 1} + 2Q e_{i + 1} + 4n e_{i + 1})[{k + 1}]", e))
-
-    coef = Rat(1 - 2 * M.n)
-    parts_c3 = []
-    for i, j in table.star_pairs:
-        e = add_all([table.star_ricci[i][j], _prod(MINUS_ONE, table.ricci[i][j]),
-                     _prod(coef, G[i][j]), _prod(MINUS_ONE, eta[i], eta[j])])
-        parts_c3.append((f"(S* - S - (2n-1)g - eta(x)eta)(e_{i + 1}, e_{j + 1})", e))
-
+        for j, row in enumerate(conn.nabla_operator(phi, basis[i])):
+            _file(b8, (i, j), row)
+        for j, lj in _nz(_mat_vec(G, phi[i])):  # -g(phi e_i, e_j) xi
+            _file(b8, (i, j), xi, -lj)
+        _file(b9, (i,), conn.nabla_comps(basis[i], xi))
+        _put(b9, (i, i), MINUS_ONE)
+        _put(b12, (i,), add_all([_prod(S[i][j], x) for j, x in _nz(xi)]))
+        _file(b13, (i,), lg[i], ONE, i)
+        _file(b13, (i,), G[i], Rat(-2), i)
+        dQ = conn.nabla_operator(Q, basis[i])
+        for a, x in _nz(xi):  # (nabla_X Q)(xi) by linearity over the frame images
+            _file(c1, (i,), dQ[a], x)
+        _file(c1, (i,), Q[i])
+        _put(c1, (i, i), two_n)
+        _file(c2, (i,), dQxi[i])
+        _file(c2, (i,), Q[i], two)
+        _put(c2, (i, i), Rat(4 * M.n))
+        _file(c3, (i,), table.star_ricci[i])
+        _file(c3, (i,), S[i], MINUS_ONE)
+        _file(c3, (i,), G[i], Rat(1 - 2 * M.n))
+    for j, ej in _nz(eta):
+        for i in range(n):
+            _file(b8, (i, j), phi[i], ej)
+        _file(b9, (j,), xi, ej)
+        _put(b12, (j,), two_n * ej)
+        _file(b13, (j,), eta, two * ej, j)
+        _file(c3, (j,), eta, -ej)
+    _file_reeb_curvature(b11, table.R, xi)
+    _file_eta_wedge(b11, eta, basis)
     results = [
-        combine(M, "covariant_phi", parts_b8),
-        combine(M, "covariant_reeb", parts_b9),
-        combine(M, "covariant_eta", parts_b10),
-        combine(M, "curvature_reeb", parts_b11),
-        combine(M, "ricci_reeb", parts_b12),
-        combine(M, "reeb_metric_flow", parts_b13),
-        combine(M, "ricci_operator_reeb_derivative", parts_c1),
-        combine(M, "ricci_operator_reeb_flow", parts_c2),
-        combine(M, "star_ricci_from_ricci", parts_c3),
+        combine(M, "covariant_phi", _labelled("(nabla_e{} phi)e_{}[{}]", b8)),
+        combine(M, "covariant_reeb", _labelled("(nabla_e{0} xi - e_{0} + eta xi)[{1}]", b9)),
+        combine(M, "covariant_eta", _labelled("(nabla eta - g + eta(x)eta)(e_{}, e_{})",
+                                              _covariant_eta(M, conn))),
+        combine(M, "curvature_reeb", _labelled("R(e_{}, e_{})xi[{}]", b11)),
+        combine(M, "ricci_reeb", _labelled("S(e_{0}, xi) + 2n eta(e_{0})", b12)),
+        combine(M, "reeb_metric_flow",
+                _labelled("(L_xi g - 2g + 2eta(x)eta)(e_{}, e_{})", b13)),
+        combine(M, "ricci_operator_reeb_derivative",
+                _labelled("((nabla_e{0} Q)xi + Q e_{0} + 2n e_{0})[{1}]", c1)),
+        combine(M, "ricci_operator_reeb_flow",
+                _labelled("((nabla_xi Q)e_{0} + 2Q e_{0} + 4n e_{0})[{1}]", c2)),
+        combine(M, "star_ricci_from_ricci", _labelled(
+            "(S* - S - (2n-1)g - eta(x)eta)(e_{}, e_{})", c3, table.star_pairs)),
     ]
     return CheckReport("kenmotsu", results)
 
@@ -322,64 +360,45 @@ def check_almost_kenmotsu(M, conn, table, tensors):
     """d eta = 0, d Phi = 2 eta ^ Phi, and the h-tensor identities."""
     n = M.dim
     basis = frame_basis(n)
-    eta = M.eta_frame
-    xi = M.xi_frame
+    eta, xi, phi = M.eta_frame, M.xi_frame, M.phi
     ext = ExteriorData(M)
-
-    parts_eta = [(f"d eta(e_{i + 1}, e_{j + 1})", ext.d_eta[i][j])
-                 for i in range(n) for j in range(i + 1, n)]
-    parts_phi = [(f"(dPhi - 2 eta^Phi)(e_{i + 1}, e_{j + 1}, e_{k + 1})",
-                  add_all([ext.d_Phi[(i, j, k)],
-                           _prod(Rat(-2), ext.eta_wedge_Phi[(i, j, k)])]))
-                 for (i, j, k) in sorted(ext.d_Phi)]
-
     h, hp = tensors.h, tensors.h_prime
-    h_xi = _mat_vec(h, xi)
-    hp_xi = _mat_vec(hp, xi)
-    parts_b16 = [(f"(h xi)[{k + 1}]", h_xi[k]) for k in range(n)]
-    parts_b16 += [(f"(h' xi)[{k + 1}]", hp_xi[k]) for k in range(n)]
-
-    parts_b17 = []
-    for j in range(n):
-        hphi = M.phi_frame_apply([h[j][k] for k in range(n)])  # phi(h e_j)
-        phih_j = _mat_vec(h, M.phi[j])  # h(phi e_j)
-        for k in range(n):
-            parts_b17.append((f"(h phi + phi h)(e_{j + 1})[{k + 1}]",
-                              phih_j[k] + hphi[k]))
-
-    tr_h = add_all([h[j][j] for j in range(n)])
-    tr_hp = add_all([hp[j][j] for j in range(n)])
-
-    parts_b18 = []
-    for i in range(n):
-        nx = conn.nabla_comps(basis[i], xi)
-        for k in range(n):
-            e = add_all([nx[k], MINUS_ONE if i == k else ZERO, _prod(eta[i], xi[k]),
-                         _prod(MINUS_ONE, hp[i][k])])
-            parts_b18.append((f"(nabla_e{i + 1} xi - e_{i + 1} + eta xi - h')[{k + 1}]", e))
-
+    d_eta = {(i, j): [ext.d_eta[i][j]] for i in range(n) for j in range(i + 1, n)}
+    d_phi = {key: [e, _prod(Rat(-2), ext.eta_wedge_Phi[key])] for key, e in ext.d_Phi.items()}
+    anti, b18, b19 = {}, {}, {}
     # curvature against the Reeb field must close over h':
     # R(X,Y)xi = eta(X)(Y + h'Y) - eta(Y)(X + h'X) + (nabla_X h')Y - (nabla_Y h')X
-    parts_b19 = []
     dhp = [conn.nabla_operator(hp, basis[i]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            rv = _mat_vec(table.R[i][j], xi)
-            for k in range(n):
-                shape_j = add_all([ONE if j == k else ZERO, hp[j][k]])
-                shape_i = add_all([ONE if i == k else ZERO, hp[i][k]])
-                e = add_all([rv[k], _prod(MINUS_ONE, eta[i], shape_j), _prod(eta[j], shape_i),
-                             _prod(MINUS_ONE, dhp[i][j][k]), dhp[j][i][k]])
-                parts_b19.append((f"R(e_{i + 1}, e_{j + 1})xi shape[{k + 1}]", e))
-
+    for j in range(n):
+        for a, e in _nz(h[j]):  # phi(h e_j)
+            _file(anti, (j,), phi[a], e)
+        for a, p in _nz(phi[j]):  # h(phi e_j)
+            _file(anti, (j,), h[a], p)
+        _file(b18, (j,), conn.nabla_comps(basis[j], xi))
+        _put(b18, (j, j), MINUS_ONE)
+        _file(b18, (j,), hp[j], MINUS_ONE)
+        for i in range(j):
+            _file(b19, (i, j), dhp[i][j], MINUS_ONE)
+            _file(b19, (i, j), dhp[j][i])
+    for i, ei in _nz(eta):
+        _file(b18, (i,), xi, ei)
+    _file_reeb_curvature(b19, table.R, xi)
+    _file_eta_wedge(b19, eta, basis)
+    _file_eta_wedge(b19, eta, hp)
     results = [
-        combine(M, "eta_closed", parts_eta),
-        combine(M, "fundamental_form_scaling", parts_phi),
-        combine(M, "h_reeb_annihilation", parts_b16),
-        combine(M, "h_phi_anticommute", parts_b17),
-        combine(M, "h_traceless", [("tr h", tr_h), ("tr h'", tr_hp)]),
-        combine(M, "covariant_reeb_shape", parts_b18),
-        combine(M, "curvature_reeb_shape", parts_b19),
+        combine(M, "eta_closed", _labelled("d eta(e_{}, e_{})", d_eta)),
+        combine(M, "fundamental_form_scaling",
+                _labelled("(dPhi - 2 eta^Phi)(e_{}, e_{}, e_{})", d_phi)),
+        combine(M, "h_reeb_annihilation",
+                _labelled("(h xi)[{}]", _file({}, (), _mat_vec(h, xi)))
+                + _labelled("(h' xi)[{}]", _file({}, (), _mat_vec(hp, xi)))),
+        combine(M, "h_phi_anticommute", _labelled("(h phi + phi h)(e_{})[{}]", anti)),
+        combine(M, "h_traceless",
+                _labelled("tr h", {(): [h[j][j] for j in range(n)]})
+                + _labelled("tr h'", {(): [hp[j][j] for j in range(n)]})),
+        combine(M, "covariant_reeb_shape",
+                _labelled("(nabla_e{0} xi - e_{0} + eta xi - h')[{1}]", b18)),
+        combine(M, "curvature_reeb_shape", _labelled("R(e_{}, e_{})xi shape[{}]", b19)),
     ]
     return CheckReport("almost_kenmotsu", results)
 
@@ -436,79 +455,63 @@ def solve_nullity(M, conn, table, tensors):
     n = M.dim
     two_n = 2 * M.n
     basis = frame_basis(n)
-    eta = M.eta_frame
-    xi = M.xi_frame
-    G = M.metric
-    hp = tensors.h_prime
+    eta, xi, G, hp = M.eta_frame, M.xi_frame, M.metric, tensors.h_prime
+    xi_nz = _nz(xi)
 
-    labelled = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            rv = _mat_vec(table.R[i][j], xi)
-            for k in range(n):
-                a_k = add_all([eta[j] if i == k else ZERO,
-                               _prod(MINUS_ONE, eta[i]) if j == k else ZERO])
-                a_m = add_all([_prod(eta[j], hp[i][k]), _prod(MINUS_ONE, eta[i], hp[j][k])])
-                labelled.append((f"R(e_{i + 1}, e_{j + 1})xi nullity form[{k + 1}]",
-                                 (a_k, a_m, rv[k])))
+    # R(e_i, e_j)xi = kappa a_k + mu a_m, a_k = eta_j e_i - eta_i e_j and
+    # a_m = eta_j h'e_i - eta_i h'e_j, one slot dict per column
+    a_k, a_m, rv = {}, {}, {}
+    _file_eta_wedge(a_k, eta, basis)
+    _file_eta_wedge(a_m, eta, hp)
+    _file_reeb_curvature(rv, table.R, xi)
+    labelled = _fit_entries("R(e_{}, e_{})xi nullity form[{}]", (a_k, a_m, rv))
+    if not labelled:  # every column of every tuple is ZERO
+        raise DegenerateSystem("all coefficient columns vanish")
     fit = fit_sampled(M, [entry for _, entry in labelled])
     # kappa is never None: its column vanishes only where eta does, which
     # also zeroes the mu column, and the fit then raises
     kappa, mu = fit.values
     mu_unconstrained = mu is None
     kap, mu_eff = snap(kappa), snap(mu)
+    kap1, kap2 = kap + ONE, kap + Rat(2)
 
     fit_result, _ = settle_fit(M, "nullity_fit", labelled, fit.values)
     checks = [fit_result]
+    square, shape, form, eta_shape, star = {}, {}, {}, _covariant_eta(M, conn), {}
     hp2 = tensors.h_prime_squared()
-    kap1 = kap + ONE
-    parts = []
     for i in range(n):
-        for k in range(n):
-            delta = ONE if i == k else ZERO
-            e = add_all([hp2[i][k],
-                         _prod(kap1, add_all([delta, _prod(MINUS_ONE, eta[i], xi[k])]))])
-            parts.append((f"(h'^2 + (k+1)(Id - eta(x)xi))(e_{i + 1})[{k + 1}]", e))
-    checks.append(combine(M, "h_prime_square", parts))
-
-    parts = []
-    for i in range(n):
+        _file(square, (i,), hp2[i])
+        _put(square, (i, i), kap1)
+        hp_low = _mat_vec(G, hp[i])  # g(h'e_i, e_j)
         for j in range(n):
-            rv = _mat_vec([table.R[a][i][j] for a in range(n)], xi)
-            hpi = [hp[i][k] for k in range(n)]
-            ghij = M.metric_apply(hpi, basis[j])
-            for k in range(n):
-                along_kap = add_all([_prod(G[i][j], xi[k]),
-                                     _prod(MINUS_ONE, eta[j]) if i == k else ZERO])
-                along_mu = add_all([_prod(ghij, xi[k]), _prod(MINUS_ONE, eta[j], hpi[k])])
-                e = add_all([rv[k], _prod(MINUS_ONE, kap, along_kap),
-                             _prod(MINUS_ONE, mu_eff, along_mu)])
-                parts.append((f"R(xi, e_{i + 1})e_{j + 1} shape[{k + 1}]", e))
-    checks.append(combine(M, "reeb_curvature_operator", parts))
-
-    parts = []
-    for i in range(n):
-        for k in range(n):
-            e = add_all([table.ricci_operator[i][k], Rat(two_n) if i == k else ZERO,
-                         _prod(Rat(-two_n), kap1, eta[i], xi[k]),
-                         _prod(Rat(two_n), hp[i][k])])
-            parts.append((f"(Q + 2n Id - 2n(k+1)eta(x)xi + 2n h')(e_{i + 1})[{k + 1}]", e))
-    checks.append(combine(M, "ricci_operator_form", parts))
-
-    checks.append(combine(M, "scalar_curvature_value",
-                          [("r - 2n(k - 2n)",
-                            add_all([table.scalar_curvature,
-                                     Rat(-two_n * (kap.value - two_n))]))]))
-
-    parts = []
-    for i in range(n):
-        for j in range(n):
-            e = add_all([M.frame[i].apply(eta[j]),
-                         _prod(MINUS_ONE, M.metric_apply(conn.gamma[i][j], xi)),
-                         _prod(MINUS_ONE, G[i][j]), _prod(eta[i], eta[j]),
-                         _prod(MINUS_ONE, M.metric_apply(hp[i], basis[j]))])
-            parts.append((f"(nabla eta - g + eta(x)eta - g(h'.,.))(e_{i + 1}, e_{j + 1})", e))
-    checks.append(combine(M, "covariant_eta_shape", parts))
+            for a, x in xi_nz:  # R(xi, e_i)e_j
+                _file(shape, (i, j), table.R[a][i][j], x)
+            # -kappa g(e_i, e_j) xi - mu g(h'e_i, e_j) xi
+            _file(shape, (i, j), xi, _prod(MINUS_ONE, kap, G[i][j]))
+            _file(shape, (i, j), xi, _prod(MINUS_ONE, mu_eff, hp_low[j]))
+        _file(form, (i,), table.ricci_operator[i])
+        _put(form, (i, i), Rat(two_n))
+        _file(form, (i,), hp[i], Rat(two_n))
+        _file(eta_shape, (i,), hp_low, MINUS_ONE)
+        _file(star, (i,), table.star_ricci[i])
+        _file(star, (i,), G[i], kap2)
+    for j, ej in _nz(eta):
+        _file(square, (j,), xi, _prod(MINUS_ONE, kap1, ej))
+        _file(form, (j,), xi, _prod(Rat(-two_n), kap1, ej))
+        _file(star, (j,), eta, _prod(MINUS_ONE, kap2, ej))
+        for i in range(n):  # +kappa eta_j e_i + mu eta_j h'e_i
+            _file(shape, (i, j), basis[i], _prod(kap, ej))
+            _file(shape, (i, j), hp[i], _prod(mu_eff, ej))
+    checks.append(combine(M, "h_prime_square", _labelled(
+        "(h'^2 + (k+1)(Id - eta(x)xi))(e_{})[{}]", square)))
+    checks.append(combine(M, "reeb_curvature_operator",
+                          _labelled("R(xi, e_{})e_{} shape[{}]", shape)))
+    checks.append(combine(M, "ricci_operator_form", _labelled(
+        "(Q + 2n Id - 2n(k+1)eta(x)xi + 2n h')(e_{})[{}]", form)))
+    checks.append(combine(M, "scalar_curvature_value", _labelled("r - 2n(k - 2n)", {(): [
+        table.scalar_curvature, Rat(-two_n * (kap.value - two_n))]})))
+    checks.append(combine(M, "covariant_eta_shape", _labelled(
+        "(nabla eta - g + eta(x)eta - g(h'.,.))(e_{}, e_{})", eta_shape)))
 
     # the numpy fallback of spectrum() also gives ints, snapped at one
     # point, so only an exact spectrum settles the value exactly
@@ -520,13 +523,8 @@ def solve_nullity(M, conn, table, tensors):
         value = alpha * alpha + float(kappa) + 1.0
     checks.append(_numeric_result("spectrum_consistency", value, M.tol,
                                   note=f"spectrum {spectrum}, spread {spread:.3g}"))
-
-    parts = []
-    for i, j in table.star_pairs:
-        e = add_all([table.star_ricci[i][j],
-                     _prod(kap + Rat(2), add_all([G[i][j], _prod(MINUS_ONE, eta[i], eta[j])]))])
-        parts.append((f"(S* + (k+2)(g - eta(x)eta))(e_{i + 1}, e_{j + 1})", e))
-    checks.append(combine(M, "star_ricci_form", parts))
+    checks.append(combine(M, "star_ricci_form", _labelled(
+        "(S* + (k+2)(g - eta(x)eta))(e_{}, e_{})", star, table.star_pairs)))
 
     data = {
         "kappa": str(kappa),
@@ -542,12 +540,14 @@ def solve_nullity(M, conn, table, tensors):
 
 def solve_eta_einstein(M, table):
     """Least-squares fit S = a g + b eta(x)eta."""
-    n = M.dim
     eta = M.eta_frame
-    G = M.metric
-    labelled = [(f"(S - a g - b eta(x)eta)(e_{i + 1}, e_{j + 1})",
-                 (G[i][j], _prod(eta[i], eta[j]), table.ricci[i][j]))
-                for i in range(n) for j in range(i, n)]
+    g_col, eta_col, s_col = {}, {}, {}
+    for i in range(M.dim):
+        _file(g_col, (i,), M.metric[i], ONE, i)
+        _file(s_col, (i,), table.ricci[i], ONE, i)
+    for i, ei in _nz(eta):
+        _file(eta_col, (i,), eta, ei, i)
+    labelled = _fit_entries("(S - a g - b eta(x)eta)(e_{}, e_{})", (g_col, eta_col, s_col))
     fit = fit_sampled(M, [entry for _, entry in labelled])
     a, b = fit.values
     if a is None:

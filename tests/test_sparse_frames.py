@@ -19,7 +19,9 @@ dense double sums it was once built from, and h, h' and L_V g from
 the bracket table must agree, by a zero test of each difference, with
 the earlier coordinate-bracket versions, and on the three hand-built
 frames S and S*, as traces, with the earlier contractions through
-``g^{ab} g(., e_b)``.
+``g^{ab} g(., e_b)``. Every residual and fit tuple that the check
+families build from their slots must equal, label and tree, in order,
+one that the earlier dense loops build, less the ``ZERO`` ones.
 
 The guards at the end count the derivations of a constant while
 ``koszul``, R, h, h' and L_V g (for xi and each golden potential) are
@@ -38,7 +40,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contactgeo import manifest, scalar
+from contactgeo import manifest, scalar, structure
 from contactgeo.cli import CHECK_NAMES, Workspace, parse_args, run_checks
 from contactgeo.curvature import (
     CurvatureTable, ExteriorData, StructureTensors, frame_basis, koszul, lie_derivative_metric,
@@ -47,6 +49,7 @@ from contactgeo.geometry import ManifoldSpec, VectorField, lie_bracket
 from contactgeo.scalar import ZERO, Rat, Sym, add_all, parse, to_str
 from contactgeo.soliton import SolitonProblem, solve_soliton
 
+import canonical_ref
 from canonical_ref import (
     RefCurvatureTable, ref_apply, ref_d_Phi, ref_from_frame, ref_frame_brackets, ref_koszul,
     ref_lie_bracket, ref_lie_derivative_metric, ref_mat_vec, ref_ricci_lowered,
@@ -143,6 +146,58 @@ def test_d_Phi_matches_dense(manifolds, name):
     # trees as the dense double sums
     M = manifolds[name]
     assert ExteriorData(M).d_Phi == ref_d_Phi(M)
+
+
+
+# family: (the function of ``structure``, ``ref_`` + it in canonical_ref,
+# and its arguments from M, conn, table, tensors)
+FAMILIES = {
+    "almost_contact": ("check_almost_contact", lambda M, c, t, s: (M,)),
+    "kenmotsu": ("check_kenmotsu", lambda M, c, t, s: (M, c, t)),
+    "almost_kenmotsu": ("check_almost_kenmotsu", lambda M, c, t, s: (M, c, t, s)),
+    "nullity": ("solve_nullity", lambda M, c, t, s: (M, c, t, s)),
+    "eta_einstein": ("solve_eta_einstein", lambda M, c, t, s: (M, t)),
+}
+
+
+def _recorded(monkeypatch, run):
+    """What ``run`` passes to ``combine`` and ``fit_sampled``, less the
+    ``ZERO`` residuals and all-``ZERO`` tuples, and its report."""
+    combine, fit_sampled = structure.combine, structure.fit_sampled
+    calls = []
+
+    def record_combine(M, name, parts, exact=True):
+        parts = list(parts)
+        calls.append((name, [(label, e) for label, e in parts if e is not ZERO]))
+        return combine(M, name, parts, exact)
+
+    def record_fit(M, entries, skip_singular=False):
+        calls.append(("fit", [t for t in entries if any(e is not ZERO for e in t)]))
+        return fit_sampled(M, entries, skip_singular)
+
+    with monkeypatch.context() as m:
+        for module in (structure, canonical_ref):
+            m.setattr(module, "combine", record_combine)
+            m.setattr(module, "fit_sampled", record_fit)
+        report = run()
+    return calls, report.to_dict()
+
+
+# all but warped's kenmotsu family, which takes seconds (the nabla Q of its
+# rational Ricci operator)
+@pytest.mark.parametrize("name,family", [(name, family) for name in MANIFOLDS
+                                         for family in CHECK_NAMES
+                                         if (name, family) != ("warped", "kenmotsu")])
+def test_check_residuals_match_dense(monkeypatch, manifolds, name, family):
+    M = manifolds[name]
+    conn = koszul(M)
+    table = CurvatureTable(M, conn)
+    func, args = FAMILIES[family]
+    args = args(M, conn, table, StructureTensors(M))
+    sparse = _recorded(monkeypatch, lambda: getattr(structure, func)(*args))
+    dense = _recorded(monkeypatch, lambda: getattr(canonical_ref, "ref_" + func)(*args))
+    assert sparse[0]
+    assert sparse == dense
 
 
 COORDS = ("x", "y", "z", "u", "v")

@@ -7,6 +7,7 @@ computation of each tensor identity on the fixture frames.
 import copy
 import json
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -19,7 +20,7 @@ from contactgeo.structure import (
     check_almost_contact, check_almost_kenmotsu, check_kenmotsu, solve_eta_einstein, solve_nullity,
 )
 
-from manifolds import twisted
+from manifolds import twisted, warped
 
 
 SEEDS = (1729, 7, 101)
@@ -187,6 +188,15 @@ def test_nullity_fit_without_eta_has_no_columns(flat):
     with pytest.raises(DegenerateSystem, match="^all coefficient columns vanish$"):
         solve_nullity(M, flat.conn, flat.table, flat.tensors)
 
+
+def test_nullity_fit_without_eta_on_curved_frame_has_no_columns(ex3):
+    # with eta = 0 but R(e_i, e_j)xi not zero, the tuples keep their right
+    # side, and the fit still finds no column to solve for
+    M = copy.copy(ex3.M)
+    M.eta_frame = [Rat(0)] * M.dim
+    with pytest.raises(DegenerateSystem, match="^all coefficient columns vanish$"):
+        solve_nullity(M, ex3.conn, ex3.table, ex3.tensors)
+
 # --- eta-Einstein fit --------------------------------------------------------
 
 
@@ -241,6 +251,22 @@ def test_eta_einstein_recovers_manufactured_coefficients(flat):
     assert rep.data["residual_max"] == 0.0
 
 
+def test_eta_einstein_kenmotsu_consistency_matches_nonzero_b(flat):
+    # S = -g - eta(x)eta with r = -4 on a dim-3 frame: a = 1 + r/2 = -1 and
+    # b = -(3 + r/2) = -1, so both expected constants hold and b is not 0
+    M = flat.M
+    n = M.dim
+    eta = M.eta_frame
+    ricci = [[-M.metric[i][j] - eta[i] * eta[j] for j in range(n)] for i in range(n)]
+    stub = SimpleNamespace(ricci=ricci, scalar_curvature=Rat(-4))
+    rep = solve_eta_einstein(M, stub)
+    assert rep.passed
+    assert (rep.data["a"], rep.data["b"]) == ("-1", "-1")
+    cons = rep.data["kenmotsu_consistency"]
+    assert (cons["a_expected"], cons["b_expected"]) == ("-1", "-1")
+    assert cons["matches"]
+
+
 # --- report plumbing ---------------------------------------------------------
 
 
@@ -285,3 +311,39 @@ def test_every_check_is_decided_otherwise_somewhere(ex1, ex2, ex3, flat, heis):
                 always_proved[key] = always_proved.get(key, True) and r.kind == PROVED_ZERO
     assert [key for key, proved in always_proved.items() if proved] == []
     assert len(always_proved) == 31
+
+
+# --- pinned reports on the hand-built frames ---------------------------------
+
+CHECKS_GOLDEN = Path(__file__).parent / "golden" / "checks_hand_built.json"
+
+
+@pytest.fixture(scope="module")
+def hand_built_reports():
+    """Every family's report on ``twisted`` and ``warped``, whose residuals
+    are neither zero nor constant; ``warped``'s kenmotsu family is left
+    out, it takes seconds (its Ricci operator has rational entries)."""
+    out = {}
+    for build in (twisted, warped):
+        M = build()
+        conn = koszul(M)
+        table = CurvatureTable(M, conn)
+        tensors = StructureTensors(M)
+        out[f"{M.name}/almost_contact"] = check_almost_contact(M)
+        if M.name != "warped":
+            out[f"{M.name}/kenmotsu"] = check_kenmotsu(M, conn, table)
+        out[f"{M.name}/almost_kenmotsu"] = check_almost_kenmotsu(M, conn, table, tensors)
+        out[f"{M.name}/nullity"] = solve_nullity(M, conn, table, tensors)
+        out[f"{M.name}/eta_einstein"] = solve_eta_einstein(M, table)
+    return out
+
+
+def test_hand_built_reports_match_golden(hand_built_reports):
+    # verdicts, witnesses (component, point, value) and max |residual| of
+    # every check, compared exactly: the values are evaluated in floats
+    # through exp, and repeat from run to run
+    golden = json.loads(CHECKS_GOLDEN.read_text())
+    got = {key: json.loads(json.dumps(rep.to_dict())) for key, rep in hand_built_reports.items()}
+    assert sorted(got) == sorted(golden)
+    for key in golden:
+        assert got[key] == golden[key], key
