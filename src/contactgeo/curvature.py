@@ -286,7 +286,7 @@ class CurvatureTable:
         for i in range(n):
             for j in range(i, n):
                 pairs.append((i, j))
-                if star[j][i] != star[i][j]:
+                if star[j][i] is not star[i][j]:
                     pairs.append((j, i))
         return pairs
 

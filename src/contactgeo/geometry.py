@@ -244,7 +244,7 @@ class ManifoldSpec:
         self._require_square(self.metric, "metric_frame")
         for i in range(self.dim):
             for j in range(i):
-                if self.metric[i][j] != self.metric[j][i]:
+                if self.metric[i][j] is not self.metric[j][i]:
                     raise ValidationError(
                         f"metric_frame is not symmetric at ({i}, {j})"
                     )

@@ -13,20 +13,20 @@ arithmetic operation returns a tree in a canonical sum-of-products form:
 
 Sums of any length go through ``add_all``, which merges all their terms
 in one pass.  Because canonical forms are closed under the arithmetic,
-callers never need to re-canonicalize a result.  Both leaves are
-interned: there is one ``Rat`` per value and one ``Sym`` per name, so
-leaves compare by identity, the zero constant is the module singleton
-``ZERO`` and a zero test is the identity check ``e is ZERO``.  Integral
-values are ints, and only the others are Fractions.  The base class
-``ScalarField`` owns immutability, the cached hash and the operators, the
-last made by one factory, ``_operator``; each node class supplies only its
-hash key, and a compound one its ``__eq__``.
-Differentiation is exact, and evaluation is exact over the rationals
-whenever the expression contains no exp node.
+callers never need to re-canonicalize a result.  Every node is
+hash-consed: the module table ``_NODES`` holds one node per class and
+fields, so two equal trees are one object, equality and hashing are
+object identity, the zero constant is the module singleton ``ZERO`` and a
+zero test is the identity check ``e is ZERO``.  Integral constants are
+ints, and only the others are Fractions.  The base class ``ScalarField``
+owns immutability and the operators, the latter made by one factory,
+``_operator``; each node class's ``__new__`` only hands its fields to
+``_intern``.  Differentiation is exact, and evaluation is exact over the
+rationals whenever the expression contains no exp node.
 
 Products of coefficient-free monomials and derivatives are memoized in
 two module dicts; ``clear_caches`` empties both, and the CLI does so at
-the start of every command.  The tables of leaves are never emptied.
+the start of every command.  The node table is never emptied.
 """
 
 from __future__ import annotations
@@ -53,22 +53,15 @@ def _as_fraction(x):
 
 
 class ScalarField:
-    """Base node; all instances are immutable and canonical. A subclass
-    supplies ``_hash_key``, and a compound one its structural ``__eq__``;
-    ``+ - * /`` and their reflections come from the one factory ``_operator``."""
+    """Base node; all instances are immutable, canonical and interned, so
+    equality and hashing are object identity. A subclass's ``__new__``
+    hands its fields to ``_intern``; ``+ - * /`` and their reflections come
+    from the one factory ``_operator``."""
 
-    __slots__ = ("_hash", "_key")
+    __slots__ = ("_key",)
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(self._hash_key())
-            object.__setattr__(self, "_hash", h)
-            return h
 
     def __neg__(self):
         return neg(self)
@@ -83,60 +76,45 @@ class ScalarField:
         return to_str(self)
 
 
-_RATS = {}  # value -> its one Rat; never emptied
-_SYMS = {}  # name -> its one Sym; never emptied
+_NODES = {}  # (class, *fields) -> its one node; never emptied
+
+
+def _intern(cls, *fields):
+    """The one node of ``cls`` with these fields (in ``__slots__`` order),
+    made on first request."""
+    key = (cls, *fields)
+    node = _NODES.get(key)
+    if node is None:
+        node = _NODES[key] = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(node, name, value)
+    return node
 
 
 class Rat(ScalarField):
-    """Rational constant, interned: one instance per value, so equality is
-    identity and a zero value is always the singleton ``ZERO``. ``value``
-    is an int when integral, else a Fraction."""
+    """Rational constant: a zero value is always the singleton ``ZERO``.
+    ``value`` is an int when integral, else a Fraction."""
 
     __slots__ = ("value",)
 
     def __new__(cls, value):
-        if type(value) is not int:
-            value = _as_fraction(value)
-        self = _RATS.get(value)
-        if self is None:
-            self = _RATS[value] = object.__new__(cls)
-            object.__setattr__(self, "value", value)
-        return self
-
-    def _hash_key(self):
-        return ("Rat", self.value)
+        return _intern(cls, value if type(value) is int else _as_fraction(value))
 
 
 class Sym(ScalarField):
-    """Coordinate symbol, interned like ``Rat``: one instance per name, so
-    equality is identity."""
+    """Coordinate symbol."""
 
     __slots__ = ("name",)
 
     def __new__(cls, name):
-        self = _SYMS.get(name)
-        if self is None:
-            self = _SYMS[name] = object.__new__(cls)
-            object.__setattr__(self, "name", name)
-        return self
-
-    def _hash_key(self):
-        return ("Sym", self.name)
+        return _intern(cls, name)
 
 
 class Exp(ScalarField):
     __slots__ = ("arg",)
 
-    def __init__(self, arg):
-        object.__setattr__(self, "arg", arg)
-
-    def __eq__(self, other):
-        return type(other) is Exp and self.arg == other.arg
-
-    __hash__ = ScalarField.__hash__
-
-    def _hash_key(self):
-        return ("Exp", self.arg)
+    def __new__(cls, arg):
+        return _intern(cls, arg)
 
 
 class Pow(ScalarField):
@@ -144,51 +122,22 @@ class Pow(ScalarField):
 
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base, exponent):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
-
-    def __eq__(self, other):
-        return (
-            type(other) is Pow
-            and self.exponent == other.exponent
-            and self.base == other.base
-        )
-
-    __hash__ = ScalarField.__hash__
-
-    def _hash_key(self):
-        return ("Pow", self.base, self.exponent)
+    def __new__(cls, base, exponent):
+        return _intern(cls, base, exponent)
 
 
 class Mul(ScalarField):
     __slots__ = ("factors",)
 
-    def __init__(self, factors):
-        object.__setattr__(self, "factors", tuple(factors))
-
-    def __eq__(self, other):
-        return type(other) is Mul and self.factors == other.factors
-
-    __hash__ = ScalarField.__hash__
-
-    def _hash_key(self):
-        return ("Mul",) + self.factors
+    def __new__(cls, factors):
+        return _intern(cls, tuple(factors))
 
 
 class Add(ScalarField):
     __slots__ = ("terms",)
 
-    def __init__(self, terms):
-        object.__setattr__(self, "terms", tuple(terms))
-
-    def __eq__(self, other):
-        return type(other) is Add and self.terms == other.terms
-
-    __hash__ = ScalarField.__hash__
-
-    def _hash_key(self):
-        return ("Add",) + self.terms
+    def __new__(cls, terms):
+        return _intern(cls, tuple(terms))
 
 
 ZERO = Rat(0)
@@ -514,7 +463,9 @@ _diff_cache = {}
 
 
 def clear_caches():
-    """Empty the product memo and the derivative cache."""
+    """Empty the product memo and the derivative cache. Every node is
+    interned; the node table is never emptied, so a node built before the
+    call is the one built after it."""
     _mul_cache.clear()
     _diff_cache.clear()
 

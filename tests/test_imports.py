@@ -72,7 +72,9 @@ print(fit.exact, abs(fit.values[0] - 1.0) < 1e-12, 'numpy' in sys.modules)
     assert _python(code) == ["False", "True", "True"]
 
 
-# -I ignores PYTHONPATH, so the code puts src (its first argument) on sys.path
+# -I ignores PYTHONPATH, so the code puts src (its first argument) on sys.path,
+# and PYTHONDONTWRITEBYTECODE, so -B keeps the children from writing bytecode
+# into src
 ON_PATH = "import sys\nsys.path.insert(0, sys.argv.pop(1))\n"
 RESOURCES_LOADED = "print('importlib.resources' in sys.modules)"
 
@@ -80,7 +82,7 @@ RUN_MAIN_ISOLATED = ON_PATH + RUN + RESOURCES_LOADED
 
 
 def _isolated(code, *argv):
-    return subprocess.run([sys.executable, "-I", "-S", "-c", code, SRC, *argv],
+    return subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, SRC, *argv],
                           capture_output=True, text=True, timeout=120)
 
 
