@@ -96,17 +96,18 @@ class ConnectionTable:
                 if w is not ZERO:
                     terms[k].append(x * w)
 
-    def nabla_operator(self, A, x_frame):
+    def nabla_operator(self, A, x_frame, rows=None):
         """Covariant derivative of a (1,1) tensor given as a frame matrix.
 
         ``(nabla_X A)(e_j) = nabla_X (A e_j) - A (nabla_X e_j)``; rows of
-        the result are images of the frame vectors. The terms of both parts
+        the result are images of the frame vectors, those of the indices
+        ``rows`` in that order when it is given. The terms of both parts
         of each component are merged in one ``add_all``.
         """
         M = self.M
         n = M.dim
         out = []
-        for j in range(n):
+        for j in range(n) if rows is None else rows:
             terms = [[] for _ in range(n)]
             self.nabla_terms(x_frame, A[j], terms)
             nx_ej = self.nabla_comps(x_frame, [ONE if k == j else ZERO for k in range(n)])

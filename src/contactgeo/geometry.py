@@ -286,15 +286,17 @@ class ManifoldSpec:
         One whose enclosure on the domain box stays 2 * tol away from 0
         passes unevaluated; any other is evaluated at the points (a
         constant once, at the first point, the witness the full loop would
-        report). The points are drawn here only if a nonvanishing
-        constraint comes within 2 * margin of 0 on the box: only then can
-        candidates be rejected and the sampler fall short, which must show
-        at construction. Otherwise they are drawn on first use.
+        report). The candidates are checked against the nonvanishing
+        constraints here only if one comes within 2 * margin of 0 on the
+        box: only then can candidates be rejected and the sampler fall
+        short, which must show at construction. That check builds only the
+        coordinates the constraints read; the points themselves are built
+        on first use.
         """
         sampler = self.sampler
         if not all(_off_zero(g, sampler.box, 2 * sampler.margin)
                    for g in sampler.nonvanish):
-            sampler.points()
+            sampler.accepted()
         for label, det in (("frame", self.frame_det), ("metric_frame", self.metric_det)):
             if _off_zero(det, sampler.box, 2 * self.tol):
                 continue

@@ -1,10 +1,12 @@
 """Small least-squares solver used by the fitting operations.
 
 Solves min ||A x - b|| for a handful of unknowns (here always 1 or 2).
-When every entry is an exact rational the normal equations are solved
-in Fraction arithmetic, so exact fits come out exact. Otherwise numpy
-does the floating-point solve; it is imported on that path only, so an
-exact fit never loads it.
+When every entry is an exact rational (int or Fraction) the normal
+equations are summed in the entries' own arithmetic, ints as ints, and
+only the k x k elimination divides, in Fraction arithmetic, so exact
+fits come out exact and every fitted value is a Fraction. Otherwise
+numpy does the floating-point solve; it is imported on that path only,
+so an exact fit never loads it.
 
 Columns whose entries are all zero make the corresponding unknown
 unidentifiable; they are dropped and their value comes back as None, so
@@ -80,17 +82,18 @@ def solve_least_squares(rows, rhs, weights=None):
         raise DegenerateSystem("all coefficient columns vanish")
 
     if exact:
+        # ints stay ints here; only _solve_rational divides
         k = len(keep)
-        gram = [[Fraction(0)] * k for _ in range(k)]
-        rvec = [Fraction(0)] * k
+        gram = [[0] * k for _ in range(k)]
+        rvec = [0] * k
         for row, b, w in zip(rows, rhs, weights):
             for a, ja in enumerate(keep):
-                ra = Fraction(row[ja])
+                ra = row[ja]
                 if ra == 0:
                     continue
-                rvec[a] += w * ra * Fraction(b)
+                rvec[a] += w * ra * b
                 for bcol in range(a, k):
-                    gram[a][bcol] += w * ra * Fraction(row[keep[bcol]])
+                    gram[a][bcol] += w * ra * row[keep[bcol]]
         for a in range(k):
             for bcol in range(a):
                 gram[a][bcol] = gram[bcol][a]

@@ -635,6 +635,24 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _DENOM = 1 << 24
 
 
+def _coordinate(axis, k):
+    # coordinate d of candidate k is lo + (hi - lo) m / _DENOM for an integer
+    # m, and axis is (phase, stride, a, b, den) so that it is Fraction(a + b m, den)
+    phase, stride, a, b, den = axis
+    return Fraction(a + b * round((phase + k * stride) % 1.0 * _DENOM), den)
+
+
+class _Candidate(dict):
+    """The coordinates of candidate k, each built when a constraint first reads it."""
+
+    def __init__(self, axes, k):
+        self.axes, self.k = axes, k
+
+    def __missing__(self, name):
+        self[name] = value = _coordinate(self.axes[name], self.k)
+        return value
+
+
 class Sampler:
     """Deterministic quasi-random points in a coordinate box.
 
@@ -643,6 +661,11 @@ class Sampler:
     a fixed point list.  Points are dyadic rationals, which keeps exact
     evaluation available downstream.  Candidates violating a nonvanishing
     constraint by less than the margin are rejected.
+
+    Two steps, each run once: ``accepted()`` checks the candidates against
+    the constraints, building only the coordinates they read, and keeps the
+    indices of those it accepts, or raises InsufficientSamples; ``points()``
+    then builds the accepted points in full.
     """
 
     def __init__(self, names, box, nonvanish=(), seed=DEFAULT_SEED, count=DEFAULT_SAMPLES,
@@ -658,32 +681,39 @@ class Sampler:
         self.seed = seed
         self.count = count
         self.margin = margin
+        self._accepted = None
         self._points = None
+
+    def accepted(self):
+        if self._accepted is None:
+            self._accepted = self._accept()
+        return self._accepted
 
     def points(self):
         if self._points is None:
             self._points = self._generate()
         return self._points
 
-    def _generate(self):
-        # coordinate d is lo + (hi - lo) m / _DENOM for an integer m, kept as
-        # (name, phase, stride, a, b, den) so that it is Fraction(a + b m, den)
-        axes = []
+    def _axes(self):
+        axes = {}
         state = (self.seed * 6364136223846793005 + 1442695040888963407) % (1 << 63)
         for d, name in enumerate(self.names):
             state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 63)
             lo, hi = self.box[name]
             unit = math.lcm(lo.denominator, hi.denominator)
-            axes.append((name, (state >> 11) / float(1 << 52),
-                         math.sqrt(_PRIMES[d % len(_PRIMES)]) % 1.0,
-                         int(lo * unit) * _DENOM, int((hi - lo) * unit), unit * _DENOM))
-        pts = []
+            axes[name] = ((state >> 11) / float(1 << 52),
+                          math.sqrt(_PRIMES[d % len(_PRIMES)]) % 1.0,
+                          int(lo * unit) * _DENOM, int((hi - lo) * unit), unit * _DENOM)
+        return axes
+
+    def _accept(self):
+        axes = self._axes()
+        ks = []
         k = 0
         limit = max(200, 80 * self.count)
-        while len(pts) < self.count and k < limit:
+        while len(ks) < self.count and k < limit:
             k += 1
-            env = {name: Fraction(a + b * round((phase + k * stride) % 1.0 * _DENOM), den)
-                   for name, phase, stride, a, b, den in axes}
+            env = _Candidate(axes, k)
             ok = True
             for g in self.nonvanish:
                 try:
@@ -695,12 +725,17 @@ class Sampler:
                     ok = False
                     break
             if ok:
-                pts.append(env)
-        if len(pts) < self.count:
+                ks.append(k)
+        if len(ks) < self.count:
             raise InsufficientSamples(
-                f"only {len(pts)} of {self.count} sample points satisfy the domain constraints"
+                f"only {len(ks)} of {self.count} sample points satisfy the domain constraints"
             )
-        return pts
+        return ks
+
+    def _generate(self):
+        axes = self._axes()
+        return [{name: _coordinate(axis, k) for name, axis in axes.items()}
+                for k in self.accepted()]
 
 
 # --- parsing ----------------------------------------------------------------

@@ -307,6 +307,8 @@ def check_kenmotsu(M, conn, table):
     b8, b9, b11, b12, b13, c1, c2, c3 = {}, {}, {}, {}, {}, {}, {}, {}
     lg = lie_derivative_metric(M, xi)
     dQxi = conn.nabla_operator(Q, xi)
+    xi_nz = _nz(xi)
+    xi_rows = [a for a, _ in xi_nz]
     for i in range(n):
         for j, row in enumerate(conn.nabla_operator(phi, basis[i])):
             _file(b8, (i, j), row)
@@ -314,12 +316,12 @@ def check_kenmotsu(M, conn, table):
             _file(b8, (i, j), xi, -lj)
         _file(b9, (i,), conn.nabla_comps(basis[i], xi))
         _put(b9, (i, i), MINUS_ONE)
-        _put(b12, (i,), add_all([_prod(S[i][j], x) for j, x in _nz(xi)]))
+        _put(b12, (i,), add_all([_prod(S[i][j], x) for j, x in xi_nz]))
         _file(b13, (i,), lg[i], ONE, i)
         _file(b13, (i,), G[i], Rat(-2), i)
-        dQ = conn.nabla_operator(Q, basis[i])
-        for a, x in _nz(xi):  # (nabla_X Q)(xi) by linearity over the frame images
-            _file(c1, (i,), dQ[a], x)
+        dQ = conn.nabla_operator(Q, basis[i], rows=xi_rows)
+        for (_, x), row in zip(xi_nz, dQ):  # (nabla_X Q)(xi) by linearity over the frame images
+            _file(c1, (i,), row, x)
         _file(c1, (i,), Q[i])
         _put(c1, (i, i), two_n)
         _file(c2, (i,), dQxi[i])

@@ -66,6 +66,11 @@ and every fit tuple to ``fit_sampled``. Tests record what reaches
 assembly of ``contactgeo.structure``, and require the same labels and
 trees, in the same order, once the ``ZERO`` ones are dropped.
 
+``ref_solve_least_squares`` is the earlier ``lstsq.solve_least_squares``,
+kept verbatim: it converts every exact entry with ``Fraction(...)`` and
+sums the normal equations from ``Fraction(0)``. Tests compare the
+solver that sums ints as ints with it, values and types.
+
 ``ref_parser`` is the earlier argparse command line, ``build_parser`` of
 ``contactgeo.cli`` kept verbatim. Tests compare the namespaces that
 ``cli.parse_args`` returns with its own, and that both reject the same
@@ -83,6 +88,7 @@ from contactgeo.curvature import (
 )
 from contactgeo.errors import DegenerateSystem, DivisionByZero, ExpressionError, SingularFrame
 from contactgeo.geometry import VectorField, _mat_vec, lie_bracket
+from contactgeo.lstsq import FitResult, _solve_rational
 from contactgeo.scalar import (
     _EXPAND_LIMIT, MINUS_ONE, ONE, ZERO, Add, Exp, Mul, Pow, Rat, Sym, add, add_all,
     evaluate, exp_of, mul, pow_int, sort_key,
@@ -1016,3 +1022,64 @@ def ref_solve_eta_einstein(M, table):
         "kenmotsu_consistency": consistency,
     }
     return CheckReport("eta_einstein", [result], data)
+
+
+# --- the earlier least squares ---------------------------------------------------
+
+
+def ref_solve_least_squares(rows, rhs, weights=None):
+    """Fit x minimizing ||A x - b||.
+
+    rows: list of coefficient tuples (one per equation), rhs: list of
+    numbers. Entries may be Fraction/int (exact) or float. weights, when
+    given, holds one positive integer per row: the system is solved as if
+    row i appeared weights[i] times. Returns a FitResult whose `values`
+    has one entry per column; dropped columns get None.
+    """
+    if weights is None:
+        weights = [1] * len(rows)
+    if not rows:
+        raise DegenerateSystem("no equations to fit")
+    ncols = len(rows[0])
+    exact = all(
+        isinstance(x, (Fraction, int)) for row in rows for x in row
+    ) and all(isinstance(x, (Fraction, int)) for x in rhs)
+
+    keep = [j for j in range(ncols) if any(row[j] != 0 for row in rows)]
+    if not keep:
+        raise DegenerateSystem("all coefficient columns vanish")
+
+    if exact:
+        k = len(keep)
+        gram = [[Fraction(0)] * k for _ in range(k)]
+        rvec = [Fraction(0)] * k
+        for row, b, w in zip(rows, rhs, weights):
+            for a, ja in enumerate(keep):
+                ra = Fraction(row[ja])
+                if ra == 0:
+                    continue
+                rvec[a] += w * ra * Fraction(b)
+                for bcol in range(a, k):
+                    gram[a][bcol] += w * ra * Fraction(row[keep[bcol]])
+        for a in range(k):
+            for bcol in range(a):
+                gram[a][bcol] = gram[bcol][a]
+        sol = _solve_rational(gram, rvec)
+        values = [None] * ncols
+        for a, j in enumerate(keep):
+            values[j] = sol[a]
+        return FitResult(values, True)
+
+    import numpy as np
+
+    A = np.array([[float(row[j]) for j in keep] for row in rows], dtype=float)
+    b = np.array([float(x) for x in rhs], dtype=float)
+    A = np.repeat(A, weights, axis=0)
+    b = np.repeat(b, weights)
+    sol, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+    if rank < len(keep):
+        raise DegenerateSystem("normal equations are singular")
+    values = [None] * ncols
+    for a, j in enumerate(keep):
+        values[j] = float(sol[a])
+    return FitResult(values, False)

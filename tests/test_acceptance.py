@@ -597,25 +597,32 @@ def test_acceptance_09_no_numerically_zero_verdict(capsys, monkeypatch):
 def test_acceptance_10_points_drawn_only_where_undecided(capsys, monkeypatch):
     # every determinant and fit tuple of the sweep is settled without a
     # point; example3 declares y non-zero on [-2, 2], so its sampler can
-    # reject candidates and draws at construction, in every command
-    with announce(capsys, "10 only example3's commands draw sample points"):
+    # reject candidates and checks them at construction, in every command,
+    # but no command builds a point
+    with announce(capsys, "10 only example3's commands check candidates, none builds a point"):
         monkeypatch.chdir(GOLDEN_DIR)
         commands = _sweep_commands()
-        running, drew = [], []
-        generate = Sampler._generate
+        running, checked, built = [], [], []
+        accept, generate = Sampler._accept, Sampler._generate
 
-        def recording(sampler):
-            drew.append(running[-1])
+        def recording_accept(sampler):
+            checked.append(running[-1])
+            return accept(sampler)
+
+        def recording_generate(sampler):
+            built.append(running[-1])
             return generate(sampler)
 
-        monkeypatch.setattr(Sampler, "_generate", recording)
+        monkeypatch.setattr(Sampler, "_accept", recording_accept)
+        monkeypatch.setattr(Sampler, "_generate", recording_generate)
         for argv in commands:
             running.append(argv)
             cli_main(list(argv))
         capsys.readouterr()
         expected = [argv for argv in commands if argv[1] == "example3"]
         assert len(expected) == 10
-        assert drew == expected
+        assert checked == expected
+        assert built == []
 
 
 # --- 11: the paper's conclusions on the bundled examples --------------------------

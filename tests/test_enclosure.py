@@ -192,15 +192,57 @@ def test_a_constraint_off_zero_on_the_box_defers_the_draw():
 
 
 def test_a_constraint_that_can_reject_draws_at_construction():
+    # the candidates are checked against the constraint at construction,
+    # and the points are built only on first use
     M = _spec(ONE, nonvanish=(parse("y"),))
-    assert M.sampler._points is not None
+    assert len(M.sampler._accepted) == 15
+    assert M.sampler._points is None
 
 
-@pytest.mark.parametrize("name, drawn", [
+@pytest.mark.parametrize("name, checked", [
     ("example1", False), ("example2", False), ("example3", True),
     ("flat", False), ("eta_einstein", False),
 ])
-def test_fixtures_draw_only_where_a_constraint_straddles_zero(name, drawn):
-    # example3 declares y non-zero on [-2, 2]
+def test_fixtures_draw_only_where_a_constraint_straddles_zero(name, checked):
+    # example3 declares y non-zero on [-2, 2], so only its candidates are
+    # checked at construction; no fixture builds a point there
     M = manifest.resolve(name).manifold()
-    assert (M.sampler._points is not None) == drawn
+    assert (M.sampler._accepted is not None) == checked
+    assert M.sampler._points is None
+
+
+def _record_coordinates(monkeypatch):
+    """The (axis, k) of every sample coordinate built from here on."""
+    built = []
+    coordinate = scalar._coordinate
+
+    def recording(axis, k):
+        built.append((axis, k))
+        return coordinate(axis, k)
+
+    monkeypatch.setattr(scalar, "_coordinate", recording)
+    return built
+
+
+def test_example3_builds_no_point_at_construction(monkeypatch):
+    built = _record_coordinates(monkeypatch)
+    sampler = manifest.resolve("example3").manifold().sampler
+    assert sampler._points is None
+    assert len(sampler._accepted) == sampler.count
+    # each candidate checked is built in y, the one coordinate its constraint reads
+    y = sampler._axes()["y"]
+    assert built == [(y, k) for k in range(1, sampler._accepted[-1] + 1)]
+
+
+def test_checking_candidates_builds_only_the_coordinates_a_constraint_reads(monkeypatch):
+    built = _record_coordinates(monkeypatch)
+    sampler = Sampler(NAMES, BOX, nonvanish=(parse("z"),), count=20, margin=0.5)
+    z = sampler._axes()["z"]
+    accepted = sampler.accepted()
+    # about half the candidates have |z| < 1/2 and are rejected
+    assert len(built) == accepted[-1] > len(accepted) == 20
+    assert {axis for axis, _ in built} == {z}
+    del built[:]
+    points = sampler.points()
+    assert len(built) == 3 * 20
+    assert all(list(env) == list(NAMES) and abs(env["z"]) >= Fraction(1, 2) for env in points)

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from contactgeo.errors import DegenerateSystem
 from contactgeo.lstsq import solve_least_squares
 
+from canonical_ref import ref_solve_least_squares
+
 
 def test_exact_two_column_fit():
     # residual-free system: a + b = 3, a - b = 1, 2a = 4
@@ -95,6 +97,29 @@ small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 def test_exact_weights_equal_repeated_rows(system):
     rows, rhs, weights = (list(x) for x in zip(*system))
     assert _outcome(rows, rhs, weights) == _outcome(*_repeated(rows, rhs, weights))
+
+
+def _typed_outcome(solve, rows, rhs, weights):
+    try:
+        fit = solve(rows, rhs, weights)
+    except DegenerateSystem as err:
+        return str(err)
+    return [(type(v), v) for v in fit.values], fit.exact
+
+
+exact_entries = st.one_of(st.integers(-4, 4), small)
+
+
+@given(st.integers(1, 3).flatmap(lambda k: st.lists(
+    st.tuples(st.tuples(*[exact_entries] * k), exact_entries, st.integers(1, 400)),
+    min_size=1, max_size=6)))
+@settings(max_examples=200, deadline=None)
+def test_exact_sums_match_the_fraction_accumulating_solver(system):
+    # ints are summed as ints, yet every value and its type is that of
+    # the solver that converted each entry to a Fraction first
+    rows, rhs, weights = (list(x) for x in zip(*system))
+    assert (_typed_outcome(solve_least_squares, rows, rhs, weights)
+            == _typed_outcome(ref_solve_least_squares, rows, rhs, weights))
 
 
 def _float_reference(rows, rhs):

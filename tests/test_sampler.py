@@ -106,3 +106,12 @@ def test_reference_covers_a_shortfall():
                 "only 0 of 3 sample points satisfy the domain constraints")
     assert outcome(reference_generate, s) == expected
     assert outcome(Sampler._generate, s) == expected
+
+
+def test_a_constraint_that_divides_by_zero_rejects_the_candidate():
+    # x = 0 at every candidate, so 1/x raises and each one is rejected
+    s = Sampler(("x", "y"), {"x": (0, 0)}, nonvanish=(parse("1/x"),), count=2)
+    expected = ("InsufficientSamples",
+                "only 0 of 2 sample points satisfy the domain constraints")
+    assert outcome(reference_generate, s) == expected
+    assert outcome(Sampler._generate, s) == expected
