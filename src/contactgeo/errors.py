@@ -32,13 +32,17 @@ class ValidationError(ContactGeoError):
 
     def __init__(self, message, witness=None):
         self.witness = witness
-        if witness:
+        if witness is not None:
             message = f"{message} [witness: {witness}]"
         super().__init__(message)
 
 
 class SingularFrame(ValidationError):
     """Declared frame is not invertible on the sampling domain."""
+
+
+class NonFiniteValue(ValidationError):
+    """A value read at a point is not a finite float; the witness is the point."""
 
 
 class DegenerateSystem(ContactGeoError):

@@ -35,7 +35,8 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import DivisionByZero, ExpressionError, InsufficientSamples, ParseError
+from .errors import (DivisionByZero, ExpressionError, InsufficientSamples, NonFiniteValue,
+                     ParseError)
 
 _EXPAND_LIMIT = 6  # largest positive power of a sum that gets multiplied out
 
@@ -549,12 +550,22 @@ def evaluate(e, env):
 
     ``env`` maps coordinate names to numbers.  The result is an exact
     rational, int or Fraction, when neither the expression nor the
-    supplied values involve floats or exp; otherwise a float.
+    supplied values involve floats or exp; otherwise a float.  A pole, an
+    overflow or a value whose float is not finite raises NonFiniteValue,
+    whose witness is the point.
     """
     clean = {}
     for k, v in env.items():
         clean[k] = v if isinstance(v, (Fraction, float)) else _as_fraction(v)
-    return _eval(e, clean, {})
+    try:
+        v = _eval(e, clean, {})
+        if math.isfinite(float(v)):
+            return v
+        reason = f"the value is {float(v)}"
+    except (DivisionByZero, OverflowError) as err:
+        reason = str(err)
+    raise NonFiniteValue(f"no finite value at the point ({reason})",
+                         witness={k: str(x) for k, x in env.items()})
 
 
 # --- zero testing -----------------------------------------------------------
@@ -602,30 +613,24 @@ def is_zero(e, sampler=None, tol=DEFAULT_TOL):
     proved zero, and any other constant is non-zero.  Other expressions
     are evaluated at every sample point and judged against the absolute
     tolerance; a failure's witness is the first point that breaks it, and
-    ``max_abs`` is the largest |value| over all the points.
+    ``max_abs`` is the largest |value| over all the points.  A value with no
+    finite float raises ``evaluate``'s NonFiniteValue, a constant's at ``{}``.
     """
     if e is ZERO:
         return _PROVED
     if isinstance(e, Rat):
-        return Verdict(NON_ZERO, abs(float(e.value)), ({}, e.value))
+        return Verdict(NON_ZERO, abs(float(evaluate(e, {}))), ({}, e.value))
     if sampler is None:
         raise ExpressionError("a sampler is required for non-constant zero tests")
     max_abs = 0.0
-    used = 0
     witness = None
     for env in sampler.points():
-        try:
-            v = _eval(e, env, {})
-        except (DivisionByZero, OverflowError):
-            continue
-        used += 1
+        v = evaluate(e, env)
         a = abs(float(v))
         if a >= tol and witness is None:
             witness = (dict(env), v)
         if a > max_abs:
             max_abs = a
-    if used == 0:
-        raise InsufficientSamples("every sample point hit a singularity")
     return Verdict(NUMERICALLY_ZERO if witness is None else NON_ZERO, max_abs, witness)
 
 
@@ -659,8 +664,8 @@ class Sampler:
     Uses an additive (Kronecker) recurrence with per-coordinate irrational
     strides; the seed only shifts the starting phase, so a fixed seed gives
     a fixed point list.  Points are dyadic rationals, which keeps exact
-    evaluation available downstream.  Candidates violating a nonvanishing
-    constraint by less than the margin are rejected.
+    evaluation available downstream.  A candidate is rejected where a
+    nonvanishing constraint is within the margin of 0, a pole or overflows.
 
     Two steps, each run once: ``accepted()`` checks the candidates against
     the constraints, building only the coordinates they read, and keeps the
@@ -713,17 +718,13 @@ class Sampler:
         limit = max(200, 80 * self.count)
         while len(ks) < self.count and k < limit:
             k += 1
+            # _eval: evaluate's copy of env would drop coordinates not built yet
             env = _Candidate(axes, k)
-            ok = True
-            for g in self.nonvanish:
-                try:
-                    val = _eval(g, env, {})
-                except DivisionByZero:
-                    ok = False
-                    break
-                if abs(float(val)) < self.margin:
-                    ok = False
-                    break
+            try:
+                ok = all(self.margin <= abs(float(_eval(g, env, {}))) < math.inf
+                         for g in self.nonvanish)
+            except (DivisionByZero, OverflowError):
+                ok = False  # a pole or an overflow rejects it as a small value does
             if ok:
                 ks.append(k)
         if len(ks) < self.count:

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import scalar
 from .curvature import ExteriorData, frame_basis, lie_derivative_metric
-from .errors import DegenerateSystem, DivisionByZero
+from .errors import DegenerateSystem
 from .geometry import _mat_vec
 from .lstsq import solve_least_squares
 from .scalar import (
@@ -370,7 +370,9 @@ def check_almost_kenmotsu(M, conn, table, tensors):
     anti, b18, b19 = {}, {}, {}
     # curvature against the Reeb field must close over h':
     # R(X,Y)xi = eta(X)(Y + h'Y) - eta(Y)(X + h'X) + (nabla_X h')Y - (nabla_Y h')X
-    dhp = [conn.nabla_operator(hp, basis[i]) for i in range(n)]
+    # only the rows j != i of nabla_{e_i} h' are read: row j sits at j - 1 when j > i
+    dhp = [conn.nabla_operator(hp, basis[i], rows=[j for j in range(n) if j != i])
+           for i in range(n)]
     for j in range(n):
         for a, e in _nz(h[j]):  # phi(h e_j)
             _file(anti, (j,), phi[a], e)
@@ -380,7 +382,7 @@ def check_almost_kenmotsu(M, conn, table, tensors):
         _put(b18, (j, j), MINUS_ONE)
         _file(b18, (j,), hp[j], MINUS_ONE)
         for i in range(j):
-            _file(b19, (i, j), dhp[i][j], MINUS_ONE)
+            _file(b19, (i, j), dhp[i][j - 1], MINUS_ONE)
             _file(b19, (i, j), dhp[j][i])
     for i, ei in _nz(eta):
         _file(b18, (i,), xi, ei)
@@ -405,7 +407,7 @@ def check_almost_kenmotsu(M, conn, table, tensors):
     return CheckReport("almost_kenmotsu", results)
 
 
-def fit_sampled(M, entries, skip_singular=False):
+def fit_sampled(M, entries):
     """Least-squares fit of a_1 x_1 + ... + a_k x_k = b over the sample points.
 
     ``entries`` holds tuples (a_1, ..., a_k, b) of canonical fields. The
@@ -413,11 +415,10 @@ def fit_sampled(M, entries, skip_singular=False):
     without repeated work: a tuple of zero constants adds nothing to the
     normal equations and has residual 0, so it is left out; a tuple of
     other constants gives the same row at every point, so it enters once,
-    weighted by the number of points used; only the remaining tuples are
-    evaluated point by point. When no tuple depends on the point, no point
-    is drawn: every point would be used, so the weight is the sampler's
-    count. With ``skip_singular`` a point where some entry cannot be
-    evaluated is skipped instead of raising.
+    weighted by the sample count; only the remaining tuples are evaluated
+    point by point, and a point where one has no finite value fails the
+    fit (``evaluate``). When no tuple depends on the point, no point is
+    drawn.
     """
     constant, varying = [], []
     for entry in entries:
@@ -425,30 +426,21 @@ def fit_sampled(M, entries, skip_singular=False):
             varying.append(entry)
         elif any(e.value != 0 for e in entry):
             constant.append(tuple(e.value for e in entry))
-    rows, rhs = [], []
-    points = M.sampler.points() if varying else ()
-    used = 0 if varying else M.sampler.count
-    for env in points:
-        try:
-            values = [[evaluate(e, env) for e in entry] for entry in varying]
-        except (DivisionByZero, ZeroDivisionError, OverflowError):
-            if not skip_singular:
-                raise
-            continue
-        used += 1
-        for *row, b in values:
-            rows.append(tuple(row))
-            rhs.append(b)
-    if used and entries and not (varying or constant):
+    if entries and not (varying or constant):
         # every tuple is the zero constant, so every column of the full
         # system vanishes
         raise DegenerateSystem("all coefficient columns vanish")
-    weights = [1] * len(rows)
-    if used:
-        for *row, b in constant:
+    rows, rhs = [], []
+    for env in M.sampler.points() if varying else ():
+        for entry in varying:
+            *row, b = [evaluate(e, env) for e in entry]
             rows.append(tuple(row))
             rhs.append(b)
-            weights.append(used)
+    weights = [1] * len(rows)
+    for *row, b in constant:
+        rows.append(tuple(row))
+        rhs.append(b)
+        weights.append(M.sampler.count)
     return solve_least_squares(rows, rhs, weights)
 
 

@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, rendering, determinism."""
 
+import ast
 import json
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -279,6 +281,52 @@ def test_tol_and_seed_overrides_are_validated(capsys, argv, flag, value, message
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+# --- values with no finite float ---------------------------------------------
+
+
+def _flat_variant(tmp_path, edit):
+    """flat's manifest, edited by ``edit``, written to a file."""
+    data = json.loads((Path(cli.__file__).parent / "fixtures" / "flat.json").read_text())
+    edit(data)
+    p = tmp_path / "variant.json"
+    p.write_text(json.dumps(data))
+    return str(p)
+
+
+def _set_g11(text):
+    return lambda data: data["metric_frame"][0].__setitem__(0, text)
+
+
+@pytest.mark.parametrize("edit, argv, reason, at", [
+    # a residual holds x^1100, past the float range where |x| > 1.906
+    (_set_g11("1 + x^1100"), ("--checks", "almost_contact"), "integer division result too large",
+     lambda w: abs(Fraction(w["x"])) > Fraction(19, 10)),
+    # det(metric_frame) overflows where 800 x > 709.78
+    (_set_g11("1 + exp(800*x)"), (), "math range error",
+     lambda w: Fraction(w["x"]) > Fraction(887, 1000)),
+    # a constant past the float range, at every point
+    (_set_g11("2^1100"), (), "int too large", lambda w: w == {}),
+], ids=("power", "exp", "constant"))
+def test_a_value_with_no_finite_float_is_an_error_with_a_witness(
+        capsys, tmp_path, edit, argv, reason, at):
+    # each once ended in an OverflowError traceback
+    code, out, err = run(capsys, "check", _flat_variant(tmp_path, edit), *argv)
+    assert code == 2
+    assert out == ""
+    m = re.fullmatch(r"error: no finite value at the point \((.*)\) \[witness: (.*)\]\n", err)
+    assert m and reason in m.group(1)
+    witness = ast.literal_eval(m.group(2))
+    assert set(witness) <= {"x", "y", "z"} and at(witness)
+
+
+def test_a_domain_constraint_that_overflows_rejects_the_candidate(capsys, tmp_path):
+    # exp(800*x) overflows on part of the box: those candidates are rejected
+    # as a pole is, and flat checks as it does without the constraint
+    edit = lambda data: data["domain"].append({"nonzero": "exp(800*x)"})
+    code, out, err = run(capsys, "check", _flat_variant(tmp_path, edit))
+    assert (code, out, err) == run(capsys, "check", "flat")
 
 
 def test_gradient_potential_manifest(capsys, tmp_path):

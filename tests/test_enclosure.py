@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contactgeo import manifest, scalar
-from contactgeo.errors import DivisionByZero, SingularFrame
+from contactgeo.errors import NonFiniteValue, SingularFrame
 from contactgeo.geometry import ManifoldSpec, bounds
 from contactgeo.scalar import (
     ONE, Rat, Sampler, Sym, ZERO, evaluate, exp_of, parse, pow_int,
@@ -103,11 +103,10 @@ def test_bounds_enclose_every_sample_point(e, bx, by, seed):
         return
     lo, hi = span
     assert lo <= hi
+    # a field the box encloses has no pole and no overflow there, so every
+    # point gives it a finite value
     for env in Sampler(("x", "y"), box, seed=seed, count=8).points():
-        try:
-            value = evaluate(e, env)
-        except (DivisionByZero, OverflowError):
-            continue
+        value = evaluate(e, env)
         assert lo <= value <= hi, (scalar.to_str(e), env, value)
 
 
@@ -124,14 +123,16 @@ def _spec(det_entry, tol=1e-9, box=BOX, nonvanish=()):
 
 def _loop_outcome(det, tol, box=BOX):
     """What the point loop does with ``det``: the first point where it
-    breaks the tolerance, the first point where it overflows, or None."""
+    breaks the tolerance, ``NonFiniteValue`` with the first point where it
+    has no finite value, or None."""
     for env in Sampler(NAMES, box, count=15).points():
+        point = {k: str(v) for k, v in env.items()}
         try:
             value = evaluate(det, env)
-        except OverflowError:
-            return OverflowError
+        except NonFiniteValue:
+            return NonFiniteValue, point
         if abs(float(value)) < tol:
-            return {k: str(v) for k, v in env.items()}
+            return point
     return None
 
 
@@ -168,9 +169,11 @@ def test_a_determinant_whose_exp_overflows_raises_as_the_loop_does():
     box = dict(BOX, x=(0, 1))
     det = parse("exp(1000*x)")
     assert bounds(det, _box(box)) is None
-    assert _loop_outcome(det, 1e-9, box) is OverflowError
-    with pytest.raises(OverflowError):
+    outcome, point = _loop_outcome(det, 1e-9, box)
+    assert outcome is NonFiniteValue
+    with pytest.raises(NonFiniteValue, match=r"math range error") as info:
         _spec(det, box=box)
+    assert info.value.witness == point
 
 
 def test_a_determinant_that_overflows_only_off_the_points_is_accepted():

@@ -2,12 +2,13 @@
 soliton solves, and how a fit is settled.
 
 ``fit_sampled`` leaves out all-zero tuples and enters a constant tuple
-once, weighted by the number of sample points used. The tests compare it
-with ``reference_fit``, which builds the full system: every entry
-evaluated at every point, one row per tuple and point. ``settle_fit``
-substitutes the fitted constants into each tuple's residual and runs
-them through ``combine``, so rows that depend on the point are settled
-like every other identity.
+once, weighted by the sample count. The tests compare it with
+``reference_fit``, which builds the full system: every entry evaluated
+at every point, one row per tuple and point. A point where an entry has
+no finite value fails the fit with ``NonFiniteValue`` naming the point.
+``settle_fit`` substitutes the fitted constants into each tuple's
+residual and runs them through ``combine``, so rows that depend on the
+point are settled like every other identity.
 """
 
 import copy
@@ -17,7 +18,7 @@ from types import SimpleNamespace
 import pytest
 
 from contactgeo import soliton, structure
-from contactgeo.errors import DegenerateSystem, DivisionByZero
+from contactgeo.errors import DegenerateSystem, NonFiniteValue
 from contactgeo.lstsq import solve_least_squares
 from contactgeo.scalar import (
     NON_ZERO, NUMERICALLY_ZERO, PROVED_ZERO, Rat, ZERO, evaluate, parse,
@@ -26,17 +27,12 @@ from contactgeo.soliton import SolitonProblem, solve_soliton
 from contactgeo.structure import fit_sampled, settle_fit, snap, solve_eta_einstein
 
 
-def reference_fit(M, entries, skip_singular=False):
+def reference_fit(M, entries):
     """Every tuple evaluated at every point, one row each."""
     rows, rhs = [], []
     for env in M.sampler.points():
-        try:
-            batch = [[evaluate(e, env) for e in entry] for entry in entries]
-        except (DivisionByZero, ZeroDivisionError, OverflowError):
-            if not skip_singular:
-                raise
-            continue
-        for *row, b in batch:
+        for entry in entries:
+            *row, b = [evaluate(e, env) for e in entry]
             rows.append(tuple(row))
             rhs.append(b)
     return solve_least_squares(rows, rhs)
@@ -50,9 +46,9 @@ def spy(monkeypatch, module):
     """Record every call of ``fit_sampled`` made from ``module``."""
     calls = []
 
-    def recording(M, entries, **kwargs):
-        fit = fit_sampled(M, entries, **kwargs)
-        calls.append((M, entries, kwargs, fit))
+    def recording(M, entries):
+        fit = fit_sampled(M, entries)
+        calls.append((M, entries, fit))
         return fit
 
     monkeypatch.setattr(module, "fit_sampled", recording)
@@ -61,8 +57,8 @@ def spy(monkeypatch, module):
 
 def assert_matches_reference(calls):
     assert len(calls) == 1
-    M, entries, kwargs, fit = calls[0]
-    assert fields(fit) == fields(reference_fit(M, entries, **kwargs))
+    M, entries, fit = calls[0]
+    assert fields(fit) == fields(reference_fit(M, entries))
     return entries, fit
 
 
@@ -76,7 +72,7 @@ def kinds(entries):
 def with_points(M, points):
     """A copy of ``M`` whose sampler yields exactly ``points``."""
     M = copy.copy(M)
-    M.sampler = SimpleNamespace(points=lambda: points)
+    M.sampler = SimpleNamespace(count=len(points), points=lambda: points)
     return M
 
 
@@ -139,13 +135,12 @@ def test_gradient_soliton_mixed_entries(flat, monkeypatch):
     assert fit.values[0] + fit.values[1] == 0
 
 
-@pytest.mark.parametrize("skip_singular", [False, True])
-def test_constant_tuples_draw_no_point(flat, skip_singular):
+def test_constant_tuples_draw_no_point(flat):
     # zero, exact and inconsistent constant tuples: no tuple depends on the
     # point, so the rows weigh the sampler's count and no point is drawn
     entries = [(Rat(1), Rat(2), Rat(3)), (ZERO, ZERO, ZERO),
                (Rat(2), ZERO, Rat(Fraction(1, 3))), (Rat(-1), Rat(1), Rat(4))]
-    fit = fit_sampled(without_points(flat.M), entries, skip_singular=skip_singular)
+    fit = fit_sampled(without_points(flat.M), entries)
     assert fields(fit) == fields(reference_fit(flat.M, entries))
     assert fit.exact
 
@@ -215,25 +210,39 @@ def _points(xs):
             for x in xs]
 
 
-def test_soliton_skips_singular_points(flat, monkeypatch):
-    # Hess(1/x + y^2) = diag(2/x^3, 2, 0) has a pole at x = 0, where the
-    # point is skipped; the constant rows weigh the 4 points used, not 5.
+def _at(x):
+    return {"x": x, "y": "1/3", "z": "-1/2"}
+
+
+def test_soliton_fit_fails_at_a_pole(flat, monkeypatch):
+    # Hess(1/x + y^2) = diag(2/x^3, 2, 0) has a pole at x = 0: the fit
+    # fails there, naming the point, as the full system does
     M = with_points(flat.M, _points(["1/2", "0", "-1", "3/2", "2"]))
     P = SolitonProblem(M, flat.table, f=parse("1/x + y^2"))
+    with pytest.raises(NonFiniteValue, match="vanishes") as info:
+        solve_soliton(P)
+    assert info.value.witness == _at("0")
+    entries = [entry for _, entry in P.labelled]
+    with pytest.raises(NonFiniteValue) as ref:
+        reference_fit(M, entries)
+    assert ref.value.witness == _at("0")
+    # off the pole, the constant rows weigh the 4 points
+    used = [Fraction(1, 2), Fraction(-1), Fraction(3, 2), Fraction(2)]
+    P = SolitonProblem(with_points(flat.M, _points(used)), flat.table, f=parse("1/x + y^2"))
     calls = spy(monkeypatch, soliton)
     rep = solve_soliton(P)
     entries, fit = assert_matches_reference(calls)
     assert all(kinds(entries)[1:])
     assert rep.lambda_tilde == fit.values[0]
-    used = [Fraction(1, 2), Fraction(-1), Fraction(3, 2), Fraction(2)]
     assert fit.values[0] == -(sum(2 / x ** 3 for x in used) + 2 * 4) / (2 * 4)
 
 
-def test_every_point_singular_leaves_no_equations(flat):
+def test_every_point_singular_fails_at_the_first(flat):
     M = with_points(flat.M, _points(["0", "0"]))
     P = SolitonProblem(M, flat.table, f=parse("1/x + y^2"))
-    with pytest.raises(DegenerateSystem, match="^no equations to fit$"):
+    with pytest.raises(NonFiniteValue) as info:
         solve_soliton(P)
+    assert info.value.witness == _at("0")
 
 
 def test_eta_einstein_fit_raises_at_a_pole(flat):
@@ -242,8 +251,9 @@ def test_eta_einstein_fit_raises_at_a_pole(flat):
                                   [ZERO, Rat(1), ZERO],
                                   [ZERO, ZERO, Rat(1)]],
                            scalar_curvature=Rat(0))
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(NonFiniteValue, match="vanishes") as info:
         solve_eta_einstein(M, stub)
+    assert info.value.witness == _at("0")
 
 
 # --- degenerate systems keep their messages ----------------------------------

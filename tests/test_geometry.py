@@ -175,9 +175,10 @@ def test_frame_determinant_small_inside_the_box_is_singular_where_the_loop_finds
     assert abs(Fraction(info.value.witness["x"])) < Fraction(1, 4)
 
 
-def test_unmeetable_domain_still_draws_its_points():
-    # both determinants are the constant 1, but the points are still drawn,
-    # and no point keeps |x| >= 1e-3 on this box
+def test_unmeetable_domain_fails_its_acceptance_pass_at_construction():
+    # both determinants are the constant 1, so no point is built, but the
+    # candidates are checked against the constraint at construction, and
+    # none keeps |x| >= 1e-3 on this box
     box = {"x": (Fraction(-1, 10000), Fraction(1, 10000))}
     with pytest.raises(InsufficientSamples):
         _spec(None, None, box=box, nonvanish=(S("x"),))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contactgeo import scalar
-from contactgeo.errors import DivisionByZero, ExpressionError, ParseError
+from contactgeo.errors import ExpressionError, InsufficientSamples, NonFiniteValue, ParseError
 from contactgeo.geometry import VectorField
 from contactgeo.scalar import (
     Add, Exp, Mul, Pow, Rat, Sampler, Sym, ZERO, add, add_all, diff,
@@ -20,7 +20,7 @@ from canonical_ref import simplify
 
 def test_parse_round_trip():
     for text in ["x", "2*x + 1", "exp(-v)", "x*y - 3/2", "(x + y)^2",
-                 "4*(y + z)", "v*v/2", "1/(1 + x^2)"]:
+                 "4*(y + z)", "v*v/2", "1/(1 + x^2)", "x + 1 ", " 2*x\t"]:
         e = parse(text)
         again = parse(to_str(e))
         assert to_str(simplify(e - again)) == "0"
@@ -78,8 +78,21 @@ def test_evaluate_exp_goes_float():
 
 
 def test_evaluate_division_by_zero():
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(NonFiniteValue, match=r"x vanishes") as info:
         evaluate(parse("1/x"), {"x": Fraction(0)})
+    assert info.value.witness == {"x": "0"}
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("exp(800*x)", "math range error"),     # the float exp overflows
+    ("1 + x^1100", "too large"),            # exact, but past the float range
+    ("x^500*exp(354*y) - y^500*exp(354*x)", "nan"),  # inf - inf, no exception
+])
+def test_evaluate_raises_where_the_value_is_no_finite_float(text, reason):
+    env = {"x": 2, "y": Fraction(2)}
+    with pytest.raises(NonFiniteValue, match=reason) as info:
+        evaluate(parse(text), env)
+    assert info.value.witness == {"x": "2", "y": "2"}
 
 
 def test_diff_known_values():
@@ -105,6 +118,27 @@ def test_is_zero_verdicts():
     assert value >= 1
 
 
+def test_is_zero_fails_where_every_point_is_nan():
+    # inf - inf at every point of this box: once read as numerically_zero
+    # with max_abs 0.0, now an error at the first point
+    e = parse("x^500*exp(354*y) - y^500*exp(354*x)")
+    box = {"x": (Fraction(19, 10), 2), "y": (Fraction(19, 10), 2)}
+    with pytest.raises(NonFiniteValue, match="nan") as info:
+        is_zero(e, Sampler(("x", "y"), box))
+    first = Sampler(("x", "y"), box).points()[0]
+    assert info.value.witness == {k: str(v) for k, v in first.items()}
+    # on a box where every value is finite the field is judged
+    box = {"x": (1, Fraction(5, 4)), "y": (1, Fraction(5, 4))}
+    assert is_zero(e, Sampler(("x", "y"), box)).kind == "non_zero"
+
+
+def test_is_zero_of_a_constant_past_the_float_range_fails_everywhere():
+    with pytest.raises(NonFiniteValue, match=r"\[witness: \{\}\]$") as info:
+        is_zero(parse("2^1100"))
+    assert info.value.witness == {}
+    assert is_zero(parse("2^1000")).kind == "non_zero"
+
+
 def test_is_zero_requires_sampler_for_open_terms():
     with pytest.raises(ExpressionError):
         is_zero(parse("x + 1"))
@@ -121,6 +155,18 @@ def test_sampler_determinism_and_margin():
         assert Fraction(-2) <= env["x"] <= Fraction(2)
         assert Fraction(1, 2) <= env["v"] <= Fraction(2)
         assert abs(env["v"]) > Fraction(1, 1000)
+
+
+def test_sampler_rejects_candidates_where_a_constraint_overflows():
+    # exp(800 x) overflows past x = 0.8873 and is within the margin of 0
+    # below x = -0.0087; x^500 exp(354 y) is inf on [19/10, 2]^2 without
+    # raising
+    s = Sampler(("x",), {"x": (-2, 2)}, nonvanish=(parse("exp(800*x)"),), count=20)
+    assert all(Fraction(-87, 10000) < env["x"] < Fraction(8873, 10000) for env in s.points())
+    box = {"x": (Fraction(19, 10), 2), "y": (Fraction(19, 10), 2)}
+    s = Sampler(("x", "y"), box, nonvanish=(parse("x^500*exp(354*y)"),), count=5)
+    with pytest.raises(InsufficientSamples, match="only 0 of 5"):
+        s.points()
 
 
 def test_sampler_points_are_exact_rationals():

@@ -115,7 +115,7 @@ def test_float_fit_near_a_soliton_passes(ex2, monkeypatch):
     # a float fit is known only to the tolerance: constants 3e-11 off
     # leave constant residuals below it, which pass as numerically zero
     monkeypatch.setattr(soliton, "fit_sampled",
-                        lambda M, entries, skip_singular: FitResult([3e-11, -3e-11], False))
+                        lambda M, entries: FitResult([3e-11, -3e-11], False))
     rep = solve_soliton(vector_problem(ex2))
     assert rep.verdict.kind == "numerically_zero" and rep.passed
     assert 0 < rep.residual_max < ex2.M.tol

@@ -171,9 +171,9 @@ def _recorded(monkeypatch, run):
         calls.append((name, [(label, e) for label, e in parts if e is not ZERO]))
         return combine(M, name, parts, exact)
 
-    def record_fit(M, entries, skip_singular=False):
+    def record_fit(M, entries):
         calls.append(("fit", [t for t in entries if any(e is not ZERO for e in t)]))
-        return fit_sampled(M, entries, skip_singular)
+        return fit_sampled(M, entries)
 
     with monkeypatch.context() as m:
         for module in (structure, canonical_ref):
