@@ -135,11 +135,15 @@ def test_gradient_soliton_mixed_entries(flat, monkeypatch):
     assert fit.values[0] + fit.values[1] == 0
 
 
-def test_constant_tuples_draw_no_point(flat):
+@pytest.mark.parametrize("reverse", [False, True])
+def test_constant_tuples_draw_no_point(flat, reverse):
     # zero, exact and inconsistent constant tuples: no tuple depends on the
-    # point, so the rows weigh the sampler's count and no point is drawn
+    # point, so the rows weigh the sampler's count and no point is drawn;
+    # the order the tuples come in does not change the fit
     entries = [(Rat(1), Rat(2), Rat(3)), (ZERO, ZERO, ZERO),
                (Rat(2), ZERO, Rat(Fraction(1, 3))), (Rat(-1), Rat(1), Rat(4))]
+    if reverse:
+        entries.reverse()
     fit = fit_sampled(without_points(flat.M), entries)
     assert fields(fit) == fields(reference_fit(flat.M, entries))
     assert fit.exact
