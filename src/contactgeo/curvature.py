@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import isqrt
 
-from .geometry import _mat_vec
+from .geometry import _mat_vec, row_reduce
 from .scalar import Rat, ZERO, ONE, add_all, evaluate
 
 HALF = Rat(Fraction(1, 2))
@@ -349,7 +349,7 @@ class StructureTensors:
         # 2 h e_j = (L_xi phi) e_j = [xi, phi_jk e_k] - phi [xi, e_j]
         #         = xi(phi_jk) e_k + phi_jk [xi, e_k] - phi [xi, e_j]
         self.h = [[half((ZERO if isinstance(p, Rat) else M.xi.apply(p), a, -b))
-                   for p, a, b in zip(row, _mat_vec(ad, row), M.phi_frame_apply(ad[j]))]
+                   for p, a, b in zip(row, _mat_vec(ad, row), _mat_vec(M.phi, ad[j]))]
                   for j, row in enumerate(M.phi)]
         # h is a tensor, so h' e_j = h(phi e_j) = phi_jk h e_k
         self.h_prime = [_mat_vec(self.h, row) for row in M.phi]
@@ -419,30 +419,12 @@ def integer_spectrum(mat):
     bound = isqrt(int(tr_sq))
     values = []
     for lam in range(-bound, bound + 1):
-        shifted = [[a - lam if j == k else a for k, a in enumerate(row)]
+        shifted = [[Rat(a - lam if j == k else a) for k, a in enumerate(row)]
                    for j, row in enumerate(mat)]
-        values += [lam] * (n - _rank(shifted))
+        values += [lam] * (n - len(row_reduce(shifted, n)[0]))
         if len(values) == n:
             return values
     return None
-
-
-def _rank(rows):
-    """Rank of a square matrix of ints and Fractions by exact elimination;
-    consumes ``rows``."""
-    rank = 0
-    for col in range(len(rows)):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                f = Fraction(rows[r][col], p[col])  # int / int would be a float
-                rows[r] = [a - f * b for a, b in zip(rows[r], p)]
-        rank += 1
-    return rank
 
 
 # --- exterior calculus -------------------------------------------------------

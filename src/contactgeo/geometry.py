@@ -85,40 +85,50 @@ def lie_bracket(X, Y):
     return VectorField(X.coords, comps)
 
 
-def sym_inverse(mat):
-    """Invert a square matrix of scalar fields by Gauss-Jordan.
+def row_reduce(rows, ncols):
+    """Gauss-Jordan on the first ``ncols`` columns of a matrix of scalar
+    fields, in place: the reduced row echelon form.
 
-    Returns ``(inverse, determinant)``.  Pivots are entries that are not
-    the zero constant; a column with no such entry raises.  Zero entries
-    are neither scaled nor eliminated with.
+    Returns ``(pivots, det)``: the pivot columns in order, and the product
+    of the pivots, negated once per row swap (the determinant when every
+    one of n square columns has a pivot). Pivots are entries that are not
+    the zero constant; a column with no such entry below the pivots found
+    so far is skipped. Zero entries are neither scaled nor eliminated with.
+    """
+    pivots = []
+    det = ONE
+    for col in range(ncols):
+        top = len(pivots)
+        pivot_row = next((r for r in range(top, len(rows)) if rows[r][col] is not ZERO), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != top:
+            rows[top], rows[pivot_row] = rows[pivot_row], rows[top]
+            det = -det
+        pivot = rows[top][col]
+        det = det * pivot
+        inv_pivot = ONE / pivot
+        rows[top] = [x if x is ZERO else x * inv_pivot for x in rows[top]]
+        for r, row in enumerate(rows):
+            factor = row[col]
+            if r != top and factor is not ZERO:
+                rows[r] = [a if b is ZERO else a - factor * b for a, b in zip(row, rows[top])]
+        pivots.append(col)
+    return pivots, det
+
+
+def sym_inverse(mat):
+    """Invert a square matrix of scalar fields by ``row_reduce`` on
+    ``[A | I]``.
+
+    Returns ``(inverse, determinant)``; a column with no pivot raises.
     """
     n = len(mat)
     aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(mat)]
-    det = ONE
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if aug[r][col] is not ZERO:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise SingularFrame("matrix of scalar fields has a structurally zero column")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-            det = -det
-        pivot = aug[col][col]
-        det = det * pivot
-        inv_pivot = ONE / pivot
-        aug[col] = [x if x is ZERO else x * inv_pivot for x in aug[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = aug[r][col]
-            if factor is ZERO:
-                continue
-            aug[r] = [a if b is ZERO else a - factor * b for a, b in zip(aug[r], aug[col])]
-    inv = [row[n:] for row in aug]
-    return inv, det
+    pivots, det = row_reduce(aug, n)
+    if len(pivots) < n:
+        raise SingularFrame("matrix of scalar fields has a structurally zero column")
+    return [row[n:] for row in aug], det
 
 
 def _scalar_matrix(mat):
@@ -363,10 +373,6 @@ class ManifoldSpec:
                 parts.append(c[i] * gd)
         return add_all(parts)
 
-    def phi_frame_apply(self, c):
-        """phi acting on frame components."""
-        return _mat_vec(self.phi, list(c))
-
-    def is_zero_field(self, e, tol=None):
-        return is_zero(e, self.sampler, self.tol if tol is None else tol)
+    def is_zero_field(self, e):
+        return is_zero(e, self.sampler, self.tol)
 

@@ -3,10 +3,10 @@
 Solves min ||A x - b|| for a handful of unknowns (here always 1 or 2).
 When every entry is an exact rational (int or Fraction) the normal
 equations are summed in the entries' own arithmetic, ints as ints, and
-only the k x k elimination divides, in Fraction arithmetic, so exact
-fits come out exact and every fitted value is a Fraction. Otherwise
-numpy does the floating-point solve; it is imported on that path only,
-so an exact fit never loads it.
+only the k x k elimination divides: ``geometry.row_reduce`` on the sums
+as ``Rat`` constants. So exact fits come out exact and every fitted
+value is a Fraction. Otherwise numpy does the floating-point solve; it
+is imported on that path only, so an exact fit never loads it.
 
 Columns whose entries are all zero make the corresponding unknown
 unidentifiable; they are dropped and their value comes back as None, so
@@ -26,37 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegenerateSystem
-
-
-class FitResult:
-    def __init__(self, values, exact):
-        self.values = values          # per requested column: number or None when dropped
-        self.exact = exact            # True when solved in rational arithmetic
-
-    def __repr__(self):
-        return f"FitResult(values={self.values}, exact={self.exact})"
-
-
-def _solve_rational(gram, rhs):
-    # Gaussian elimination on the k x k normal system, exact.
-    k = len(rhs)
-    aug = [list(gram[i]) + [rhs[i]] for i in range(k)]
-    for col in range(k):
-        piv = None
-        for r in range(col, k):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise DegenerateSystem("normal equations are singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][k] for i in range(k)]
+from .geometry import row_reduce
+from .scalar import Rat
 
 
 def solve_least_squares(rows, rhs, weights=None):
@@ -65,8 +36,9 @@ def solve_least_squares(rows, rhs, weights=None):
     rows: list of coefficient tuples (one per equation), rhs: list of
     numbers. Entries may be Fraction/int (exact) or float. weights, when
     given, holds one positive integer per row: the system is solved as if
-    row i appeared weights[i] times. Returns a FitResult whose `values`
-    has one entry per column; dropped columns get None.
+    row i appeared weights[i] times. Returns the fitted values, one per
+    column: Fractions when every entry is exact, else floats; dropped
+    columns get None.
     """
     if weights is None:
         weights = [1] * len(rows)
@@ -82,7 +54,7 @@ def solve_least_squares(rows, rhs, weights=None):
         raise DegenerateSystem("all coefficient columns vanish")
 
     if exact:
-        # ints stay ints here; only _solve_rational divides
+        # ints stay ints here; only the elimination divides
         k = len(keep)
         gram = [[0] * k for _ in range(k)]
         rvec = [0] * k
@@ -97,11 +69,13 @@ def solve_least_squares(rows, rhs, weights=None):
         for a in range(k):
             for bcol in range(a):
                 gram[a][bcol] = gram[bcol][a]
-        sol = _solve_rational(gram, rvec)
+        aug = [[Rat(x) for x in gram[a]] + [Rat(rvec[a])] for a in range(k)]
+        if len(row_reduce(aug, k)[0]) < k:
+            raise DegenerateSystem("normal equations are singular")
         values = [None] * ncols
         for a, j in enumerate(keep):
-            values[j] = sol[a]
-        return FitResult(values, True)
+            values[j] = Fraction(aug[a][k].value)
+        return values
 
     import numpy as np
 
@@ -115,4 +89,4 @@ def solve_least_squares(rows, rhs, weights=None):
     values = [None] * ncols
     for a, j in enumerate(keep):
         values[j] = float(sol[a])
-    return FitResult(values, False)
+    return values

@@ -770,11 +770,17 @@ def _tokenize(text):
     return tokens
 
 
+# parentheses, exp( calls, prefix signs and exponents nested deeper than
+# this are a ParseError, well before Python's recursion limit
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def _peek(self):
         return self.tokens[self.i]
@@ -811,21 +817,28 @@ class _Parser:
         while True:
             kind, val, _ = self._peek()
             if kind == "op" and val in "*/":
-                self._next()
+                tok = self._next()
                 rhs = self._unary()
+                if val == "/" and rhs is ZERO:
+                    self._fail("division by zero", tok)
                 e = mul(e, rhs) if val == "*" else div(e, rhs)
             else:
                 return e
 
     def _unary(self):
+        # every nesting passes through here: a sign, an exponent, or a
+        # parenthesis or exp( call by way of _expr
+        if self.depth > MAX_NESTING:
+            self._fail(f"expression nested more than {MAX_NESTING} deep")
+        self.depth += 1
         kind, val, _ = self._peek()
-        if kind == "op" and val == "-":
+        if kind == "op" and val in "+-":
             self._next()
-            return neg(self._unary())
-        if kind == "op" and val == "+":
-            self._next()
-            return self._unary()
-        return self._power()
+            e = neg(self._unary()) if val == "-" else self._unary()
+        else:
+            e = self._power()
+        self.depth -= 1
+        return e
 
     def _power(self):
         base = self._primary()
@@ -835,6 +848,8 @@ class _Parser:
             exponent = self._unary()
             if not isinstance(exponent, Rat) or not isinstance(exponent.value, int):
                 self._fail("exponent must be an integer constant", tok)
+            if base is ZERO and exponent.value < 0:
+                self._fail("0 raised to a negative power", tok)
             return pow_int(base, exponent.value)
         return base
 

@@ -186,7 +186,7 @@ def _report(P, lt, mu, mu_unconstrained=False):
 def solve_soliton(P):
     """Least-squares (lambda~, mu) over all components and sample points."""
     fit = fit_sampled(P.M, [entry for _, entry in P.labelled])
-    lt, mu = fit.values
+    lt, mu = fit
     if lt is None:
         raise DegenerateSystem("soliton fit degenerate: metric column vanished")
     return _report(P, lt, mu, mu_unconstrained=mu is None)

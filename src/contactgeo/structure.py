@@ -244,8 +244,12 @@ def settle_fit(M, name, labelled, values):
                                               for x, a in zip(constants, entry)]))
         residuals.append(part)
         tested.append(part)
-    exact = not any(isinstance(x, float) for x in values)
-    return combine(M, name, tested, exact), residuals
+    return combine(M, name, tested, is_exact(values)), residuals
+
+
+def is_exact(values):
+    """Whether fitted or given constants are exact: no float among them."""
+    return not any(isinstance(x, float) for x in values)
 
 
 def _covariant_eta(M, conn):
@@ -273,7 +277,7 @@ def check_almost_contact(M):
     sq, comp, anti = {}, {}, {}
     for j in range(M.dim):
         _put(sq, (j, j), ONE)
-        _file(sq, (j,), M.phi_frame_apply(phi[j]))
+        _file(sq, (j,), _mat_vec(M.phi, phi[j]))
         _file(comp, (j,), G[j], MINUS_ONE, j)
         _file(anti, (j,), low[j], ONE, j)  # g(phi e_j, e_k), k >= j
         _file(anti, (j,), [row[j] for row in low], ONE, j)  # g(e_j, phi e_k)
@@ -289,7 +293,7 @@ def check_almost_contact(M):
         combine(M, "reeb_normalization",
                 _labelled("eta(xi) - 1", {(): [M.metric_apply(xi, xi), MINUS_ONE]})),
         combine(M, "metric_compatibility", _labelled("compat(e_{}, e_{})", comp)),
-        combine(M, "phi_reeb", _labelled("(phi xi)[{}]", _file({}, (), M.phi_frame_apply(xi)))),
+        combine(M, "phi_reeb", _labelled("(phi xi)[{}]", _file({}, (), _mat_vec(M.phi, xi)))),
         combine(M, "eta_phi", _labelled("eta(phi e_{})", _file(
             {}, (), [M.metric_apply(row, xi) for row in phi]))),
         combine(M, "phi_antisymmetry", _labelled("antisym(e_{}, e_{})", anti)),
@@ -464,12 +468,12 @@ def solve_nullity(M, conn, table, tensors):
     fit = fit_sampled(M, [entry for _, entry in labelled])
     # kappa is never None: its column vanishes only where eta does, which
     # also zeroes the mu column, and the fit then raises
-    kappa, mu = fit.values
+    kappa, mu = fit
     mu_unconstrained = mu is None
     kap, mu_eff = snap(kappa), snap(mu)
     kap1, kap2 = kap + ONE, kap + Rat(2)
 
-    fit_result, _ = settle_fit(M, "nullity_fit", labelled, fit.values)
+    fit_result, _ = settle_fit(M, "nullity_fit", labelled, fit)
     checks = [fit_result]
     square, shape, form, eta_shape, star = {}, {}, {}, _covariant_eta(M, conn), {}
     hp2 = tensors.h_prime_squared()
@@ -525,7 +529,7 @@ def solve_nullity(M, conn, table, tensors):
         "mu": None if mu_unconstrained else str(mu),
         "mu_unconstrained": mu_unconstrained,
         "residual_max": fit_result.max_abs,
-        "exact": fit.exact,
+        "exact": is_exact(fit),
         "spectrum": [str(x) for x in spectrum],
         "spectrum_spread": float(spread),
     }
@@ -543,12 +547,12 @@ def solve_eta_einstein(M, table):
         _file(eta_col, (i,), eta, ei, i)
     labelled = _fit_entries("(S - a g - b eta(x)eta)(e_{}, e_{})", (g_col, eta_col, s_col))
     fit = fit_sampled(M, [entry for _, entry in labelled])
-    a, b = fit.values
+    a, b = fit
     if a is None:
         raise DegenerateSystem("metric column vanished; manifest is degenerate")
     if b is None:
         raise DegenerateSystem("eta(x)eta column vanished; eta is degenerate")
-    result, _ = settle_fit(M, "eta_einstein_fit", labelled, fit.values)
+    result, _ = settle_fit(M, "eta_einstein_fit", labelled, fit)
     einstein = result.passed and abs(float(b)) < M.tol
 
     # Kenmotsu consistency: with S = a g + b eta(x)eta one must have
@@ -572,7 +576,7 @@ def solve_eta_einstein(M, table):
         "a": str(a),
         "b": str(b),
         "residual_max": result.max_abs,
-        "exact": fit.exact,
+        "exact": is_exact(fit),
         "einstein": einstein,
         "kenmotsu_consistency": consistency,
     }

@@ -67,9 +67,12 @@ assembly of ``contactgeo.structure``, and require the same labels and
 trees, in the same order, once the ``ZERO`` ones are dropped.
 
 ``ref_solve_least_squares`` is the earlier ``lstsq.solve_least_squares``,
-kept verbatim: it converts every exact entry with ``Fraction(...)`` and
-sums the normal equations from ``Fraction(0)``. Tests compare the
-solver that sums ints as ints with it, values and types.
+kept verbatim but for its return value, now the list of values as the
+solver's is: it converts every exact entry with ``Fraction(...)``, sums
+the normal equations from ``Fraction(0)`` and solves them by its own
+Gauss-Jordan over Fractions, ``ref_solve_rational``. Tests compare the
+solver that sums ints as ints and eliminates with ``geometry.row_reduce``
+with it, values and types.
 
 ``ref_parser`` is the earlier argparse command line, ``build_parser`` of
 ``contactgeo.cli`` kept verbatim. Tests compare the namespaces that
@@ -88,13 +91,12 @@ from contactgeo.curvature import (
 )
 from contactgeo.errors import DegenerateSystem, DivisionByZero, ExpressionError, SingularFrame
 from contactgeo.geometry import VectorField, _mat_vec, lie_bracket
-from contactgeo.lstsq import FitResult, _solve_rational
 from contactgeo.scalar import (
     _EXPAND_LIMIT, MINUS_ONE, ONE, ZERO, Add, Exp, Mul, Pow, Rat, Sym, add, add_all,
     evaluate, exp_of, mul, pow_int, sort_key,
 )
 from contactgeo.structure import (
-    CheckReport, _numeric_result, _prod, combine, fit_sampled, settle_fit, snap,
+    CheckReport, _numeric_result, _prod, combine, fit_sampled, is_exact, settle_fit, snap,
 )
 
 
@@ -561,13 +563,13 @@ def ref_structure_tensors(M):
     def half_lie_phi(Y, phiY):
         # (L_xi phi)(Y) = [xi, phi Y] - phi([xi, Y])
         a = M.to_frame(lie_bracket(xi, phiY))
-        b = M.phi_frame_apply(M.to_frame(lie_bracket(xi, Y)))
+        b = _mat_vec(M.phi, M.to_frame(lie_bracket(xi, Y)))
         diff = [p if q is ZERO else add_all([p, -q]) for p, q in zip(a, b)]
         return [d if d is ZERO else HALF * d for d in diff]
 
     h = [half_lie_phi(M.frame[j], phi_fields[j]) for j in range(n)]
     # h'(e_j) = h(phi e_j), computed directly from the bracket definition
-    phi2 = [ref_from_frame(M, M.phi_frame_apply(M.phi[j])) for j in range(n)]
+    phi2 = [ref_from_frame(M, _mat_vec(M.phi, M.phi[j])) for j in range(n)]
     h_prime = [half_lie_phi(phi_fields[j], phi2[j]) for j in range(n)]
     return h, h_prime
 
@@ -669,7 +671,7 @@ def ref_check_almost_contact(M):
     eta = M.eta_frame
     xi = M.xi_frame
     G = M.metric
-    phi2 = [M.phi_frame_apply(M.phi[j]) for j in range(n)]
+    phi2 = [_mat_vec(M.phi, M.phi[j]) for j in range(n)]
 
     parts_sq = []
     for j in range(n):
@@ -685,7 +687,7 @@ def ref_check_almost_contact(M):
                          _prod(eta[i], eta[j])])
             parts_comp.append((f"compat(e_{i + 1}, e_{j + 1})", e))
 
-    phi_xi = M.phi_frame_apply(xi)
+    phi_xi = _mat_vec(M.phi, xi)
     parts_anti = []
     for i in range(n):
         for j in range(i, n):
@@ -826,7 +828,7 @@ def ref_check_almost_kenmotsu(M, conn, table, tensors):
 
     parts_b17 = []
     for j in range(n):
-        hphi = M.phi_frame_apply([h[j][k] for k in range(n)])  # phi(h e_j)
+        hphi = _mat_vec(M.phi, [h[j][k] for k in range(n)])  # phi(h e_j)
         phih_j = _mat_vec(h, M.phi[j])  # h(phi e_j)
         for k in range(n):
             parts_b17.append((f"(h phi + phi h)(e_{j + 1})[{k + 1}]",
@@ -893,11 +895,11 @@ def ref_solve_nullity(M, conn, table, tensors):
     fit = fit_sampled(M, [entry for _, entry in labelled])
     # kappa is never None: its column vanishes only where eta does, which
     # also zeroes the mu column, and the fit then raises
-    kappa, mu = fit.values
+    kappa, mu = fit
     mu_unconstrained = mu is None
     kap, mu_eff = snap(kappa), snap(mu)
 
-    fit_result, _ = settle_fit(M, "nullity_fit", labelled, fit.values)
+    fit_result, _ = settle_fit(M, "nullity_fit", labelled, fit)
     checks = [fit_result]
     hp2 = tensors.h_prime_squared()
     kap1 = kap + ONE
@@ -972,7 +974,7 @@ def ref_solve_nullity(M, conn, table, tensors):
         "mu": None if mu_unconstrained else str(mu),
         "mu_unconstrained": mu_unconstrained,
         "residual_max": fit_result.max_abs,
-        "exact": fit.exact,
+        "exact": is_exact(fit),
         "spectrum": [str(x) for x in spectrum],
         "spectrum_spread": float(spread),
     }
@@ -988,12 +990,12 @@ def ref_solve_eta_einstein(M, table):
                  (G[i][j], _prod(eta[i], eta[j]), table.ricci[i][j]))
                 for i in range(n) for j in range(i, n)]
     fit = fit_sampled(M, [entry for _, entry in labelled])
-    a, b = fit.values
+    a, b = fit
     if a is None:
         raise DegenerateSystem("metric column vanished; manifest is degenerate")
     if b is None:
         raise DegenerateSystem("eta(x)eta column vanished; eta is degenerate")
-    result, _ = settle_fit(M, "eta_einstein_fit", labelled, fit.values)
+    result, _ = settle_fit(M, "eta_einstein_fit", labelled, fit)
     einstein = result.passed and abs(float(b)) < M.tol
 
     # Kenmotsu consistency: with S = a g + b eta(x)eta one must have
@@ -1017,7 +1019,7 @@ def ref_solve_eta_einstein(M, table):
         "a": str(a),
         "b": str(b),
         "residual_max": result.max_abs,
-        "exact": fit.exact,
+        "exact": is_exact(fit),
         "einstein": einstein,
         "kenmotsu_consistency": consistency,
     }
@@ -1027,14 +1029,36 @@ def ref_solve_eta_einstein(M, table):
 # --- the earlier least squares ---------------------------------------------------
 
 
+def ref_solve_rational(gram, rhs):
+    # Gaussian elimination on the k x k normal system, exact.
+    k = len(rhs)
+    aug = [list(gram[i]) + [rhs[i]] for i in range(k)]
+    for col in range(k):
+        piv = None
+        for r in range(col, k):
+            if aug[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            raise DegenerateSystem("normal equations are singular")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(k):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [aug[i][k] for i in range(k)]
+
+
 def ref_solve_least_squares(rows, rhs, weights=None):
     """Fit x minimizing ||A x - b||.
 
     rows: list of coefficient tuples (one per equation), rhs: list of
     numbers. Entries may be Fraction/int (exact) or float. weights, when
     given, holds one positive integer per row: the system is solved as if
-    row i appeared weights[i] times. Returns a FitResult whose `values`
-    has one entry per column; dropped columns get None.
+    row i appeared weights[i] times. Returns one value per column;
+    dropped columns get None.
     """
     if weights is None:
         weights = [1] * len(rows)
@@ -1064,11 +1088,11 @@ def ref_solve_least_squares(rows, rhs, weights=None):
         for a in range(k):
             for bcol in range(a):
                 gram[a][bcol] = gram[bcol][a]
-        sol = _solve_rational(gram, rvec)
+        sol = ref_solve_rational(gram, rvec)
         values = [None] * ncols
         for a, j in enumerate(keep):
             values[j] = sol[a]
-        return FitResult(values, True)
+        return values
 
     import numpy as np
 
@@ -1082,4 +1106,4 @@ def ref_solve_least_squares(rows, rhs, weights=None):
     values = [None] * ncols
     for a, j in enumerate(keep):
         values[j] = float(sol[a])
-    return FitResult(values, False)
+    return values

@@ -329,6 +329,20 @@ def test_a_domain_constraint_that_overflows_rejects_the_candidate(capsys, tmp_pa
     assert (code, out, err) == run(capsys, "check", "flat")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(" * 300 + "1" + ")" * 300, "expression nested more than 100 deep (column 102)"),
+    ("-" * 2000 + "1", "expression nested more than 100 deep (column 102)"),
+    ("1/0", "division by zero (column 2)"),
+    ("0^-1", "0 raised to a negative power (column 2)"),
+], ids=("parentheses", "signs", "divisor", "power"))
+def test_an_entry_the_parser_rejects_is_named_by_its_path(capsys, tmp_path, text, message):
+    # the deep ones once ended in a RecursionError traceback, and a zero
+    # divisor was reported with no location
+    code, out, err = run(capsys, "check", _flat_variant(tmp_path, _set_g11(text)))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message} (metric_frame[0][0]: {text!r})\n"
+
+
 def test_gradient_potential_manifest(capsys, tmp_path):
     data = {
         "coordinates": ["x", "y", "z"],

@@ -24,7 +24,7 @@ from contactgeo.scalar import (
     NON_ZERO, NUMERICALLY_ZERO, PROVED_ZERO, Rat, ZERO, evaluate, parse,
 )
 from contactgeo.soliton import SolitonProblem, solve_soliton
-from contactgeo.structure import fit_sampled, settle_fit, snap, solve_eta_einstein
+from contactgeo.structure import fit_sampled, is_exact, settle_fit, snap, solve_eta_einstein
 
 
 def reference_fit(M, entries):
@@ -39,7 +39,7 @@ def reference_fit(M, entries):
 
 
 def fields(fit):
-    return fit.values, [j for j, v in enumerate(fit.values) if v is None], fit.exact
+    return fit, [j for j, v in enumerate(fit) if v is None], is_exact(fit)
 
 
 def spy(monkeypatch, module):
@@ -103,7 +103,7 @@ def test_eta_einstein_mixed_entries(flat, monkeypatch):
     # two varying and two constant tuples; the tuples of e_1, e_2 and
     # e_2, e_3, whose columns are all zero, are not built
     assert kinds(entries) == (0, 2, 2)
-    assert fit.exact
+    assert is_exact(fit)
     settled = rep.result("eta_einstein_fit")
     assert settled.kind == NON_ZERO
     assert settled.witness[0].startswith("(S - a g - b eta(x)eta)(e_")
@@ -112,7 +112,7 @@ def test_eta_einstein_mixed_entries(flat, monkeypatch):
     # witness stays the first point where a component breaks the tolerance
     assert round(settled.max_abs, 3) == 3.000
     assert round(abs(float(settled.witness[2])), 3) == 1.108
-    a, b = fit.values
+    a, b = fit
     assert rep.data["a"] == str(a) and rep.data["b"] == str(b)
     assert a + b == 3
     xs = [env["x"] for env in flat.M.sampler.points()]
@@ -127,12 +127,12 @@ def test_gradient_soliton_mixed_entries(flat, monkeypatch):
     rep = solve_soliton(P)
     entries, fit = assert_matches_reference(calls)
     assert all(kinds(entries))
-    assert fit.exact
+    assert is_exact(fit)
     assert rep.verdict.kind == NON_ZERO and not rep.passed
     assert rep.verdict.witness[0].startswith("residual(e_")
     assert rep.residual_max == rep.verdict.max_abs > 0
-    assert (rep.lambda_tilde, rep.mu) == tuple(fit.values)
-    assert fit.values[0] + fit.values[1] == 0
+    assert (rep.lambda_tilde, rep.mu) == tuple(fit)
+    assert fit[0] + fit[1] == 0
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -146,7 +146,7 @@ def test_constant_tuples_draw_no_point(flat, reverse):
         entries.reverse()
     fit = fit_sampled(without_points(flat.M), entries)
     assert fields(fit) == fields(reference_fit(flat.M, entries))
-    assert fit.exact
+    assert is_exact(fit)
 
 
 # --- rows that depend on the point -------------------------------------------
@@ -154,7 +154,7 @@ def test_constant_tuples_draw_no_point(flat, reverse):
 
 def settled(M, labelled):
     fit = fit_sampled(M, [entry for _, entry in labelled])
-    return fit, settle_fit(M, "fit", labelled, fit.values)[0]
+    return fit, settle_fit(M, "fit", labelled, fit)[0]
 
 
 def test_polynomial_rows_settle_exactly(flat):
@@ -162,8 +162,8 @@ def test_polynomial_rows_settle_exactly(flat):
     labelled = [("3x + 2x^2 - a x - b x^2",
                  (parse("x"), parse("x^2"), parse("3*x + 2*x^2")))]
     fit, result = settled(flat.M, labelled)
-    assert fit.exact
-    assert fit.values == [3, 2]
+    assert is_exact(fit)
+    assert fit == [3, 2]
     assert result.kind == PROVED_ZERO
     assert result.witness is None and result.max_abs == 0.0
 
@@ -175,8 +175,8 @@ def test_exp_rows_take_the_float_fit(flat):
                  (parse("exp(x)"), parse("x*exp(x)"),
                   parse("2*exp(x) - x*exp(x)")))]
     fit, result = settled(flat.M, labelled)
-    assert not fit.exact
-    assert fit.values == pytest.approx([2, -1])
+    assert not is_exact(fit)
+    assert fit == pytest.approx([2, -1])
     assert result.kind != NON_ZERO
 
 
@@ -237,8 +237,8 @@ def test_soliton_fit_fails_at_a_pole(flat, monkeypatch):
     rep = solve_soliton(P)
     entries, fit = assert_matches_reference(calls)
     assert all(kinds(entries)[1:])
-    assert rep.lambda_tilde == fit.values[0]
-    assert fit.values[0] == -(sum(2 / x ** 3 for x in used) + 2 * 4) / (2 * 4)
+    assert rep.lambda_tilde == fit[0]
+    assert fit[0] == -(sum(2 / x ** 3 for x in used) + 2 * 4) / (2 * 4)
 
 
 def test_every_point_singular_fails_at_the_first(flat):

@@ -35,6 +35,8 @@ def test_vector_field_applies_derivations():
     out = simplify(V.apply(S("x*y")))
     # y d/dx + x d/dy applied to xy gives y^2 + x^2
     assert simplify(out - S("x^2 + y^2")) == Rat(0)
+    with pytest.raises(ValidationError, match="2 components on a 3-dimensional chart"):
+        VectorField(("x", "y", "z"), [S("y"), S("x")])
 
 
 def test_lie_bracket_known_value():
@@ -43,6 +45,8 @@ def test_lie_bracket_known_value():
     e3 = VectorField(coords, [S("2*x"), Rat(-1), ONE])
     br = lie_bracket(e1, e3)
     assert [simplify(c) for c in br.comps] == [Rat(2), Rat(0), Rat(0)]
+    with pytest.raises(ValidationError, match="different charts"):
+        lie_bracket(e1, VectorField(("x", "y", "w"), [ONE, ZERO, ZERO]))
 
 
 def test_lie_bracket_antisymmetry_randomized():
@@ -86,6 +90,14 @@ def test_metric_and_phi_entries_must_be_scalar_fields():
         ManifoldSpec("m", ["x", "y", "z"], eye, ints, eye, 2)
     with pytest.raises(ExpressionError):
         ManifoldSpec("m", ["x", "y", "z"], eye, eye, ints, 2)
+
+
+def test_frame_and_phi_shapes_checked():
+    eye = [[ONE if i == j else ZERO for j in range(3)] for i in range(3)]
+    with pytest.raises(ValidationError, match="expected 3 frame vectors, got 2"):
+        ManifoldSpec("m", ["x", "y", "z"], eye[:2], eye, eye, 2)
+    with pytest.raises(ValidationError, match="phi_frame must be 3x3"):
+        ManifoldSpec("m", ["x", "y", "z"], eye, eye, [row[:2] for row in eye], 2)
 
 
 def test_xi_index_range_checked():

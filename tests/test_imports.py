@@ -67,9 +67,9 @@ import sys
 from contactgeo.lstsq import solve_least_squares
 assert 'numpy' not in sys.modules
 fit = solve_least_squares([(1.0,), (1.0,)], [0.5, 1.5])
-print(fit.exact, abs(fit.values[0] - 1.0) < 1e-12, 'numpy' in sys.modules)
+print(isinstance(fit[0], float), abs(fit[0] - 1.0) < 1e-12, 'numpy' in sys.modules)
 """
-    assert _python(code) == ["False", "True", "True"]
+    assert _python(code) == ["True", "True", "True"]
 
 
 # -I ignores PYTHONPATH, so the code puts src (its first argument) on sys.path,

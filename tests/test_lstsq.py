@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from contactgeo.errors import DegenerateSystem
 from contactgeo.lstsq import solve_least_squares
+from contactgeo.structure import is_exact
 
 from canonical_ref import ref_solve_least_squares
 
@@ -18,26 +19,26 @@ def test_exact_two_column_fit():
     rows = [(1, 1), (1, -1), (2, 0)]
     rhs = [3, 1, 4]
     fit = solve_least_squares(rows, rhs)
-    assert fit.exact
-    assert fit.values == [Fraction(2), Fraction(1)]
+    assert is_exact(fit)
+    assert fit == [Fraction(2), Fraction(1)]
 
 
 def test_exact_overdetermined_residual():
     # x fitted to both 0 and 1: best value 1/2, residual 1/2 on each row
     fit = solve_least_squares([(1,), (1,)], [0, 1])
-    assert fit.exact
-    assert fit.values == [Fraction(1, 2)]
+    assert is_exact(fit)
+    assert fit == [Fraction(1, 2)]
 
 
 def test_fractions_stay_fractions():
     fit = solve_least_squares([(Fraction(1, 3),)], [Fraction(1, 6)])
-    assert fit.exact
-    assert fit.values == [Fraction(1, 2)]
+    assert is_exact(fit)
+    assert fit == [Fraction(1, 2)]
 
 
 def test_zero_column_dropped():
     fit = solve_least_squares([(1, 0), (2, 0)], [2, 4])
-    assert fit.values == [Fraction(2), None]
+    assert fit == [Fraction(2), None]
 
 
 def test_all_columns_zero_raises():
@@ -52,9 +53,9 @@ def test_no_rows_raises():
 
 def test_float_fallback():
     fit = solve_least_squares([(1.0, 1.0), (1.0, -1.0)], [3.0, 1.0])
-    assert not fit.exact
-    assert fit.values[0] == pytest.approx(2.0)
-    assert fit.values[1] == pytest.approx(1.0)
+    assert not is_exact(fit)
+    assert fit[0] == pytest.approx(2.0)
+    assert fit[1] == pytest.approx(1.0)
 
 
 def test_float_singular_raises():
@@ -65,9 +66,9 @@ def test_float_singular_raises():
 
 def test_mixed_types_use_float_path():
     fit = solve_least_squares([(1, 0.5), (0, 1.0)], [2.0, 2.0])
-    assert not fit.exact
-    assert fit.values[0] == pytest.approx(1.0)
-    assert fit.values[1] == pytest.approx(2.0)
+    assert not is_exact(fit)
+    assert fit[0] == pytest.approx(1.0)
+    assert fit[1] == pytest.approx(2.0)
 
 
 # --- row weights -------------------------------------------------------------
@@ -84,7 +85,7 @@ def _outcome(rows, rhs, weights=None):
         fit = solve_least_squares(rows, rhs, weights)
     except DegenerateSystem as err:
         return str(err)
-    return fit.values, fit.exact
+    return fit, is_exact(fit)
 
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -104,7 +105,7 @@ def _typed_outcome(solve, rows, rhs, weights):
         fit = solve(rows, rhs, weights)
     except DegenerateSystem as err:
         return str(err)
-    return [(type(v), v) for v in fit.values], fit.exact
+    return [(type(v), v) for v in fit]
 
 
 exact_entries = st.one_of(st.integers(-4, 4), small)
@@ -144,9 +145,9 @@ FLOAT_SYSTEMS = [
 @pytest.mark.parametrize("rows, rhs", FLOAT_SYSTEMS)
 def test_float_without_weights_is_unchanged(rows, rhs):
     fit = solve_least_squares(rows, rhs)
-    assert not fit.exact
+    assert not is_exact(fit)
     # repr tells every float apart, -0.0 from 0.0 included
-    assert repr(fit.values) == repr(_float_reference(rows, rhs))
+    assert repr(fit) == repr(_float_reference(rows, rhs))
 
 
 @pytest.mark.parametrize("rows, rhs", FLOAT_SYSTEMS)
@@ -154,5 +155,5 @@ def test_float_weights_equal_repeated_rows(rows, rhs):
     weights = [3, 1, 2, 4][:len(rows)]
     fit = solve_least_squares(rows, rhs, weights)
     again = solve_least_squares(*_repeated(rows, rhs, weights))
-    assert not fit.exact
-    assert fit.values == again.values
+    assert not is_exact(fit)
+    assert fit == again

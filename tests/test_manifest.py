@@ -1,6 +1,7 @@
 """Manifest parsing, validation errors, and fixture resolution."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,9 @@ def test_load_from_file(tmp_path):
     assert m.name == "disk"
     assert m.path == str(p)
     assert resolve(str(p)).name == "disk"
+    # a directory is no manifest
+    with pytest.raises(ParseError, match=rf"^cannot read manifest: .* \({re.escape(str(tmp_path))}\)$"):
+        resolve(str(tmp_path))
 
 
 def test_name_defaults_to_file_stem(tmp_path):
@@ -160,6 +164,8 @@ def test_bad_matrix_shapes():
 def test_bad_expression_reports_path():
     with pytest.raises(ParseError, match=r"frame\[0\]\[1\]"):
         parse_data(frame=[["1", "x +", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    expect_error(r"^division by zero \(column 2\) \(metric_frame\[1\]\[1\]: 'x/\(y-y\)'\)$",
+                 metric_frame=[["1", "0", "0"], ["0", "x/(y-y)", "0"], ["0", "0", "1"]])
 
 
 def test_boolean_entries_rejected_with_path():
@@ -209,6 +215,8 @@ def test_bad_domain():
     expect_error("only that key", domain=[{"nonzero": "y", "coord": "x"}])
     expect_error("not a rational number",
                  domain=[{"coord": "x", "min": "lo", "max": 1}])
+    expect_error(r"^expected a number \(domain\[0\]\.min\)$",
+                 domain=[{"coord": "x", "min": [0], "max": 1}])
 
 
 def test_bad_potential():
@@ -237,6 +245,8 @@ def test_json_error_carries_position():
     with pytest.raises(ParseError) as err:
         loads('{\n  "coordinates": [,]\n}', path="m.json")
     assert "m.json:2" in str(err.value)
+    with pytest.raises(ParseError, match=r"^manifest is not UTF-8: .* \(m\.json\)$"):
+        loads(b'{"name": "\xff"}', path="m.json")
 
 
 def test_resolve_unknown_lists_fixtures():

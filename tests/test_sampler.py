@@ -1,11 +1,13 @@
 """``Sampler._generate`` against the earlier per-coordinate construction.
 
 ``reference_generate`` is the earlier ``Sampler._generate``, kept verbatim
-apart from its name: each coordinate was ``lo + (hi - lo) * Fraction(m,
-2^24)``, four ``Fraction`` operations. The current one builds each
-coordinate as one ``Fraction(a + b m, den)``. The point lists must be
-equal, with the same key order, and a shortfall must raise the same
-message.
+apart from its name and its rejection rule: each coordinate was ``lo +
+(hi - lo) * Fraction(m, 2^24)``, four ``Fraction`` operations. The
+current one builds each coordinate as one ``Fraction(a + b m, den)``.
+The rule is the current one: a candidate is rejected where a constraint
+has a pole, overflows or has no finite value, as where it is within the
+margin of 0. The point lists must be equal, with the same key order, and
+a shortfall must raise the same message.
 """
 
 import math
@@ -41,11 +43,11 @@ def reference_generate(self):
         ok = True
         for g in self.nonvanish:
             try:
-                val = _eval(g, env, {})
-            except DivisionByZero:
+                val = abs(float(_eval(g, env, {})))
+            except (DivisionByZero, OverflowError):
                 ok = False
                 break
-            if abs(float(val)) < self.margin:
+            if not self.margin <= val < math.inf:
                 ok = False
                 break
         if ok:
@@ -58,9 +60,11 @@ def reference_generate(self):
 
 
 NAMES = ("x", "y", "v")
-# nonvanishing constraints and the coordinates each one reads
+# nonvanishing constraints and the coordinates each one reads; exp(400*y)
+# overflows where y > 1.78, inside boxes of [-5, 5]
 CONSTRAINTS = {"x": {"x"}, "y - x": {"x", "y"}, "1/v": {"v"},
-               "x*v - 1/3": {"x", "v"}, "exp(y) - 1": {"y"}}
+               "x*v - 1/3": {"x", "v"}, "exp(y) - 1": {"y"},
+               "exp(400*y) - 1": {"y"}}
 
 
 def bounds():

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contactgeo import scalar
-from contactgeo.errors import ExpressionError, InsufficientSamples, NonFiniteValue, ParseError
+from contactgeo.errors import (
+    DivisionByZero, ExpressionError, InsufficientSamples, NonFiniteValue, ParseError,
+)
 from contactgeo.geometry import VectorField
 from contactgeo.scalar import (
     Add, Exp, Mul, Pow, Rat, Sampler, Sym, ZERO, add, add_all, diff,
@@ -27,9 +29,35 @@ def test_parse_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "2 +", "x y", "exp()", "1//2", "x^y", "@", "((x)"]:
+    for bad in ["", "2 +", "x y", "exp()", "1//2", "x^y", "@", "((x)", "sin(x)",
+                "exp(x", 2, None]:
         with pytest.raises(ParseError):
             parse(bad)
+
+
+def test_parse_reports_a_zero_divisor_at_its_operator():
+    # the parser names the column; div and pow_int, for other callers, raise
+    for text, column in [("1/0", 2), ("x/(y - y)", 2), ("0^-1", 2), ("2 + (x - x)^-2", 12)]:
+        with pytest.raises(ParseError, match=rf"\(column {column}\)$"):
+            parse(text)
+    with pytest.raises(DivisionByZero):
+        scalar.div(Rat(1), ZERO)
+    with pytest.raises(DivisionByZero):
+        scalar.pow_int(ZERO, -1)
+
+
+def test_parse_bounds_the_nesting():
+    # parentheses, exp( calls, prefix signs and exponents count together
+    deep = scalar.MAX_NESTING
+    assert parse("+x") is parse("x")
+    for text in ["(" * deep + "x" + ")" * deep, "-" * deep + "x",
+                 "-(" * (deep // 2) + "x" + ")" * (deep // 2)]:
+        assert parse(text) in (parse("x"), parse("-x"))
+    for text in ["(" * 300 + "x" + ")" * 300, "-" * 2000 + "x",
+                 "exp(" * (deep + 1) + "x" + ")" * (deep + 1), "2^" * (deep + 1) + "1",
+                 "(" * deep + "-x" + ")" * deep]:
+        with pytest.raises(ParseError, match=rf"nested more than {deep} deep \(column \d+\)$"):
+            parse(text)
 
 
 def test_simplify_is_idempotent(ex1, ex2, ex3, flat, heis):

@@ -6,7 +6,6 @@ import pytest
 
 from contactgeo import soliton
 from contactgeo.errors import MissingPotential
-from contactgeo.lstsq import FitResult
 from contactgeo.scalar import Rat, parse
 from contactgeo.soliton import (
     SolitonProblem, classify, lambda_string, solve_soliton, verify_soliton,
@@ -115,7 +114,7 @@ def test_float_fit_near_a_soliton_passes(ex2, monkeypatch):
     # a float fit is known only to the tolerance: constants 3e-11 off
     # leave constant residuals below it, which pass as numerically zero
     monkeypatch.setattr(soliton, "fit_sampled",
-                        lambda M, entries: FitResult([3e-11, -3e-11], False))
+                        lambda M, entries: [3e-11, -3e-11])
     rep = solve_soliton(vector_problem(ex2))
     assert rep.verdict.kind == "numerically_zero" and rep.passed
     assert 0 < rep.residual_max < ex2.M.tol
@@ -171,6 +170,7 @@ def test_float_constant_renderings():
     assert classify(0.1 + 1e-14, 2) == (
         "shrinking for p < -0.6000000000000201, steady at p = -0.6000000000000201, "
         "expanding for p > -0.6000000000000201")
+    assert classify(0.1 + 1e-14, 2, p=1) == "expanding (lambda = 0.8000000000000099 at p = 1)"
 
 
 def test_rendering_of_a_constant_given_as_rat():
