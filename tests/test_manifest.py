@@ -1,7 +1,6 @@
 """Manifest parsing, validation errors, and fixture resolution."""
 
 import json
-import re
 from fractions import Fraction
 
 import pytest
@@ -121,8 +120,9 @@ def test_load_from_file(tmp_path):
     assert m.path == str(p)
     assert resolve(str(p)).name == "disk"
     # a directory is no manifest
-    with pytest.raises(ParseError, match=rf"^cannot read manifest: .* \({re.escape(str(tmp_path))}\)$"):
+    with pytest.raises(ParseError, match="^cannot read manifest: ") as err:
         resolve(str(tmp_path))
+    assert err.value.where == str(tmp_path)
 
 
 def test_name_defaults_to_file_stem(tmp_path):
