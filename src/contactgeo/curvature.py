@@ -32,19 +32,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import isqrt
 
-from .geometry import _mat_vec, row_reduce
-from .scalar import Rat, ZERO, ONE, add_all, evaluate
+from .geometry import _mat_vec, frame_basis, row_reduce
+from .scalar import Rat, ZERO, add_all, evaluate
 
 HALF = Rat(Fraction(1, 2))
 # a sampled h' eigenvalue this close to an integer is reported as that integer
 SNAP_TOL = 1e-9
-
-
-def frame_basis(n):
-    """Frame components of e_1, ..., e_n: the rows of the identity."""
-    return [[ONE if k == m else ZERO for m in range(n)] for k in range(n)]
 
 
 class ConnectionTable:
@@ -96,6 +92,14 @@ class ConnectionTable:
                 if w is not ZERO:
                     terms[k].append(x * w)
 
+    def nabla_form(self, w):
+        """``(nabla_{e_i} w)(e_j) = e_i(w_j) - sum_k Gamma_ij^k w_k`` at [i][j],
+        for the 1-form w of frame components ``w_j = w(e_j)``, over the
+        non-zero symbols and components only."""
+        minus_w = [-x for x in w]
+        return [[add_all([e_i.apply(w_j)] + [g * minus_w[k] for k, g in nz if w[k] is not ZERO])
+                 for w_j, nz in zip(w, rows)] for e_i, rows in zip(self.M.frame, self._nabla_nz)]
+
     def nabla_operator(self, A, x_frame, rows=None):
         """Covariant derivative of a (1,1) tensor given as a frame matrix.
 
@@ -104,13 +108,13 @@ class ConnectionTable:
         ``rows`` in that order when it is given. The terms of both parts
         of each component are merged in one ``add_all``.
         """
-        M = self.M
-        n = M.dim
+        n = self.M.dim
+        basis = frame_basis(n)
         out = []
         for j in range(n) if rows is None else rows:
             terms = [[] for _ in range(n)]
             self.nabla_terms(x_frame, A[j], terms)
-            nx_ej = self.nabla_comps(x_frame, [ONE if k == j else ZERO for k in range(n)])
+            nx_ej = self.nabla_comps(x_frame, basis[j])
             for m, c in enumerate(nx_ej):
                 if c is not ZERO:
                     c = -c
@@ -320,16 +324,9 @@ def lie_derivative_metric(M, v):
 
 
 def hessian(M, conn, f):
-    """``Hess f(e_i, e_j) = e_i(e_j(f)) - (nabla_{e_i} e_j)(f)``."""
-    n = M.dim
-    ef = [M.frame[j].apply(f) for j in range(n)]
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            out[i][j] = add_all([M.frame[i].apply(ef[j])]
-                                + [-(gk * ef[k]) for k, gk in enumerate(conn.gamma[i][j])
-                                   if gk is not ZERO and ef[k] is not ZERO])
-    return out
+    """``Hess f(e_i, e_j) = e_i(e_j(f)) - (nabla_{e_i} e_j)(f)``: the
+    covariant derivative of the 1-form df."""
+    return conn.nabla_form([e.apply(f) for e in M.frame])
 
 
 class StructureTensors:
@@ -435,45 +432,23 @@ class ExteriorData:
 
     def __init__(self, M):
         self.M = M
-        n = M.dim
-        basis = frame_basis(n)
-        brackets = M.brackets
-
-        eta = M.eta_frame
-        # d eta (e_i, e_j)
-        self.d_eta = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minus = [M.frame[j].apply(eta[i])] + [
-                    c * eta[k] for k, c in enumerate(brackets[i][j])
-                    if c is not ZERO and eta[k] is not ZERO]
-                self.d_eta[i][j] = add_all([M.frame[i].apply(eta[j])]
-                                           + [-e for e in minus if e is not ZERO])
-
-        # Phi(X, Y) = g(X, phi Y)
-        self.Phi = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                self.Phi[i][j] = M.metric_apply(basis[i], M.phi[j])
-
+        frame, brackets, eta = M.frame, M.brackets, M.eta_frame
+        pairs = list(combinations(range(M.dim), 2))
+        # d eta (e_i, e_j), for i < j
+        self.d_eta = {(i, j): add_all([frame[i].apply(eta[j]), -frame[j].apply(eta[i])]
+                                      + [-(c * eta[k]) for k, c in enumerate(brackets[i][j])
+                                         if c is not ZERO and eta[k] is not ZERO])
+                      for i, j in pairs}
+        # Phi(e_i, e_j) = g(e_i, phi e_j), column j one contraction of the metric
+        self.Phi = Phi = [list(row) for row in zip(*(_mat_vec(M.metric, p) for p in M.phi))]
         # Phi([e_i, e_j], e_k) = bracket_Phi[(i, j)][k], for i < j
-        bracket_Phi = {(i, j): _mat_vec(self.Phi, brackets[i][j])
-                       for i in range(n) for j in range(i + 1, n)}
-
-        # d Phi (e_i, e_j, e_k) and (eta ^ Phi)(e_i, e_j, e_k)
-        self.d_Phi = {}
-        self.eta_wedge_Phi = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    minus = (M.frame[j].apply(self.Phi[i][k]),
-                             bracket_Phi[(i, j)][k], bracket_Phi[(j, k)][i])
-                    self.d_Phi[(i, j, k)] = add_all([
-                        M.frame[i].apply(self.Phi[j][k]),
-                        M.frame[k].apply(self.Phi[i][j]),
-                        bracket_Phi[(i, k)][j]]
-                        + [-e for e in minus if e is not ZERO])
-                    wedge = ((eta[i], self.Phi[j][k]), (eta[j], self.Phi[k][i]),
-                             (eta[k], self.Phi[i][j]))
-                    self.eta_wedge_Phi[(i, j, k)] = add_all([
-                        a * b for a, b in wedge if a is not ZERO and b is not ZERO])
+        bracket_Phi = {(i, j): _mat_vec(Phi, brackets[i][j]) for i, j in pairs}
+        # d Phi (e_i, e_j, e_k) and (eta ^ Phi)(e_i, e_j, e_k), for i < j < k
+        self.d_Phi, self.eta_wedge_Phi = {}, {}
+        for i, j, k in combinations(range(M.dim), 3):
+            self.d_Phi[(i, j, k)] = add_all([
+                frame[i].apply(Phi[j][k]), frame[k].apply(Phi[i][j]), bracket_Phi[(i, k)][j],
+                -frame[j].apply(Phi[i][k]), -bracket_Phi[(i, j)][k], -bracket_Phi[(j, k)][i]])
+            wedge = ((eta[i], Phi[j][k]), (eta[j], Phi[k][i]), (eta[k], Phi[i][j]))
+            self.eta_wedge_Phi[(i, j, k)] = add_all([
+                a * b for a, b in wedge if a is not ZERO and b is not ZERO])

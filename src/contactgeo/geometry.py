@@ -117,6 +117,11 @@ def row_reduce(rows, ncols):
     return pivots, det
 
 
+def frame_basis(n):
+    """Frame components of e_1, ..., e_n: the rows of the identity."""
+    return [[ONE if k == m else ZERO for m in range(n)] for k in range(n)]
+
+
 def sym_inverse(mat):
     """Invert a square matrix of scalar fields by ``row_reduce`` on
     ``[A | I]``.
@@ -124,7 +129,7 @@ def sym_inverse(mat):
     Returns ``(inverse, determinant)``; a column with no pivot raises.
     """
     n = len(mat)
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(mat)]
+    aug = [list(row) + e for row, e in zip(mat, frame_basis(n))]
     pivots, det = row_reduce(aug, n)
     if len(pivots) < n:
         raise SingularFrame("matrix of scalar fields has a structurally zero column")
@@ -264,7 +269,7 @@ class ManifoldSpec:
         if isinstance(xi, int):
             if not 0 <= xi < self.dim:
                 raise ValidationError(f"xi frame index {xi} out of range")
-            self.xi_frame = [ONE if k == xi else ZERO for k in range(self.dim)]
+            self.xi_frame = frame_basis(self.dim)[xi]
             self.xi = self.frame[xi]
         else:
             xi = xi if isinstance(xi, VectorField) else VectorField(self.coords, xi)
@@ -360,18 +365,9 @@ class ManifoldSpec:
         return rows
 
     def metric_apply(self, c, d):
-        """``g(X, Y)`` from the frame components of X and Y."""
-        d = [(j, dj) for j, dj in enumerate(d) if dj is not ZERO]
-        parts = []
-        for i in range(self.dim):
-            if c[i] is ZERO:
-                continue
-            # contract the metric row with d first, then scale once by c^i
-            row = self.metric[i]
-            gd = add_all([row[j] * dj for j, dj in d if row[j] is not ZERO])
-            if gd is not ZERO:
-                parts.append(c[i] * gd)
-        return add_all(parts)
+        """``g(X, Y)`` from frame components: ``c . (g d)``, g symmetric."""
+        return add_all([ci * gd for ci, gd in zip(c, _mat_vec(self.metric, d))
+                        if ci is not ZERO and gd is not ZERO])
 
     def is_zero_field(self, e):
         return is_zero(e, self.sampler, self.tol)

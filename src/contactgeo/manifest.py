@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -52,7 +53,8 @@ def _parse_number(raw, where):
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, float):
-        return Fraction(raw).limit_denominator(10 ** 12)
+        _expect(math.isfinite(raw), "expected a finite number", where)
+        return Fraction(repr(raw))  # as written, as an expression entry reads it
     if isinstance(raw, str):
         try:
             return Fraction(raw)

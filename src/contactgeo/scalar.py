@@ -773,6 +773,23 @@ def _tokenize(text):
 # parentheses, exp( calls, prefix signs and exponents nested deeper than
 # this are a ParseError, well before Python's recursion limit
 MAX_NESTING = 100
+# a literal, and every coefficient and exponent anywhere in an operator's
+# result (in an exp argument too), has at most this many digits in its
+# numerator and denominator; Python prints no int of more than 4,300
+MAX_DIGITS = 1000
+_DIGIT_LIMIT = 10 ** MAX_DIGITS
+
+
+def _height(e):
+    """The largest |numerator|, denominator or |exponent| anywhere in ``e``."""
+    if isinstance(e, Rat):
+        return max(abs(e.value.numerator), e.value.denominator)
+    if isinstance(e, Sym):
+        return 1
+    if isinstance(e, Pow):
+        return max(abs(e.exponent), _height(e.base))
+    return max(map(_height, (e.arg,) if isinstance(e, Exp) else
+                   e.terms if isinstance(e, Add) else e.factors))
 
 
 class _Parser:
@@ -794,6 +811,11 @@ class _Parser:
         tok = tok or self._peek()
         raise ParseError(message, f"column {tok[2] + 1}")
 
+    def _bounded(self, e, tok):
+        if _height(e) >= _DIGIT_LIMIT:
+            self._fail(f"constant of more than {MAX_DIGITS} digits", tok)
+        return e
+
     def parse(self):
         e = self._expr()
         kind, val, _ = self._peek()
@@ -806,9 +828,9 @@ class _Parser:
         while True:
             kind, val, _ = self._peek()
             if kind == "op" and val in "+-":
-                self._next()
+                tok = self._next()
                 rhs = self._term()
-                e = add(e, rhs) if val == "+" else sub(e, rhs)
+                e = self._bounded(add(e, rhs) if val == "+" else sub(e, rhs), tok)
             else:
                 return e
 
@@ -821,7 +843,7 @@ class _Parser:
                 rhs = self._unary()
                 if val == "/" and rhs is ZERO:
                     self._fail("division by zero", tok)
-                e = mul(e, rhs) if val == "*" else div(e, rhs)
+                e = self._bounded(mul(e, rhs) if val == "*" else div(e, rhs), tok)
             else:
                 return e
 
@@ -850,12 +872,19 @@ class _Parser:
                 self._fail("exponent must be an integer constant", tok)
             if base is ZERO and exponent.value < 0:
                 self._fail("0 raised to a negative power", tok)
-            return pow_int(base, exponent.value)
+            # checked before pow_int raises base's coefficient c to the n: a
+            # part of c^n is at least 2^(|n| (bits of c - 1)), and 2^4 > 10
+            bits = _height(Rat(_strip_coeff(base)[0])).bit_length()
+            if abs(exponent.value) * (bits - 1) >= 4 * MAX_DIGITS:
+                self._fail(f"constant of more than {MAX_DIGITS} digits", tok)
+            return self._bounded(pow_int(base, exponent.value), tok)
         return base
 
     def _primary(self):
         kind, val, tok_pos = self._next()
         if kind == "num":
+            if len(val) - ("." in val) > MAX_DIGITS:
+                self._fail(f"constant of more than {MAX_DIGITS} digits", (kind, val, tok_pos))
             return Rat(Fraction(val) if "." in val else int(val))
         if kind == "ident":
             nk, nv, _ = self._peek()

@@ -22,9 +22,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import scalar
-from .curvature import ExteriorData, frame_basis, lie_derivative_metric
+from .curvature import ExteriorData, lie_derivative_metric
 from .errors import DegenerateSystem
-from .geometry import _mat_vec
+from .geometry import _mat_vec, frame_basis
 from .lstsq import solve_least_squares
 from .scalar import (
     MINUS_ONE, NON_ZERO, NUMERICALLY_ZERO, ONE, PROVED_ZERO, Rat, ZERO, add_all, evaluate,
@@ -253,16 +253,12 @@ def is_exact(values):
 
 
 def _covariant_eta(M, conn):
-    """Slots (i, j) of ``(nabla eta - g + eta(x)eta)(e_i, e_j)``, with
-    ``(nabla_{e_i} eta)(e_j) = e_i(eta_j) - g(nabla_{e_i} e_j, xi)``."""
+    """Slots (i, j) of ``(nabla eta - g + eta(x)eta)(e_i, e_j)``, nabla eta
+    from ``ConnectionTable.nabla_form``."""
     eta = M.eta_frame
-    xi_low = _mat_vec(M.metric, M.xi_frame)  # g(e_m, xi)
     slots = {}
-    for i in range(M.dim):
-        _file(slots, (i,), [M.frame[i].apply(e) for e in eta])
-        for j in range(M.dim):
-            for m, g in _nz(conn.gamma[i][j]):
-                _put(slots, (i, j), _prod(MINUS_ONE, g, xi_low[m]))
+    for i, row in enumerate(conn.nabla_form(eta)):
+        _file(slots, (i,), row)
         _file(slots, (i,), M.metric[i], MINUS_ONE)
     for i, ei in _nz(eta):
         _file(slots, (i,), eta, ei)
@@ -369,7 +365,7 @@ def check_almost_kenmotsu(M, conn, table, tensors):
     eta, xi, phi = M.eta_frame, M.xi_frame, M.phi
     ext = ExteriorData(M)
     h, hp = tensors.h, tensors.h_prime
-    d_eta = {(i, j): [ext.d_eta[i][j]] for i in range(n) for j in range(i + 1, n)}
+    d_eta = {key: [e] for key, e in ext.d_eta.items()}
     d_phi = {key: [e, _prod(Rat(-2), ext.eta_wedge_Phi[key])] for key, e in ext.d_Phi.items()}
     anti, b18, b19 = {}, {}, {}
     # curvature against the Reeb field must close over h':
@@ -553,7 +549,8 @@ def solve_eta_einstein(M, table):
     if b is None:
         raise DegenerateSystem("eta(x)eta column vanished; eta is degenerate")
     result, _ = settle_fit(M, "eta_einstein_fit", labelled, fit)
-    einstein = result.passed and abs(float(b)) < M.tol
+    # each flag decides its numbers the way a check decides a number
+    einstein = result.passed and _numeric_result("b", b, M.tol).passed
 
     # Kenmotsu consistency: with S = a g + b eta(x)eta one must have
     # a + b = -2n, a = 1 + r/2n, b = -(2n+1+r/2n). Only meaningful when
@@ -568,9 +565,8 @@ def solve_eta_einstein(M, table):
             "a_expected": str(a_exp),
             "b_expected": str(b_exp),
             "sum_rule": str(Fraction(-2 * M.n)),
-            "matches": bool(result.passed
-                            and abs(float(a) - float(a_exp)) < M.tol
-                            and abs(float(b) - float(b_exp)) < M.tol),
+            "matches": result.passed and all(_numeric_result("matches", x - x_exp, M.tol).passed
+                                             for x, x_exp in ((a, a_exp), (b, b_exp))),
         }
     data = {
         "a": str(a),

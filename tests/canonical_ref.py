@@ -813,7 +813,7 @@ def ref_check_almost_kenmotsu(M, conn, table, tensors):
     xi = M.xi_frame
     ext = ExteriorData(M)
 
-    parts_eta = [(f"d eta(e_{i + 1}, e_{j + 1})", ext.d_eta[i][j])
+    parts_eta = [(f"d eta(e_{i + 1}, e_{j + 1})", ext.d_eta[(i, j)])
                  for i in range(n) for j in range(i + 1, n)]
     parts_phi = [(f"(dPhi - 2 eta^Phi)(e_{i + 1}, e_{j + 1}, e_{k + 1})",
                   add_all([ext.d_Phi[(i, j, k)],

@@ -334,10 +334,14 @@ def test_a_domain_constraint_that_overflows_rejects_the_candidate(capsys, tmp_pa
     ("-" * 2000 + "1", "expression nested more than 100 deep (column 102)"),
     ("1/0", "division by zero (column 2)"),
     ("0^-1", "0 raised to a negative power (column 2)"),
-], ids=("parentheses", "signs", "divisor", "power"))
+    ("2^20000*y", "constant of more than 1000 digits (column 2)"),
+    ("1" * 5001, "constant of more than 1000 digits (column 1)"),
+    ("2^2^2^2^2^2*y", "constant of more than 1000 digits (column 4)"),
+], ids=("parentheses", "signs", "divisor", "power", "big_power", "long_literal", "tower"))
 def test_an_entry_the_parser_rejects_is_named_by_its_path(capsys, tmp_path, text, message):
-    # the deep ones once ended in a RecursionError traceback, and a zero
-    # divisor was reported with no location
+    # the deep ones once ended in a RecursionError traceback, a zero
+    # divisor was reported with no location, the big constants ended in a
+    # ValueError traceback, and the tower, 2^(2^65536), did not finish
     code, out, err = run(capsys, "check", _flat_variant(tmp_path, _set_g11(text)))
     assert (code, out) == (2, "")
     assert err == f"error: {message} (metric_frame[0][0]: {text!r})\n"

@@ -1,25 +1,33 @@
 """The sparse frame contractions behind the structure residuals.
 
-``ManifoldSpec.metric_apply`` contracts the constant metric row with the
-second operand first and scales by each component of the first once;
+``ManifoldSpec.metric_apply`` contracts the metric with the second
+operand first and scales by each component of the first once;
 ``ConnectionTable.nabla_comps`` contracts ``c^l gamma[i][l][k]`` first and
-scales by ``x^i`` once; ``ConnectionTable.nabla_operator`` forms each
-component of ``A (nabla_X e_j)`` at once, and
-``StructureTensors.h_prime_squared`` each component of ``h'^2``. All
-merge each output component in one ``add_all``. The references below are
-the earlier pairwise loops, kept verbatim; canonical forms are unique, so
-the results must be ``==``-equal node for node.
+scales by ``x^i`` once; ``ConnectionTable.nabla_form``, the covariant
+derivative of a 1-form behind Hess f and nabla eta, forms each
+``e_i(w_j) - sum_k gamma[i][j][k] w_k`` at once;
+``ConnectionTable.nabla_operator`` forms each component of
+``A (nabla_X e_j)`` at once, and ``StructureTensors.h_prime_squared``
+each component of ``h'^2``. All merge each output component in one
+``add_all``. The references below add every term pairwise (all but that
+of ``nabla_form`` are the earlier loops, kept verbatim); canonical forms
+are unique, so the results must be ``==``-equal node for node. The
+1-forms of ``nabla_form`` are tried on the fixtures and on the three
+hand-built frames.
 """
 
 import copy
+import random
 
 import pytest
 
 from contactgeo.scalar import ONE, Rat, ZERO, parse
-from contactgeo.curvature import frame_basis
+from contactgeo.curvature import frame_basis, koszul
 from contactgeo.geometry import _mat_vec
 
-from fields import random_vector_fields
+from fields import random_polynomial, random_vector_fields
+from manifolds import twisted, warped
+from test_sparse_frames import _skew
 
 
 def reference_metric_apply(M, c, d):
@@ -62,6 +70,19 @@ def reference_nabla_comps(conn, x_frame, c_frame):
             for k in range(n):
                 if not _is0(row[k]):
                     out[k] = out[k] + xi_c * cl * row[k]
+    return out
+
+
+def reference_nabla_form(conn, w):
+    """``e_i(w_j)``, then each ``-gamma[i][j][k] w_k``, added pairwise."""
+    M = conn.M
+    n = M.dim
+    out = [[M.frame[i].apply(w[j]) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if not _is0(conn.gamma[i][j][k]) and not _is0(w[k]):
+                    out[i][j] = out[i][j] - conn.gamma[i][j][k] * w[k]
     return out
 
 
@@ -171,6 +192,27 @@ def test_nabla_operator_matches_reference(request, fixture):
             got = conn.nabla_operator(A, x)
             want = reference_nabla_operator(conn, A, x)
             assert got == want, (M.name, [[str(e) for e in row] for row in got])
+
+
+@pytest.mark.parametrize("name", FIXTURES + ("skew", "warped", "twisted"))
+def test_nabla_form_matches_reference(request, name):
+    if name in FIXTURES:
+        b = request.getfixturevalue(name)
+        M, conn = b.M, b.conn
+    else:
+        M = {"skew": _skew, "warped": warped, "twisted": twisted}[name]()
+        conn = koszul(M)
+    rng = random.Random(M.seed + 11)
+    drawn = [[random_polynomial(rng, M.coords, 2) for _ in range(M.dim)] for _ in range(3)]
+    f = random_polynomial(rng, M.coords, 2) * parse("exp(x)")
+    # eta, the dual frame, random 1-forms, one of them with every other
+    # component zero, and df: the forms behind nabla eta and Hess f
+    forms = ([M.eta_frame] + frame_basis(M.dim) + drawn
+             + [[w if k % 2 else ZERO for k, w in enumerate(drawn[0])]]
+             + [[e.apply(f) for e in M.frame]])
+    for w in forms:
+        got = conn.nabla_form(w)
+        assert got == reference_nabla_form(conn, w), (M.name, [[str(e) for e in row] for row in got])
 
 
 def _assert_h_prime_squared_equal(tensors):

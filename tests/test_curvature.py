@@ -176,7 +176,7 @@ def test_exterior_data(ex2, ex3):
         n = b.M.dim
         for i in range(n):
             for j in range(i + 1, n):
-                assert is_const(ext.d_eta[i][j], 0)
+                assert is_const(ext.d_eta[(i, j)], 0)
         for key in ext.d_Phi:
             resid = ext.d_Phi[key] - Rat(2) * ext.eta_wedge_Phi[key]
             assert b.M.is_zero_field(resid).is_zero

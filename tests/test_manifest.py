@@ -66,11 +66,14 @@ def test_domain_and_constants():
     m = parse_data(
         domain=[{"coord": "x", "min": -2, "max": 2},
                 {"coord": "z", "min": "1/2", "max": 1.5},
+                {"coord": "y", "min": 1e-13, "max": 123456789.123},
                 {"nonzero": "y"}],
         constants={"lambda_tilde": "-4", "mu": 4},
     )
     assert m.box["x"] == (Fraction(-2), Fraction(2))
     assert m.box["z"] == (Fraction(1, 2), Fraction(3, 2))
+    # a JSON float is read as written, not rounded to a nearby fraction
+    assert m.box["y"] == (Fraction(1, 10 ** 13), Fraction(123456789123, 1000))
     assert len(m.nonvanish) == 1
     assert m.constants == {"lambda_tilde": Fraction(-4), "mu": Fraction(4)}
 
@@ -217,6 +220,9 @@ def test_bad_domain():
                  domain=[{"coord": "x", "min": "lo", "max": 1}])
     expect_error(r"^expected a number \(domain\[0\]\.min\)$",
                  domain=[{"coord": "x", "min": [0], "max": 1}])
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        expect_error(r"^expected a finite number \(domain\[0\]\.min\)$",
+                     domain=[{"coord": "x", "min": bad, "max": 1}])
 
 
 def test_bad_potential():
@@ -230,6 +236,8 @@ def test_bad_constants():
     expect_error("lambda_tilde and/or mu", constants={"kappa": 1})
     expect_error("expected a number", constants={"mu": True})
     expect_error("not a rational number", constants={"mu": "two"})
+    for bad in (float("inf"), float("nan")):
+        expect_error(r"^expected a finite number \(constants\.mu\)$", constants={"mu": bad})
 
 
 def test_bad_sampling_settings():

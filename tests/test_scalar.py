@@ -60,6 +60,25 @@ def test_parse_bounds_the_nesting():
             parse(text)
 
 
+def test_parse_bounds_the_constants():
+    # every number an operator builds counts, and a power is refused before
+    # it is computed; 2^3321 has 1000 digits and 2^3322 has 1001
+    big = scalar.MAX_DIGITS
+    accepted = ["9" * big, "0." + "9" * (big - 1), "2^3321", "10^999*x", "2^-3321",
+                "(x^(10^999))^9", "exp(10^999*x)", "(2*x + y)^5000", "1^(10^999)"]
+    for text in accepted:
+        parse(text)
+    assert parse("(2*x + y)^5000").exponent == 5000
+    refused = [("9" * (big + 1), 1), ("0." + "9" * big, 1), ("2^3322", 2), ("2^-3322", 2),
+               ("10^999*10^999*y", 7), ("10^999 + 9*10^999", 8), ("2^20000*y", 2),
+               ("2^2^2^2^2^2*y", 4), ("(3/2)^6000", 6), ("(x^(10^999))^(10^999)", 13),
+               ("exp(10^999*x)*exp(9*10^999*x)", 14)]
+    for text, column in refused:
+        with pytest.raises(ParseError,
+                           match=rf"^constant of more than {big} digits \(column {column}\)$"):
+            parse(text)
+
+
 def test_simplify_is_idempotent(ex1, ex2, ex3, flat, heis):
     e = parse("(x + y)^2 - x^2 - 2*x*y - y^2")
     s = simplify(e)

@@ -249,6 +249,14 @@ def test_eta_einstein_recovers_manufactured_coefficients(flat):
     assert rep.data["b"] == "5"
     assert rep.data["exact"]
     assert rep.data["residual_max"] == 0.0
+    # an exact b of 10^-10 is not 0, though it is below the tolerance
+    tiny = Rat(Fraction(1, 10 ** 10))
+    stub.ricci = [[Rat(3) * M.metric[i][j] + tiny * eta[i] * eta[j]
+                   for j in range(n)] for i in range(n)]
+    rep = solve_eta_einstein(M, stub)
+    assert rep.passed and rep.data["exact"]
+    assert rep.data["b"] == "1/10000000000"
+    assert not rep.data["einstein"]
 
 
 def test_eta_einstein_kenmotsu_consistency_matches_nonzero_b(flat):
@@ -265,6 +273,13 @@ def test_eta_einstein_kenmotsu_consistency_matches_nonzero_b(flat):
     cons = rep.data["kenmotsu_consistency"]
     assert (cons["a_expected"], cons["b_expected"]) == ("-1", "-1")
     assert cons["matches"]
+    # a - a_expected = 10^-12 exactly: no match, though below the tolerance
+    off = Rat(Fraction(1, 10 ** 12))
+    stub.ricci = [[(off - 1) * M.metric[i][j] - eta[i] * eta[j] for j in range(n)]
+                  for i in range(n)]
+    rep = solve_eta_einstein(M, stub)
+    assert rep.passed and rep.data["a"] == "-999999999999/1000000000000"
+    assert not rep.data["kenmotsu_consistency"]["matches"]
 
 
 # --- report plumbing ---------------------------------------------------------
