@@ -7,11 +7,22 @@ raise ParseError with the offending JSON path in ``where``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
+import sys
 from fractions import Fraction
+
+# The interpreter's own SHA-256, as random.py takes its SHA-512: hashlib
+# would also load _hashlib and with it OpenSSL's libcrypto, the largest
+# part of a command's memory, for one digest of a few KB per command.
+try:
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
+        from _sha256 import sha256
+except ImportError:  # an interpreter built without its own SHA-256
+    from hashlib import sha256
 
 from . import scalar
 from .errors import ParseError
@@ -84,7 +95,7 @@ class Manifest:
         dim = len(coords)
 
         self.path = path
-        self.sha256 = hashlib.sha256(raw).hexdigest() if raw is not None else None
+        self.sha256 = sha256(raw).hexdigest() if raw is not None else None
         default_name = os.path.splitext(os.path.basename(path))[0] if path else "manifold"
         name = data.get("name", default_name)
         _expect(isinstance(name, str) and name, "name must be a nonempty string", "name")
@@ -160,6 +171,11 @@ class Manifest:
         a declared coordinate, or ``exp`` called as a function."""
         _expect(isinstance(text, (str, int, float)) and not isinstance(text, bool),
                 "expected an expression string", where)
+        if isinstance(text, float):
+            # read as written, as _parse_number reads it: repr may hold an
+            # exponent, which the grammar has not
+            _expect(math.isfinite(text), "expected a finite number", where)
+            return scalar.Rat(Fraction(repr(text)))
         if not isinstance(text, str):
             text = repr(text)
         e = self._parsed.get(text)

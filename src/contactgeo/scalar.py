@@ -227,8 +227,6 @@ def _build_mono(factors, exp_arg):
 def _terms_of(e):
     if isinstance(e, Add):
         return list(e.terms)
-    if e is ZERO:
-        return []
     return [e]
 
 

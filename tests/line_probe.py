@@ -5,10 +5,11 @@ Usage, from the repository root::
     python tests/line_probe.py tier1 [pytest arguments]
     python tests/line_probe.py sweep
 
-``tier1`` runs the test suite in-process (extra arguments go to pytest,
-for example ``-k scalar``); ``sweep`` runs the commands of the golden
-determinism sweep (``test_acceptance._sweep_commands``), with and without
-``--json``, from the golden directory. Either way a ``sys.settrace``
+``tier1`` runs the test suite in-process with ``--hypothesis-seed=0``, so
+that two runs of one tree list the same statements (extra arguments go
+to pytest, for example ``-k scalar``); ``sweep`` runs the commands of the
+golden determinism sweep (``test_acceptance._sweep_commands``), with and
+without ``--json``, from the golden directory. Either way a ``sys.settrace``
 tracer, installed before the package is imported, records every line of
 the package that runs. The probe then prints, file by file, how many of
 the file's statements never ran and lists each with its source text. A
@@ -98,7 +99,9 @@ class LineProbe:
 def run_tier1(args):
     import pytest
 
-    return pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")] + args)
+    # a --hypothesis-seed among the arguments overrides the default one
+    return pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+                        str(ROOT / "tests")] + args)
 
 
 def run_sweep(args):

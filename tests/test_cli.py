@@ -347,6 +347,38 @@ def test_an_entry_the_parser_rejects_is_named_by_its_path(capsys, tmp_path, text
     assert err == f"error: {message} (metric_frame[0][0]: {text!r})\n"
 
 
+@pytest.mark.parametrize("number, text", [
+    (1e16, "10000000000000000"),
+    (1e-05, "1/100000"),
+], ids=("1e16", "1e-05"))
+def test_a_float_entry_in_exponent_form_is_read_as_written(capsys, tmp_path, number, text):
+    # repr writes both with an exponent, which once failed to parse with
+    # "unexpected 'e' after expression"
+    def outputs(entry, name):
+        (tmp_path / name).mkdir()
+        path = _flat_variant(tmp_path / name, _set_g11(entry))
+        return [run(capsys, "tables", path, "--what", what)
+                for what in ("conn", "riem", "ricci", "star", "brackets", "h")] \
+            + [run(capsys, "check", path)]
+
+    got = outputs(number, "float")
+    assert got == outputs(text, "text")
+    code, out, err = got[-1]
+    assert (code, err) == (1, "")
+    # g(phi e_1, phi e_1) - g(e_1, e_1) + eta(e_1)^2 = 1 - g_11: phi takes
+    # e_1 to -e_2, and g_22 = 1
+    assert f"witness compat(e_1, e_1) = {1 - parse(text)}\n" in out
+
+
+@pytest.mark.parametrize("number", [float("nan"), float("inf")], ids=("nan", "inf"))
+def test_a_non_finite_float_entry_is_named_by_its_path(capsys, tmp_path, number):
+    # NaN once read as an undeclared coordinate 'nan'
+    code, out, err = run(capsys, "tables", _flat_variant(tmp_path, _set_g11(number)),
+                         "--what", "brackets")
+    assert (code, out) == (2, "")
+    assert err == "error: expected a finite number (metric_frame[0][0])\n"
+
+
 def test_gradient_potential_manifest(capsys, tmp_path):
     data = {
         "coordinates": ["x", "y", "z"],

@@ -1,17 +1,20 @@
-"""numpy, argparse, locale and importlib.resources stay off the start-up path.
+"""numpy, argparse, locale, importlib.resources and hashlib stay off the
+start-up path.
 
 Importing ``contactgeo.cli`` must not load numpy, and neither may the
 commands whose spectra are integer and exact and whose fits are exact.
 None of them, and no usage error, loads argparse or locale (which
 argparse's gettext imports to translate its first message): the command
 line is read from one option table. Nor does any of them load
-importlib.resources: the bundled fixtures are found by path.
+importlib.resources: the bundled fixtures are found by path. Nor does any
+of them load hashlib, whose _hashlib maps OpenSSL's libcrypto: the
+manifest digest comes from the interpreter's own SHA-256.
 
 Each case runs in a fresh interpreter, since the test process may have
 loaded numpy already. A float least-squares fit is the positive control:
-it does load numpy. The importlib.resources cases run with ``-I -S``, so
-that no site hook or environment variable loads it first and masks a
-regression.
+it does load numpy, and ``import hashlib`` loads _hashlib. The
+importlib.resources and hashlib cases run with ``-I -S``, so that no site
+hook or environment variable loads them first and masks a regression.
 """
 
 import os
@@ -108,3 +111,42 @@ def test_unknown_fixture_lists_the_bundled_names_without_importlib_resources():
     assert out.stdout.split() == ["2", "False"]
     assert ("(bundled: eta_einstein, example1, example2, example3, flat)"
             in out.stderr)
+
+
+OPENSSL_LOADED = "print(*(name in sys.modules for name in ('hashlib', '_hashlib')))"
+IMPORT_CLI = ON_PATH + "import contactgeo.cli\nprint(0)\n"
+
+
+@pytest.mark.parametrize("code, argv", [
+    (IMPORT_CLI, []),
+    (ON_PATH + RUN, ["check", "example2"]),
+    (ON_PATH + RUN, ["tables", "example3", "--what", "h"]),
+], ids=("import", "check-example2", "tables-example3-h"))
+def test_start_up_loads_no_openssl(code, argv):
+    out = _isolated(code + OPENSSL_LOADED, *argv)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0", "False", "False"]
+
+
+def test_hashlib_loads_openssl():
+    # the positive control: the same kind of interpreter does show _hashlib
+    out = _isolated(IMPORT_CLI + "import hashlib\n" + OPENSSL_LOADED)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0", "True", "True"]
+
+
+def test_digest_falls_back_to_hashlib():
+    # an interpreter built without its own SHA-256 takes hashlib's, and the
+    # digest is the same
+    code = ON_PATH + """
+import hashlib, os
+sys.modules['_sha2'] = sys.modules['_sha256'] = None  # their imports now fail
+from contactgeo import manifest
+with open(os.path.join(manifest.FIXTURES, 'example2.json'), 'rb') as fh:
+    raw = fh.read()
+print(manifest.sha256 is hashlib.sha256,
+      manifest.resolve('example2').sha256 == hashlib.sha256(raw).hexdigest())
+"""
+    out = _isolated(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", "True"]

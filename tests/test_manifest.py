@@ -1,14 +1,18 @@
 """Manifest parsing, validation errors, and fixture resolution."""
 
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from contactgeo import manifest
 from contactgeo.errors import ParseError
-from contactgeo.manifest import Manifest, fixture_names, load, loads, resolve
-from contactgeo.scalar import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_TOL
+from contactgeo.manifest import FIXTURES, Manifest, fixture_names, load, loads, resolve
+from contactgeo.scalar import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_TOL, parse
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def base_data(**over):
@@ -115,6 +119,24 @@ def test_sha256_tracks_source_bytes():
     assert c.sha256 != a.sha256
 
 
+def _manifest_files():
+    """The bundled fixtures, then the manifests among the golden files (the
+    others are CLI outputs)."""
+    golden = [p for p in sorted(GOLDEN.glob("*.json"))
+              if "coordinates" in json.loads(p.read_text())]
+    return sorted(Path(FIXTURES).glob("*.json")) + golden
+
+
+def test_manifest_files_are_found():
+    assert [p.stem for p in _manifest_files()] == fixture_names() + [
+        "kenmotsu_exp_3", "kenmotsu_exp_7", "kenmotsu_poly_3", "kenmotsu_poly_9"]
+
+
+@pytest.mark.parametrize("path", _manifest_files(), ids=lambda p: p.stem)
+def test_sha256_is_the_hashlib_digest(path):
+    assert load(path).sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_load_from_file(tmp_path):
     p = tmp_path / "m.json"
     p.write_text(json.dumps(base_data(name="disk")))
@@ -196,10 +218,31 @@ def test_undeclared_symbols_rejected_with_path():
 
 
 def test_numbers_and_exp_need_no_declaration():
+    # a float entry is read as written: repr(1e16) is '1e+16' and repr(1e-05)
+    # is '1e-05', exponents the grammar has not, which once failed to parse
     m = parse_data(potential={"function": "exp(2*x) + 1.5*y - 3"},
-                   metric_frame=[[1, 0, 0], [0, 2.5, 0], [0, 0, "1"]])
+                   metric_frame=[[1, 0, 0], [0, 2.5, 1e16], [-0.0, 1e-05, "1"]])
     assert str(m.metric_frame[1][1]) == "5/2"
+    assert m.metric_frame[1][2] is parse("10000000000000000")
+    assert m.metric_frame[2][1] is parse("1/100000")
+    assert m.metric_frame[2][0] is parse("0")
     assert m.potential_function is not None
+
+
+def test_non_finite_float_entries_rejected_with_path():
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        expect_error(r"^expected a finite number \(metric_frame\[1\]\[1\]\)$",
+                     metric_frame=[["1", "0", "0"], ["0", bad, "0"], ["0", "0", "1"]])
+        expect_error(r"^expected a finite number \(potential\.function\)$",
+                     potential={"function": bad})
+
+
+def test_int_entries_keep_the_digit_bound():
+    # an int entry is parsed from its digits, so the parser's bound holds
+    expect_error(r"^constant of more than 1000 digits \(column 1\) \(frame\[0\]\[0\]: '1",
+                 frame=[[10 ** 1000, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert parse_data(frame=[[10 ** 999, 0, 0], [0, 1, 0], [0, 0, 1]]).frame[0][0] \
+        is parse("1" + "0" * 999)
 
 
 def test_bad_xi():
