@@ -172,10 +172,8 @@ class Manifest:
         _expect(isinstance(text, (str, int, float)) and not isinstance(text, bool),
                 "expected an expression string", where)
         if isinstance(text, float):
-            # read as written, as _parse_number reads it: repr may hold an
-            # exponent, which the grammar has not
-            _expect(math.isfinite(text), "expected a finite number", where)
-            return scalar.Rat(Fraction(repr(text)))
+            # read as written: repr may hold an exponent, which the grammar has not
+            return scalar.Rat(_parse_number(text, where))
         if not isinstance(text, str):
             text = repr(text)
         e = self._parsed.get(text)

@@ -14,7 +14,8 @@ Each case runs in a fresh interpreter, since the test process may have
 loaded numpy already. A float least-squares fit is the positive control:
 it does load numpy, and ``import hashlib`` loads _hashlib. The
 importlib.resources and hashlib cases run with ``-I -S``, so that no site
-hook or environment variable loads them first and masks a regression.
+hook or environment variable loads them first and masks a regression;
+each of them checks all three modules.
 """
 
 import os
@@ -79,9 +80,11 @@ print(isinstance(fit[0], float), abs(fit[0] - 1.0) < 1e-12, 'numpy' in sys.modul
 # and PYTHONDONTWRITEBYTECODE, so -B keeps the children from writing bytecode
 # into src
 ON_PATH = "import sys\nsys.path.insert(0, sys.argv.pop(1))\n"
-RESOURCES_LOADED = "print('importlib.resources' in sys.modules)"
+ISOLATED_LOADED = ("print(*(name in sys.modules for name in "
+                   "('importlib.resources', 'hashlib', '_hashlib')))")
+NONE_LOADED = ["False"] * 3
 
-RUN_MAIN_ISOLATED = ON_PATH + RUN + RESOURCES_LOADED
+RUN_MAIN_ISOLATED = ON_PATH + RUN + ISOLATED_LOADED
 
 
 def _isolated(code, *argv):
@@ -90,9 +93,9 @@ def _isolated(code, *argv):
 
 
 def test_import_cli_loads_no_importlib_resources():
-    out = _isolated(ON_PATH + "import contactgeo.cli\n" + RESOURCES_LOADED)
+    out = _isolated(ON_PATH + "import contactgeo.cli\n" + ISOLATED_LOADED)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False"]
+    assert out.stdout.split() == NONE_LOADED
 
 
 @pytest.mark.parametrize("argv", [
@@ -102,37 +105,22 @@ def test_import_cli_loads_no_importlib_resources():
 def test_fixture_commands_load_no_importlib_resources(argv):
     out = _isolated(RUN_MAIN_ISOLATED, *argv)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["0", "False"]
+    assert out.stdout.split() == ["0"] + NONE_LOADED
 
 
 def test_unknown_fixture_lists_the_bundled_names_without_importlib_resources():
     out = _isolated(RUN_MAIN_ISOLATED, "check", "nosuch")
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["2", "False"]
+    assert out.stdout.split() == ["2"] + NONE_LOADED
     assert ("(bundled: eta_einstein, example1, example2, example3, flat)"
             in out.stderr)
 
 
-OPENSSL_LOADED = "print(*(name in sys.modules for name in ('hashlib', '_hashlib')))"
-IMPORT_CLI = ON_PATH + "import contactgeo.cli\nprint(0)\n"
-
-
-@pytest.mark.parametrize("code, argv", [
-    (IMPORT_CLI, []),
-    (ON_PATH + RUN, ["check", "example2"]),
-    (ON_PATH + RUN, ["tables", "example3", "--what", "h"]),
-], ids=("import", "check-example2", "tables-example3-h"))
-def test_start_up_loads_no_openssl(code, argv):
-    out = _isolated(code + OPENSSL_LOADED, *argv)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["0", "False", "False"]
-
-
 def test_hashlib_loads_openssl():
     # the positive control: the same kind of interpreter does show _hashlib
-    out = _isolated(IMPORT_CLI + "import hashlib\n" + OPENSSL_LOADED)
+    out = _isolated(ON_PATH + "import contactgeo.cli, hashlib\n" + ISOLATED_LOADED)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["0", "True", "True"]
+    assert out.stdout.split() == ["False", "True", "True"]
 
 
 def test_digest_falls_back_to_hashlib():
