@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -18,8 +17,8 @@ from . import manifest as manifest_mod
 from . import soliton as soliton_mod
 from . import structure
 from .curvature import CurvatureTable, StructureTensors, koszul
-from .errors import ContactGeoError, MissingPotential
-from .scalar import Add, ZERO, clear_caches, join_signed, to_str
+from .errors import ContactGeoError, MissingPotential, ParseError
+from .scalar import Add, ZERO, clear_caches, join_signed, parse_constant, to_str
 
 CHECK_NAMES = ("almost_contact", "kenmotsu", "almost_kenmotsu",
                "nullity", "eta_einstein")
@@ -42,8 +41,8 @@ COMMANDS = {
               {"--json": "as_json"}),
     "tables": ({**_COMMON, "--what": ("what", _table_name)},
                {"--json": "as_json"}),
-    "soliton": ({**_COMMON, "--lambda-tilde": ("lambda_tilde", Fraction),
-                 "--mu": ("mu", Fraction), "--p": ("p", Fraction)},
+    "soliton": ({**_COMMON, "--lambda-tilde": ("lambda_tilde", parse_constant),
+                 "--mu": ("mu", parse_constant), "--p": ("p", parse_constant)},
                 {"--json": "as_json", "--solve": "solve", "--verify": "verify"}),
 }
 _DEFAULTS = {"checks": ",".join(CHECK_NAMES)}
@@ -128,7 +127,7 @@ def parse_args(argv):
             dest, convert = options[name]
             try:
                 setattr(args, dest, convert(value))
-            except (ValueError, ZeroDivisionError):
+            except (ValueError, ParseError):
                 raise ContactGeoError(f"{name}: invalid value {value!r}") from None
         else:
             raise ContactGeoError(f"unknown option {name!r} for {command}")

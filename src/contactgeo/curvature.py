@@ -39,8 +39,6 @@ from .geometry import _mat_vec, frame_basis, row_reduce
 from .scalar import Rat, ZERO, add_all, evaluate
 
 HALF = Rat(Fraction(1, 2))
-# a sampled h' eigenvalue this close to an integer is reported as that integer
-SNAP_TOL = 1e-9
 
 
 class ConnectionTable:
@@ -362,7 +360,7 @@ class StructureTensors:
         a rational constant and ``integer_spectrum`` finds its eigenvalues,
         the values are those integers, the spread is exactly 0.0 and
         ``exact`` is True. Otherwise the values come from numpy at the
-        first sample point (snapped to integers when that close), the
+        first sample point (snapped to integers within ``M.tol``), the
         spread is the largest eigenvalue movement across sample points, and
         ``exact`` is False; numpy is imported only on that path.
         """
@@ -394,7 +392,7 @@ class StructureTensors:
         values = []
         for x in first:
             r = round(x)
-            values.append(int(r) if abs(x - r) < SNAP_TOL else float(x))
+            values.append(int(r) if abs(x - r) < M.tol else float(x))
         return values, spread, False
 
 

@@ -11,7 +11,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 # The interpreter's own SHA-256, as random.py takes its SHA-512: hashlib
 # would also load _hashlib and with it OpenSSL's libcrypto, the largest
@@ -54,24 +53,8 @@ def _check_samples(samples):
 
 def _check_tol(tol):
     _expect(isinstance(tol, (int, float)) and not isinstance(tol, bool)
-            and 0 < float(tol) < 1, "tol must be in (0, 1)", "tol")
+            and 0 < tol < 1, "tol must be in (0, 1)", "tol")
     return float(tol)
-
-
-def _parse_number(raw, where):
-    if isinstance(raw, bool):
-        raise ParseError("expected a number", where=where)
-    if isinstance(raw, int):
-        return Fraction(raw)
-    if isinstance(raw, float):
-        _expect(math.isfinite(raw), "expected a finite number", where)
-        return Fraction(repr(raw))  # as written, as an expression entry reads it
-    if isinstance(raw, str):
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"not a rational number: {raw!r}", where=where)
-    raise ParseError("expected a number", where=where)
 
 
 class Manifest:
@@ -133,8 +116,8 @@ class Manifest:
                         "interval entries need coord/min/max", where)
                 c = entry["coord"]
                 _expect(c in self.coordinates, f"unknown coordinate {c!r}", where)
-                lo = _parse_number(entry["min"], f"{where}.min")
-                hi = _parse_number(entry["max"], f"{where}.max")
+                lo = self._constant(entry["min"], f"{where}.min")
+                hi = self._constant(entry["max"], f"{where}.max")
                 _expect(lo < hi, "empty interval", where)
                 self.box[c] = (lo, hi)
 
@@ -160,30 +143,41 @@ class Manifest:
             _expect(isinstance(cons, dict) and set(cons) <= {"lambda_tilde", "mu"},
                     "constants holds lambda_tilde and/or mu", "constants")
             for key, val in cons.items():
-                self.constants[key] = _parse_number(val, f"constants.{key}")
+                self.constants[key] = self._constant(val, f"constants.{key}")
 
         self.seed = _check_seed(data.get("seed", scalar.DEFAULT_SEED))
         self.samples = _check_samples(data.get("samples", scalar.DEFAULT_SAMPLES))
         self.tol = _check_tol(data.get("tol", scalar.DEFAULT_TOL))
 
-    def _expr(self, text, where):
+    def _expr(self, text, where, names=True):
         """Parse one entry, a repeated text once. Every name in it must be
-        a declared coordinate, or ``exp`` called as a function."""
+        a declared coordinate, or ``exp`` called as a function; with
+        ``names`` False no name is checked."""
         _expect(isinstance(text, (str, int, float)) and not isinstance(text, bool),
                 "expected an expression string", where)
         if isinstance(text, float):
-            # read as written: repr may hold an exponent, which the grammar has not
-            return scalar.Rat(_parse_number(text, where))
-        if not isinstance(text, str):
+            _expect(math.isfinite(text), "expected a finite number", where)
+            # as written: repr's exponent, as in 1e-05, is a power of 10
+            text = repr(text).replace("e", "*10^")
+        elif not isinstance(text, str):
             text = repr(text)
         e = self._parsed.get(text)
         if e is None:
             try:
-                e = scalar.parse(text, self.coordinates)
+                e = scalar.parse(text, self.coordinates if names else None)
             except ParseError as ex:
                 raise ParseError(f"{ex.args[0]}", where=f"{where}: {text!r}")
             self._parsed[text] = e
         return e
+
+    def _constant(self, raw, where):
+        """A domain bound or constant. Names go unchecked, so ``"two"`` is not
+        a rational number; the load then stops, so none stays in the cache."""
+        _expect(isinstance(raw, (str, int, float)) and not isinstance(raw, bool),
+                "expected a number", where)
+        e = self._expr(raw, where, names=False)
+        _expect(isinstance(e, scalar.Rat), f"not a rational number: {raw!r}", where)
+        return e.value
 
     def _matrix(self, raw, where):
         """Parse a dim x dim matrix; a text parsed before is read from the
@@ -236,6 +230,10 @@ def loads(text, path=None):
     except json.JSONDecodeError as ex:
         raise ParseError(f"invalid JSON: {ex.msg}",
                          where=f"{path or '<string>'}:{ex.lineno}:{ex.colno}")
+    except ValueError:  # int() takes at most sys.get_int_max_str_digits() digits
+        raise ParseError("invalid JSON: an integer of too many digits", where=path or "<string>")
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deep", where=path or "<string>")
     return Manifest(data, path=path, raw=raw)
 
 

@@ -42,14 +42,12 @@ _EXPAND_LIMIT = 6  # largest positive power of a sum that gets multiplied out
 
 
 def _as_fraction(x):
-    """The exact value of an int, Fraction or literal string: an int when
-    it is integral, else a Fraction."""
+    """The exact value of a Fraction or literal string: an int when it is
+    integral, else a Fraction."""
     if isinstance(x, str):
         x = Fraction(x)
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
-    if isinstance(x, int):
-        return int(x)
     raise ExpressionError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -546,17 +544,15 @@ def _eval(e, env, memo):
 def evaluate(e, env):
     """Evaluate at a point.
 
-    ``env`` maps coordinate names to numbers.  The result is an exact
-    rational, int or Fraction, when neither the expression nor the
-    supplied values involve floats or exp; otherwise a float.  A pole, an
+    ``env`` maps coordinate names to ints, Fractions or floats, read as
+    given, so a lazy mapping builds only what ``e`` reads.  The result is
+    an exact rational, int or Fraction, when neither the expression nor
+    the supplied values involve floats or exp; otherwise a float.  A pole, an
     overflow or a value whose float is not finite raises NonFiniteValue,
     whose witness is the point.
     """
-    clean = {}
-    for k, v in env.items():
-        clean[k] = v if isinstance(v, (Fraction, float)) else _as_fraction(v)
     try:
-        v = _eval(e, clean, {})
+        v = _eval(e, env, {})
         if math.isfinite(float(v)):
             return v
         reason = f"the value is {float(v)}"
@@ -716,12 +712,10 @@ class Sampler:
         limit = max(200, 80 * self.count)
         while len(ks) < self.count and k < limit:
             k += 1
-            # _eval: evaluate's copy of env would drop coordinates not built yet
             env = _Candidate(axes, k)
             try:
-                ok = all(self.margin <= abs(float(_eval(g, env, {}))) < math.inf
-                         for g in self.nonvanish)
-            except (DivisionByZero, OverflowError):
+                ok = all(self.margin <= abs(float(evaluate(g, env))) for g in self.nonvanish)
+            except NonFiniteValue:
                 ok = False  # a pole or an overflow rejects it as a small value does
             if ok:
                 ks.append(k)
@@ -925,6 +919,14 @@ def parse(text, names=None):
             if kind == "ident" and following != "(" and name not in names:
                 raise ParseError(f"{name!r} is not a declared coordinate")
     return e
+
+
+def parse_constant(text):
+    """The int or Fraction value of constant text such as ``-7/2`` or ``2^-3``."""
+    e = parse(text, ())
+    if not isinstance(e, Rat):
+        raise ParseError(f"not a rational number: {text!r}")
+    return e.value
 
 
 # --- rendering ---------------------------------------------------------------

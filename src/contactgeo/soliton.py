@@ -16,17 +16,17 @@ from functools import cached_property
 
 from .curvature import hessian, lie_derivative_metric
 from .errors import DegenerateSystem, MissingPotential
-from .scalar import MINUS_ONE, PROVED_ZERO, Rat, to_str
+from .scalar import MINUS_ONE, PROVED_ZERO, Rat, parse_constant, to_str
 from .structure import _prod, fit_sampled, settle_fit
 
 
 def _coerce(q):
-    """Constants arrive as int, Fraction, float or numeric string."""
+    """Constants arrive as int, Fraction, Rat, float or constant text."""
+    if isinstance(q, str):
+        q = parse_constant(q)
     if isinstance(q, Rat):
         q = q.value
     if isinstance(q, (int, Fraction)):
-        return Fraction(q)
-    if isinstance(q, str):
         return Fraction(q)
     f = Fraction(q).limit_denominator(10 ** 12)
     return f if abs(float(f) - float(q)) < 1e-15 else float(q)

@@ -10,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, seed, settings, strategies as st
 
 from contactgeo import cli
 from contactgeo.cli import main
@@ -221,6 +222,14 @@ def test_soliton_flags_override_manifest(capsys):
     assert "residual max = 4" in out
 
 
+def test_a_constant_option_is_read_by_the_grammar(capsys):
+    # Fraction read the exponent form and built a 10^400000 for the solve
+    # to reject as a value with no finite float
+    code, out, err = run(capsys, "soliton", "example3", "--verify",
+                         "--lambda-tilde", "1e400000", "--mu", "4")
+    assert (code, out, err) == (2, "", "error: --lambda-tilde: invalid value '1e400000'\n")
+
+
 def test_soliton_verify_exact_constants_ignore_tol(capsys):
     # a constant residual of exact constants is zero or not; --tol
     # applies to residuals that vary over the sample points
@@ -377,6 +386,55 @@ def test_a_non_finite_float_entry_is_named_by_its_path(capsys, tmp_path, number)
                          "--what", "brackets")
     assert (code, out) == (2, "")
     assert err == "error: expected a finite number (metric_frame[0][0])\n"
+
+
+def _leaf_paths(data, path=()):
+    """The paths of the numbers and strings in JSON data."""
+    if not isinstance(data, (dict, list)):
+        return [path]
+    items = data.items() if isinstance(data, dict) else enumerate(data)
+    return [p for key, value in items for p in _leaf_paths(value, path + (key,))]
+
+
+# flat with every optional number set: its frame is constant, so ``tables``
+# draws no sample point whatever one leaf holds
+_BASE = {**json.loads((Path(cli.__file__).parent / "fixtures" / "flat.json").read_text()),
+         "seed": 1729, "samples": 50, "tol": 1e-9, "constants": {"mu": 4}}
+_LEAF = "<leaf>"
+# JSON texts of bounded size: short grammar-like strings, ints of up to
+# 5,000 digits, floats with NaN and the infinities, and shallow lists
+_json_ints = st.builds(lambda sign, head, tail: sign + head + tail,
+                       st.sampled_from(("", "-")), st.sampled_from("123456789"),
+                       st.text("0123456789", max_size=4999))
+_json_values = st.recursive(
+    st.one_of(st.text("0123456789xyzw+-*/^(). e", max_size=12).map(json.dumps),
+              _json_ints, st.floats().map(json.dumps),
+              st.sampled_from(("0", "true", "null", "{}", '{"nonzero": "x"}'))),
+    lambda inner: st.lists(inner, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]"),
+    max_leaves=6)
+
+
+@seed(1729)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(_leaf_paths(_BASE)), value=_json_values)
+@example(path=("seed",), value="7" * 5000)
+@example(path=("domain", 0, "min"), value="[" * 100000 + "]" * 100000)
+@example(path=("tol",), value="1" + "0" * 400)
+def test_a_malformed_manifest_is_one_error_line(capsys, tmp_path, path, value):
+    # the examples once ended in a ValueError, a RecursionError and an
+    # OverflowError traceback
+    data = json.loads(json.dumps(_BASE))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = _LEAF
+    p = tmp_path / "leaf.json"
+    p.write_text(json.dumps(data).replace(json.dumps(_LEAF), value))
+    code, out, err = run(capsys, "tables", str(p), "--what", "brackets")
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_gradient_potential_manifest(capsys, tmp_path):

@@ -21,15 +21,8 @@ CAUGHT = {"DivisionByZero", "OverflowError", "ZeroDivisionError", "ArithmeticErr
 ALLOWED = {
     ("scalar", "evaluate"):
         "the rule itself: a pole or an overflow becomes NonFiniteValue naming the point",
-    ("scalar", "Sampler._accept"):
-        "a candidate where a domain constraint has a pole or overflows is rejected, as one "
-        "within the margin of 0 is; it reads the lazy candidate, which evaluate would copy",
     ("geometry", "bounds"):
         "an enclosure that cannot be decided is None, and the points are then judged",
-    ("cli", "parse_args"):
-        "an option value such as --tol 1/0 is a usage error",
-    ("manifest", "_parse_number"):
-        "a domain bound such as \"1/0\" is a ParseError at its place in the manifest",
 }
 
 

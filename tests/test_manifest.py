@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -80,6 +81,12 @@ def test_domain_and_constants():
     assert m.box["y"] == (Fraction(1, 10 ** 13), Fraction(123456789123, 1000))
     assert len(m.nonvanish) == 1
     assert m.constants == {"lambda_tilde": Fraction(-4), "mu": Fraction(4)}
+    # a bound or constant is read by the expression grammar, so it may be
+    # a constant expression
+    m = parse_data(domain=[{"coord": "x", "min": "2^-3", "max": 1}],
+                   constants={"mu": "1/2 + 1/4"})
+    assert m.box["x"] == (Fraction(1, 8), Fraction(1))
+    assert m.constants == {"mu": Fraction(3, 4)}
 
 
 def test_vector_potential():
@@ -261,6 +268,12 @@ def test_bad_domain():
     expect_error("only that key", domain=[{"nonzero": "y", "coord": "x"}])
     expect_error("not a rational number",
                  domain=[{"coord": "x", "min": "lo", "max": 1}])
+    # the grammar has no exponent form, and a coordinate is not a number
+    expect_error(r"^unexpected 'e400000' after expression \(column 2\) "
+                 r"\(domain\[0\]\.max: '1e400000'\)$",
+                 domain=[{"coord": "x", "min": 0, "max": "1e400000"}])
+    expect_error(r"^not a rational number: 'x' \(domain\[0\]\.min\)$",
+                 domain=[{"coord": "x", "min": "x", "max": 1}])
     expect_error(r"^expected a number \(domain\[0\]\.min\)$",
                  domain=[{"coord": "x", "min": [0], "max": 1}])
     for bad in (float("inf"), float("-inf"), float("nan")):
@@ -279,6 +292,8 @@ def test_bad_constants():
     expect_error("lambda_tilde and/or mu", constants={"kappa": 1})
     expect_error("expected a number", constants={"mu": True})
     expect_error("not a rational number", constants={"mu": "two"})
+    expect_error(r"^constant of more than 1000 digits \(column 1\) \(constants\.mu: '1",
+                 constants={"mu": 10 ** 1000})
     for bad in (float("inf"), float("nan")):
         expect_error(r"^expected a finite number \(constants\.mu\)$", constants={"mu": bad})
 
@@ -290,6 +305,7 @@ def test_bad_sampling_settings():
     expect_error("tol", tol=0)
     expect_error("tol", tol=2.0)
     expect_error("tol", tol=True)
+    expect_error("tol", tol=10 ** 400)  # once an OverflowError in float()
 
 
 def test_json_error_carries_position():
@@ -298,6 +314,14 @@ def test_json_error_carries_position():
     assert "m.json:2" in str(err.value)
     with pytest.raises(ParseError, match=r"^manifest is not UTF-8: .* \(m\.json\)$"):
         loads(b'{"name": "\xff"}', path="m.json")
+    # these two once escaped as a ValueError and a RecursionError; an
+    # interpreter with no digit limit for int() reads the seed
+    if hasattr(sys, "get_int_max_str_digits"):
+        with pytest.raises(ParseError,
+                           match=r"^invalid JSON: an integer of too many digits \(m\.json\)$"):
+            loads('{"seed": ' + "7" * 5000 + "}", path="m.json")
+    with pytest.raises(ParseError, match=r"^invalid JSON: nested too deep \(m\.json\)$"):
+        loads("[" * 100000 + "]" * 100000, path="m.json")
 
 
 def test_resolve_unknown_lists_fixtures():

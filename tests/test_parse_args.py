@@ -5,13 +5,20 @@ earlier argparse parser, kept in ``canonical_ref``) gives, attribute for
 attribute, on every command line the determinism sweep and the benchmark
 run and on the option forms argparse accepted. A command line that
 argparse rejected must be rejected too: ``main`` then exits 2 with one
-``error:`` line on stderr and prints nothing on stdout. The one intended
-difference: argparse took a unique prefix of an option name (``--sam``
-for ``--samples``); ``parse_args`` takes whole names only.
+``error:`` line on stderr and prints nothing on stdout. The intended
+differences:
+
+- argparse took a unique prefix of an option name (``--sam`` for
+  ``--samples``); ``parse_args`` takes whole names only;
+- argparse read ``--lambda-tilde``, ``--mu`` and ``--p`` with
+  ``Fraction``; ``parse_args`` reads them with the expression grammar, as
+  a manifest entry is read, so an exponent form (``1e-3``) is refused and
+  a constant expression (``2^-3``) is taken.
 """
 
 import os
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -126,6 +133,19 @@ def test_abbreviations_are_the_intended_difference(capsys, argv, dest, value, na
     assert _main(capsys, argv) == (2, "", f"error: unknown option {name!r} for {argv[0]}\n")
 
 
+def test_constants_are_read_by_the_grammar(capsys):
+    # the other intended difference: an exponent form is refused, a
+    # constant expression taken
+    argv = ["soliton", "example3", "--verify", "--mu", "1e-3"]
+    assert ref_parser().parse_args(argv).mu == Fraction(1, 1000)
+    assert _main(capsys, argv) == (2, "", "error: --mu: invalid value '1e-3'\n")
+    argv = ["soliton", "example3", "--solve", "--p", "2^-3"]
+    with pytest.raises(SystemExit):
+        ref_parser().parse_args(argv)
+    capsys.readouterr()
+    assert cli.parse_args(argv).p == Fraction(1, 8)
+
+
 @pytest.mark.parametrize("argv, message", [
     ([], "no command given; choose from check, tables, soliton"),
     (["verify", "x"], "unknown command 'verify'; choose from check, tables, soliton"),
@@ -133,6 +153,7 @@ def test_abbreviations_are_the_intended_difference(capsys, argv, dest, value, na
     (["check", "x", "--seed"], "--seed needs a value"),
     (["check", "x", "--seed", "x"], "--seed: invalid value 'x'"),
     (["soliton", "x", "--solve", "--p=1/0"], "--p: invalid value '1/0'"),
+    (["soliton", "x", "--solve", "--p=exp(1)"], "--p: invalid value 'exp(1)'"),
     (["tables", "x", "--what", "bad"],
      "--what must be one of brackets, conn, riem, ricci, star, h, not 'bad'"),
     (["tables", "x"], "tables needs --what, one of brackets, conn, riem, ricci, star, h"),
