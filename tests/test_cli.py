@@ -396,8 +396,9 @@ def _leaf_paths(data, path=()):
     return [p for key, value in items for p in _leaf_paths(value, path + (key,))]
 
 
-# flat with every optional number set: its frame is constant, so ``tables``
-# draws no sample point whatever one leaf holds
+# flat with every optional number set. Its frame is constant, so ``tables``
+# draws sample points only when the drawn leaf is a frame entry, and then
+# 50 of them: a drawn ``samples`` count is never drawn
 _BASE = {**json.loads((Path(cli.__file__).parent / "fixtures" / "flat.json").read_text()),
          "seed": 1729, "samples": 50, "tol": 1e-9, "constants": {"mu": 4}}
 _LEAF = "<leaf>"

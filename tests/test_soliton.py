@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from contactgeo import soliton
-from contactgeo.errors import MissingPotential
+from contactgeo.errors import MissingPotential, ParseError
 from contactgeo.scalar import Rat, parse
 from contactgeo.soliton import (
     SolitonProblem, classify, lambda_string, solve_soliton, verify_soliton,
@@ -100,6 +100,11 @@ def test_residual_affine_in_constants(ex2):
 def test_verify_accepts_string_constants(ex2):
     rep = verify_soliton(vector_problem(ex2), "0", "0")
     assert rep.passed
+    # read by the expression grammar: a constant expression is taken, an
+    # exponent form refused
+    assert verify_soliton(vector_problem(ex2), "1/2 - 2^-1", "0").passed
+    with pytest.raises(ParseError, match=r"^unexpected 'e' after expression \(column 2\)$"):
+        verify_soliton(vector_problem(ex2), "1e-3", "0")
 
 
 def test_exact_constants_near_a_soliton_are_not_one(ex2):
