@@ -46,8 +46,14 @@ def _check_seed(seed):
     return seed
 
 
+# the sampler checks and keeps candidates until it has this many points,
+# before any output: a billion would run for about an hour
+MAX_SAMPLES = 100_000
+
+
 def _check_samples(samples):
     _expect(_is_int(samples) and samples > 0, "samples must be a positive integer", "samples")
+    _expect(samples <= MAX_SAMPLES, f"samples must be at most {MAX_SAMPLES}", "samples")
     return samples
 
 
@@ -160,6 +166,9 @@ class Manifest:
             # as written: repr's exponent, as in 1e-05, is a power of 10
             text = repr(text).replace("e", "*10^")
         elif not isinstance(text, str):
+            # before repr, which fails past the interpreter's int digit limit
+            _expect(abs(text) < scalar._DIGIT_LIMIT,
+                    f"constant of more than {scalar.MAX_DIGITS} digits", where)
             text = repr(text)
         e = self._parsed.get(text)
         if e is None:

@@ -272,6 +272,19 @@ def test_samples_override_must_be_positive(capsys, argv, samples):
     assert err == "error: samples must be a positive integer (samples)\n"
 
 
+@pytest.mark.parametrize("argv", (
+    ("tables", "example3", "--what", "brackets"),
+    ("check", "flat", "--checks", "nullity"),
+    ("soliton", "example2", "--solve"),
+))
+def test_samples_override_has_an_upper_bound(capsys, argv):
+    # rejected before the sampler, which on example3's domain constraint
+    # once checked and kept every one of them before any output
+    code, out, err = run(capsys, *argv, "--samples", "100001")
+    assert (code, out) == (2, "")
+    assert err == "error: samples must be at most 100000 (samples)\n"
+
+
 @pytest.mark.parametrize("argv, flag, value, message", (
     # --tol 5 once made the identity frame of flat "degenerate"
     (("check", "flat", "--checks", "almost_contact"), "--tol", "5",
@@ -490,6 +503,42 @@ def test_subprocess_determinism():
     assert json.loads(a.stdout)["checks"]["nullity"]["passed"] is True
 
 
+# --- the JSON writer -----------------------------------------------------------
+
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(),
+    st.integers(min_value=-10 ** 400, max_value=10 ** 400),
+    st.sampled_from((-0.0, 1e16, float("nan"), float("inf"), float("-inf"))))
+_json_payloads = st.recursive(_json_leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=6), inner, max_size=4)), max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_payloads)
+@example({"é\x00\u2028\"\\": [(), {}, [[]], "\x1f\ud800"]})
+@example({"n": [10 ** 400, -10 ** 400, -0.0, 1e16, float("inf"), float("nan"), True, None]})
+def test_json_text_is_json_dumps(payload):
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("payload", [
+    Fraction(1, 3), {"a": [Fraction(1, 3)]}, {1, 2}, {"a": {1}}, {1: 2, "a": 3}])
+def test_json_text_raises_where_json_dumps_does(payload):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(payload, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        cli._json_text(payload)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("key", [1, 1.5, True, None, (1, 2)])
+def test_json_text_takes_only_string_keys(key):
+    # json would write the first four as strings; no report has such a key
+    with pytest.raises(TypeError, match=f"^keys must be str, not {type(key).__name__}$"):
+        cli._json_text({"a": {key: 0}})
+
+
 # --- the entry point -----------------------------------------------------------
 
 
@@ -518,3 +567,37 @@ def test_entry_point_help_names_every_option():
     names = {name for options, flags in cli.COMMANDS.values() for name in [*options, *flags]}
     for name in sorted(names) + ["-h", "--help", "--version"]:
         assert re.search(rf"(?<![\w-]){name}(?![\w-])", done.stdout), name
+
+
+@pytest.mark.parametrize("unbuffered", (False, True), ids=("buffered", "unbuffered"))
+def test_entry_point_with_stdout_closed_exits_2_without_a_traceback(unbuffered):
+    # a report nobody reads once ended in a BrokenPipeError traceback and
+    # exit 1, the code of a failed check. Buffered, this report of 1.3 KB
+    # reaches the pipe only when main flushes stdout
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "contactgeo.cli", "check", "flat",
+                               "--checks", "almost_contact", "--json"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (2, "")
+
+
+def test_main_with_stdout_closed_points_it_at_devnull(monkeypatch):
+    # in-process, so that the closing flush is this test's own; the report
+    # fits the file's buffer, so main's own flush meets the closed pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["check", "flat", "--checks", "almost_contact", "--json"]) == 2
+        print("dropped")
+        stdout.flush()
