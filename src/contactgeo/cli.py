@@ -480,7 +480,9 @@ def main(argv=None):
     except BrokenPipeError:
         # stdout's reader has gone: the report was not delivered. Point stdout
         # at devnull, so that the flush at exit does not fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 2
 
 
